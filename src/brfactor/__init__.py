@@ -7,10 +7,12 @@ any one route can be checked against the others.
 
 from .closed_form import (
     CancellationWarning,
+    ClosedBatch,
     UnsupportedSignatureError,
     coincident_axx,
     commutator_difference,
     factor_closed,
+    factor_closed_batch,
     ji4,
 )
 from .fourier_bessel import SeriesTermLog, factor_series, factor_series_general
@@ -34,6 +36,7 @@ __version__ = "1.0.0"
 __all__ = [
     "AvgKind",
     "CancellationWarning",
+    "ClosedBatch",
     "FactorKind",
     "FactorResult",
     "Ji4Args",
@@ -52,6 +55,7 @@ __all__ = [
     "coincident_axx",
     "commutator_difference",
     "factor_closed",
+    "factor_closed_batch",
     "factor_fourier_numeric",
     "factor_series",
     "factor_series_general",

@@ -11,14 +11,13 @@ Exit codes: 0 success, 1 reference/validation mismatch, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import decimal
 import itertools
 import json
 import math
-import os
+import re
 import sys
 import warnings
 from typing import Optional, Sequence
@@ -29,10 +28,12 @@ from .closed_form import (
     CancellationWarning,
     UnsupportedSignatureError,
     factor_closed,
+    factor_closed_batch,
     ji4,
 )
 from .fourier_bessel import factor_series, factor_series_general
 from .model import (
+    FIELDS,
     FactorKind,
     FactorResult,
     Ji4Args,
@@ -40,6 +41,7 @@ from .model import (
     RegionPair,
     SeriesConfig,
     ValidationError,
+    check_field,
     reverse,
 )
 from .oracle import QuadConfig, factor_fourier_numeric, ji4_numeric
@@ -308,16 +310,16 @@ _CSV_COLUMNS = (
 )
 
 
+def _result_fields(method: str, value: float, terms_used: int, converged: bool) -> list:
+    return [method, f"{value:.16e}", str(terms_used), "true" if converged else "false"]
+
+
 def _csv_row(kind: FactorKind, p: RegionPair, result: FactorResult) -> list:
-    fields = [kind.value]
-    fields += [f"{getattr(p, name):.17g}" for name in _CSV_COLUMNS[1:9]]
-    fields += [
-        result.method.value,
-        f"{result.value:.16e}",
-        str(result.terms_used),
-        "true" if result.converged else "false",
-    ]
-    return fields
+    return (
+        [kind.value]
+        + [f"{getattr(p, name):.17g}" for name in FIELDS]
+        + _result_fields(result.method.value, result.value, result.terms_used, result.converged)
+    )
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
@@ -349,36 +351,22 @@ def cmd_table1(args: argparse.Namespace) -> int:
     return 0 if report.all_passed else 1
 
 
-def _parse_range(text: str):
-    """A single value or `start:stop:count` for a linspace grid axis."""
+def _parse_axis(text: str):
+    """A grid axis: `VALUE` or `START:STOP:COUNT` (a linspace).
+
+    Values are numbers or rational multiples of pi, as `parse_angle` reads
+    them, on every axis.
+    """
     parts = text.split(":")
     try:
         if len(parts) == 1:
-            return (float(parts[0]),)
-        if len(parts) == 3:
-            start, stop = float(parts[0]), float(parts[1])
-            count = int(parts[2])
-            if count < 1:
-                raise ValueError
-            return tuple(np.linspace(start, stop, count).tolist())
-    except ValueError:
+            return (parse_angle(parts[0]),)
+        if len(parts) == 3 and int(parts[2]) >= 1:
+            start, stop = parse_angle(parts[0]), parse_angle(parts[1])
+            return tuple(np.linspace(start, stop, int(parts[2])).tolist())
+    except (ValueError, argparse.ArgumentTypeError):
         pass
     raise argparse.ArgumentTypeError(f"expected VALUE or START:STOP:COUNT, got {text!r}")
-
-
-def _parse_angle_range(text: str):
-    parts = text.split(":")
-    if len(parts) == 1:
-        return (parse_angle(parts[0]),)
-    if len(parts) == 3:
-        start, stop = parse_angle(parts[0]), parse_angle(parts[1])
-        try:
-            count = int(parts[2])
-        except ValueError:
-            count = 0
-        if count >= 1:
-            return tuple(np.linspace(start, stop, count).tolist())
-    raise argparse.ArgumentTypeError(f"expected ANGLE or START:STOP:COUNT, got {text!r}")
 
 
 def _parse_kinds(text: str):
@@ -391,15 +379,12 @@ def _parse_kinds(text: str):
     return tuple(kinds)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("BRF_THREADS", "")
+def _point_fields(kind, p, method, series_cfg, quad_cfg) -> tuple:
     try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        cap = min(8, os.cpu_count() or 1)
-    return cap
+        result = _evaluate(kind, p, method, series_cfg, quad_cfg)
+    except QuadratureError as exc:
+        return method.value, exc.estimate, 0, False
+    return result.method.value, result.value, result.terms_used, result.converged
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -407,32 +392,41 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     method = Method(args.method)
     series_cfg = _series_config(args)
     quad_cfg = _quad_config(args)
-    axes = (args.kind, args.r1, args.r2, args.r, args.theta, args.phi,
-            args.dt1, args.dt2, args.t)
-    total = math.prod(len(a) for a in axes)
+    axes = (args.r1, args.r2, args.r, args.theta, args.phi, args.dt1, args.dt2, args.t)
+    total = len(args.kind) * math.prod(len(a) for a in axes)
     if total > args.max_points:
         print(
             f"error: grid has {total} points, exceeding --max-points={args.max_points}",
             file=sys.stderr,
         )
         return 2
+    # the constraints are per field, so checking every axis value once
+    # checks every grid point
+    for name, values in zip(FIELDS, axes):
+        check_field(name, np.array(values))
+    labels = list(itertools.product(*([f"{v:.17g}" for v in values] for values in axes)))
 
-    points = list(itertools.product(*axes))
-    for _, r1, r2, r, theta, phi, dt1, dt2, t in points:
-        RegionPair(r1, r2, r, theta, phi, dt1, dt2, t).validate()
-
-    def evaluate(point) -> list:
-        kind, r1, r2, r, theta, phi, dt1, dt2, t = point
-        p = RegionPair(r1, r2, r, theta, phi, dt1, dt2, t)
-        try:
-            result = _evaluate(kind, p, method, series_cfg, quad_cfg)
-        except QuadratureError as exc:
-            result = FactorResult(exc.estimate, 0, float("inf"), method, False)
-        return _csv_row(kind, p, result)
-
-    # grid order is fixed by index; threads only reorder the work, not the rows
-    with concurrent.futures.ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        rows = list(pool.map(evaluate, points))
+    rows = []
+    for kind in args.kind:
+        if method is Method.CLOSED_FORM:
+            # the whole grid of this kind as one batch, in itertools.product order
+            grid = RegionPair(*(g.ravel() for g in np.meshgrid(*axes, indexing="ij")))
+            batch = factor_closed_batch(kind, grid)
+            results = zip(
+                itertools.repeat(method.value),
+                batch.value.tolist(),
+                batch.terms_used.tolist(),
+                itertools.repeat(True),
+            )
+        else:
+            results = (
+                _point_fields(kind, RegionPair(*point), method, series_cfg, quad_cfg)
+                for point in itertools.product(*axes)
+            )
+        name = kind.value
+        rows.extend(
+            [name, *label, *_result_fields(*fields)] for label, fields in zip(labels, results)
+        )
 
     out = open(args.out, "w", newline="") if args.out is not None else sys.stdout
     try:
@@ -621,13 +615,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (("--r1", "radius of region 1"),
                             ("--r2", "radius of region 2"),
                             ("--r", "centre separation")):
-        sp.add_argument(name, type=_parse_range, required=name != "--r",
+        sp.add_argument(name, type=_parse_axis, required=name != "--r",
                         default=None if name != "--r" else (0.0,), help=help_text)
-    sp.add_argument("--theta", type=_parse_angle_range, default=(0.0,))
-    sp.add_argument("--phi", type=_parse_angle_range, default=(0.0,))
-    sp.add_argument("--dt1", type=_parse_range, default=(1.0,))
-    sp.add_argument("--dt2", type=_parse_range, default=(1.0,))
-    sp.add_argument("--t", type=_parse_range, default=(0.0,))
+    sp.add_argument("--theta", type=_parse_axis, default=(0.0,))
+    sp.add_argument("--phi", type=_parse_axis, default=(0.0,))
+    sp.add_argument("--dt1", type=_parse_axis, default=(1.0,))
+    sp.add_argument("--dt2", type=_parse_axis, default=(1.0,))
+    sp.add_argument("--t", type=_parse_axis, default=(0.0,))
     sp.add_argument("--method", default="closed", choices=_METHODS)
     sp.add_argument("--out", default=None, help="CSV output path (default stdout)")
     sp.add_argument("--max-points", type=int, default=20000,
@@ -644,9 +638,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a value that starts with '-' but is no plain negative number, such as
+# `-1:1:3` or `-pi/3`; no option of this parser looks like that
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.|pi)")
+
+
+def _attach_negative_values(argv: Sequence[str]) -> list:
+    """Join `--flag -1:1:3` into `--flag=-1:1:3`.
+
+    argparse reads a token that starts with '-' as an option unless it is a
+    plain negative number, so a negative range or angle would otherwise be
+    refused as a missing argument.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_VALUE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except (ValidationError, UnsupportedSignatureError) as exc:

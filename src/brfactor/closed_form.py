@@ -7,14 +7,23 @@ j_l4(delta x).  For the signatures needed here it reduces to finite sums
 over sign permutations of the arguments; each factor kind then becomes a
 weighted sum of at most ten such integrals with step-gated coefficients
 built from the corner lags of the sampling schedule.
+
+Everything below works on arrays of points: the sign permutations are a
+leading axis of 2, 4 or 8 terms, the zero band and the signature choice are
+masks, and each sum formula runs once over all the integrals that select
+it.  A single factor or integral is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import dataclass
+
+import numpy as np
 
 from .model import (
+    FIELDS,
     FactorKind,
     FactorResult,
     Ji4Args,
@@ -42,94 +51,124 @@ class CancellationWarning(RuntimeWarning):
     """A permutation sum lost more than ~8 digits to cancellation."""
 
 
-def zr(x: float, scale: float) -> float:
-    """Indicator of the zero band: 1 if |x| <= 1e-12*scale, else 0."""
-    if scale <= 0.0:
+def zr(x, scale):
+    """Indicator of the zero band: 1 if |x| <= 1e-12*scale, else 0.
+
+    Elementwise on arrays; a float in gives a float out.
+    """
+    if np.any(scale <= 0.0):
         raise ValidationError(f"scale must be positive, got {scale}")
-    return 1.0 if abs(x) <= ZERO_BAND_RTOL * scale else 0.0
+    return 1.0 * _in_band(x, scale)
 
 
-# sign patterns for the permutation sums: the second argument alternates
-# every term, the third every two terms, the fourth every four terms;
-# four-term sums flip their last argument every two terms instead
-_SIGNS8 = tuple(
-    (1.0, (-1.0) ** n, (-1.0) ** (n // 2), (-1.0) ** (n // 4)) for n in range(8)
+def _in_band(x, scale):
+    # zr as a mask, for callers whose scale is >= 1 by construction
+    return abs(x) <= ZERO_BAND_RTOL * scale
+
+
+# sign patterns for the permutation sums, one row per term: the second
+# argument alternates every term, the third every two terms, the fourth
+# every four terms; four-term sums flip their last argument every two terms.
+# Each pattern is kept as one (terms, 1) column per argument.
+_SIGNS8 = np.array(
+    [(1.0, (-1.0) ** n, (-1.0) ** (n // 2), (-1.0) ** (n // 4)) for n in range(8)]
 )
-_SIGNS4 = tuple((1.0, (-1.0) ** n, (-1.0) ** (n // 2)) for n in range(4))
+_SIGNS8, _SIGNS4, _SIGNS2 = (
+    tuple(_SIGNS8[:k, j : j + 1] for j in range(m)) for k, m in ((8, 4), (4, 3), (2, 2))
+)
+
+# Python's float ** int rounds through the C library's pow; np.float_power
+# does too, so the terms below round exactly as scalar code would
+_pow = np.float_power
 
 
-def _checked_sum(terms: list, context: str) -> float:
-    total = math.fsum(terms)
-    peak = max((abs(t) for t in terms), default=0.0)
-    if peak > 0.0 and abs(total) < CANCELLATION_RTOL * peak:
-        warnings.warn(
-            f"{context}: permutation sum cancels to {total:.3e} "
-            f"against largest term {peak:.3e}",
-            CancellationWarning,
-            stacklevel=4,
-        )
-    return total
+def _two_sum(a, b) -> tuple:
+    # Knuth's TwoSum: s = fl(a + b) and its exact rounding error
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
 
 
-def _ji4_1100_pair(a: float, b: float) -> float:
+def _two_sum_total(x: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, whose length is a power of two.
+
+    Pairwise TwoSum: every addition's exact rounding error is kept and the
+    errors are added back at the end, which matches math.fsum unless the
+    sum cancels by some 1e15.
+    """
+    x, err = _two_sum(x[0::2], x[1::2])
+    while len(x) > 1:
+        x, e = _two_sum(x[0::2], x[1::2])
+        err = err[0::2] + err[1::2] + e
+    return x[0] + err[0]
+
+
+def _sign_sum(signs: tuple, args: tuple, term) -> tuple:
+    """(total, cancelled) of term(*signed args) summed over the sign rows."""
+    terms = term(*(col * x for col, x in zip(signs, args)))
+    total = _two_sum_total(terms)
+    # an all-zero sum (peak 0) is exact and fails the strict test
+    return total, abs(total) < CANCELLATION_RTOL * abs(terms).max(axis=0)
+
+
+# Each kernel maps its argument arrays to (values, cancelled).
+
+
+def _ji4_1100_pair(a, b):
     # both remaining arguments zero: two-term sum, equals (pi/6) R_< / R_>^2
-    terms = []
-    for sa, sb, _ in _SIGNS4[:2]:
-        an, bn = sa * a, sb * b
-        terms.append(abs(an + bn) / (an * bn) * (an * an - an * bn + bn * bn))
-    return math.pi / (12.0 * a * b) * _checked_sum(terms, "ji4(0;1,1,0,0) pair")
+    def term(an, bn):
+        return abs(an + bn) / (an * bn) * (an * an - an * bn + bn * bn)
+
+    total, cancelled = _sign_sum(_SIGNS2, (a, b), term)
+    return math.pi / (12.0 * a * b) * total, cancelled
 
 
-def _ji4_1100_three(a: float, b: float, c: float) -> float:
+def _ji4_1100_three(a, b, c):
     # one argument zero: four-term sum with a signed-square kernel
-    terms = []
-    for sa, sb, sc in _SIGNS4:
-        an, bn, cn = sa * a, sb * b, sc * c
+    def term(an, bn, cn):
         s = an + bn + cn
-        terms.append(
+        return (
             s
             * abs(s)
             / (an * bn * cn)
-            * (3.0 * (an - bn) ** 2 + 2.0 * (an + bn) * cn - cn * cn)
+            * (3.0 * _pow(an - bn, 2) + 2.0 * (an + bn) * cn - cn * cn)
         )
-    return math.pi / (192.0 * a * b) * _checked_sum(terms, "ji4(0;1,1,0,0) three")
+
+    total, cancelled = _sign_sum(_SIGNS4, (a, b, c), term)
+    return math.pi / (192.0 * a * b) * total, cancelled
 
 
-def _ji4_1100_full(a: float, b: float, c: float, d: float) -> float:
-    terms = []
-    for sa, sb, sc, sd in _SIGNS8:
-        an, bn, cn, dn = sa * a, sb * b, sc * c, sd * d
+def _ji4_1100_full(a, b, c, d):
+    def term(an, bn, cn, dn):
         s = an + bn + cn + dn
-        terms.append(
-            abs(s) ** 3
+        return (
+            _pow(abs(s), 3)
             / (an * bn * cn * dn)
             * (4.0 * an * an + (4.0 * bn - cn - dn) * (-3.0 * an + bn + cn + dn))
         )
-    return math.pi / (1920.0 * a * b) * _checked_sum(terms, "ji4(0;1,1,0,0) full")
+
+    total, cancelled = _sign_sum(_SIGNS8, (a, b, c, d), term)
+    return math.pi / (1920.0 * a * b) * total, cancelled
 
 
-def _ji4_1102_quad(a: float, b: float, d: float) -> float:
+def _ji4_1102_quad(a, b, d):
     # third argument zero; the fourth flips sign every two terms here
-    terms = []
-    for sa, sb, sd in _SIGNS4:
-        an, bn, dn = sa * a, sb * b, sd * d
+    def term(an, bn, dn):
         s = an + bn + dn
-        terms.append(
+        return (
             s
             * abs(s)
             / (an * bn * dn)
-            * (an + bn - dn) ** 2
+            * _pow(an + bn - dn, 2)
             * (an * an - 4.0 * an * bn + bn * bn - dn * dn)
         )
-    return -math.pi / (384.0 * a * b * d * d) * _checked_sum(
-        terms, "ji4(0;1,1,0,2) quad"
-    )
+
+    total, cancelled = _sign_sum(_SIGNS4, (a, b, d), term)
+    return -math.pi / (384.0 * a * b * d * d) * total, cancelled
 
 
-def _ji4_1102_full(a: float, b: float, c: float, d: float) -> float:
-    terms = []
-    for sa, sb, sc, sd in _SIGNS8:
-        an, bn, cn, dn = sa * a, sb * b, sc * c, sd * d
+def _ji4_1102_full(a, b, c, d):
+    def term(an, bn, cn, dn):
         s = an + bn + cn + dn
         abc = an + bn + cn
         poly = (
@@ -141,165 +180,230 @@ def _ji4_1102_full(a: float, b: float, c: float, d: float) -> float:
                 + 9.0 * (an + bn) * cn
                 + cn * cn
             )
-            * dn**2
-            + (24.0 * (an + bn) - 11.0 * cn) * dn**3
-            - 8.0 * dn**4
+            * _pow(dn, 2)
+            + (24.0 * (an + bn) - 11.0 * cn) * _pow(dn, 3)
+            - 8.0 * _pow(dn, 4)
         )
-        terms.append(abs(s) ** 3 / (an * bn * cn * dn) * poly)
-    return -math.pi / (26880.0 * a * b * d * d) * _checked_sum(
-        terms, "ji4(0;1,1,0,2) full"
-    )
+        return _pow(abs(s), 3) / (an * bn * cn * dn) * poly
+
+    total, cancelled = _sign_sum(_SIGNS8, (a, b, c, d), term)
+    return -math.pi / (26880.0 * a * b * d * d) * total, cancelled
 
 
-def _ji4_11m11_full(a: float, b: float, c: float, d: float) -> float:
+def _ji4_11m11_full(a, b, c, d):
     # the third (cosine-kernel) argument drops out of the denominators
-    terms = []
-    for sa, sb, sc, sd in _SIGNS8:
-        an, bn, cn, dn = sa * a, sb * b, sc * c, sd * d
+    def term(an, bn, cn, dn):
         s = an + bn + cn + dn
         poly = (
-            5.0 * an**3
+            5.0 * _pow(an, 3)
             - 3.0 * an * an * (5.0 * bn - 3.0 * cn + 5.0 * dn)
             + (-3.0 * an + bn + cn + dn)
             * (5.0 * bn * bn + (cn - 5.0 * dn) * (4.0 * bn - cn - dn))
         )
-        terms.append(abs(s) ** 3 / (an * bn * dn) * poly)
-    return -math.pi / (11520.0 * a * b * c * d) * _checked_sum(
-        terms, "ji4(0;1,1,-1,1) full"
-    )
+        return _pow(abs(s), 3) / (an * bn * dn) * poly
+
+    total, cancelled = _sign_sum(_SIGNS8, (a, b, c, d), term)
+    return -math.pi / (11520.0 * a * b * c * d) * total, cancelled
 
 
-def _ji4_n1_1101_quad(a: float, b: float, d: float) -> float:
-    terms = []
-    for sa, sb, sd in _SIGNS4:
-        an, bn, dn = sa * a, sb * b, sd * d
+def _ji4_n1_1101_quad(a, b, d):
+    def term(an, bn, dn):
         s = an + bn + dn
         poly = (
-            an**3
+            _pow(an, 3)
             - 3.0 * an * (bn * bn - 4.0 * bn * dn + dn * dn)
             + (bn + dn) * (-3.0 * an * an + bn * bn - 4.0 * bn * dn + dn * dn)
         )
-        terms.append(abs(s) ** 3 / (an * bn * dn) * poly)
-    return -math.pi / (1152.0 * a * b * d) * _checked_sum(
-        terms, "ji4(1;1,1,0,1) quad"
-    )
+        return _pow(abs(s), 3) / (an * bn * dn) * poly
+
+    total, cancelled = _sign_sum(_SIGNS4, (a, b, d), term)
+    return -math.pi / (1152.0 * a * b * d) * total, cancelled
+
+
+def _ji4_batch(sig: tuple, a, b, c, d) -> tuple:
+    """(values, cancelled) of one signature's ji4 over equal-length arrays.
+
+    Zero detection of gamma and delta uses the band of `zr` with scale =
+    max(alpha, beta, |gamma|, |delta|, 1).  Arguments inside the band route
+    to the reduced sums, so boundary parameter sets (corner lags landing on
+    zero, from either side) evaluate without indeterminate forms.  Each
+    sum formula runs only on the entries that select it.
+    """
+    scale = np.maximum(np.maximum(a, b), np.maximum(np.maximum(abs(c), abs(d)), 1.0))
+    # route code: 0 neither zero, 1 gamma zero, 2 delta zero, 3 both zero
+    code = _in_band(c, scale) + 2 * _in_band(d, scale)
+    counts = np.bincount(code, minlength=4).tolist()
+    # a trailing order > 0 with a zero argument gives 0, so for those
+    # signatures codes 2 and 3 select no formula
+    if sig == (0, 1, 1, 0, 0):
+        routes = (
+            (_ji4_1100_full, (a, b, c, d)),
+            # j0 is symmetric in its two slots, so swap delta into gamma
+            (_ji4_1100_three, (a, b, d)),
+            (_ji4_1100_three, (a, b, c)),
+            (_ji4_1100_pair, (a, b)),
+        )
+    elif sig == (0, 1, 1, 0, 2):
+        routes = ((_ji4_1102_full, (a, b, c, d)), (_ji4_1102_quad, (a, b, d)))
+    elif sig == (0, 1, 1, -1, 1):
+        if counts[1]:
+            raise UnsupportedSignatureError(
+                "ji4(0;1,1,-1,1) needs gamma > 0; the gamma = 0 case uses "
+                "signature (1;1,1,0,1) instead"
+            )
+        routes = ((_ji4_11m11_full, (a, b, c, d)),)
+    elif sig == (1, 1, 1, 0, 1):
+        if counts[0] or counts[2]:
+            raise UnsupportedSignatureError(
+                "ji4(1;1,1,0,1) is only available with gamma = 0"
+            )
+        routes = (None, (_ji4_n1_1101_quad, (a, b, d)))
+    else:
+        raise UnsupportedSignatureError(f"no closed form for signature {sig}")
+    value = np.zeros_like(a)
+    cancelled = np.zeros(a.shape, dtype=bool)
+    for k, route in enumerate(routes):
+        if not counts[k]:
+            continue
+        kernel, args = route
+        if counts[k] == len(a):  # every entry takes this formula
+            return kernel(*args)
+        mask = code == k
+        value[mask], cancelled[mask] = kernel(*(x[mask] for x in args))
+    return value, cancelled
 
 
 def ji4(args: Ji4Args) -> float:
     """Closed-form moment integral for the supported signatures.
 
-    Zero detection of gamma and delta uses the same band as `zr` with
-    scale = max(alpha, beta, gamma, delta, 1); arguments inside the band
-    route to the reduced sums, so boundary parameter sets (corner lags
-    landing exactly on zero) evaluate without indeterminate forms.
+    A batch of one of the array evaluation.  Arguments must be finite and
+    nonnegative, except that gamma and delta inside the zero band count as
+    zero whatever their sign; alpha and beta must be positive.
     """
     a, b, c, d = args.alpha, args.beta, args.gamma, args.delta
+    scale = max(a, b, abs(c), abs(d), 1.0)
     for name, v in (("alpha", a), ("beta", b), ("gamma", c), ("delta", d)):
-        if not math.isfinite(v) or v < 0.0:
+        if not math.isfinite(v) or (v < 0.0 and zr(v, scale) == 0.0):
             raise ValidationError(f"{name} must be finite and >= 0, got {v!r}")
     if a == 0.0 or b == 0.0:
         raise ValidationError("alpha and beta must be positive")
-    scale = max(a, b, c, d, 1.0)
-    c_zero = zr(c, scale) == 1.0
-    d_zero = zr(d, scale) == 1.0
     sig = (args.n, args.l1, args.l2, args.l3, args.l4)
-    if sig == (0, 1, 1, 0, 0):
-        if c_zero and d_zero:
-            return _ji4_1100_pair(a, b)
-        if d_zero:
-            return _ji4_1100_three(a, b, c)
-        if c_zero:
-            # j0 is symmetric in its two slots, so swap delta into gamma
-            return _ji4_1100_three(a, b, d)
-        return _ji4_1100_full(a, b, c, d)
-    if sig == (0, 1, 1, 0, 2):
-        if d_zero:
-            return 0.0  # trailing order > 0 with zero argument
-        if c_zero:
-            return _ji4_1102_quad(a, b, d)
-        return _ji4_1102_full(a, b, c, d)
-    if sig == (0, 1, 1, -1, 1):
-        if d_zero:
-            return 0.0
-        if c_zero:
-            raise UnsupportedSignatureError(
-                "ji4(0;1,1,-1,1) needs gamma > 0; the gamma = 0 case uses "
-                "signature (1;1,1,0,1) instead"
-            )
-        return _ji4_11m11_full(a, b, c, d)
-    if sig == (1, 1, 1, 0, 1):
-        if not c_zero:
-            raise UnsupportedSignatureError(
-                "ji4(1;1,1,0,1) is only available with gamma = 0"
-            )
-        if d_zero:
-            return 0.0
-        return _ji4_n1_1101_quad(a, b, d)
-    raise UnsupportedSignatureError(f"no closed form for signature {sig}")
+    value, cancelled = _ji4_batch(sig, *(np.array([v]) for v in (a, b, c, d)))
+    if cancelled[0]:
+        warnings.warn(
+            f"ji4{sig}: permutation sum lost more than 8 digits to cancellation",
+            CancellationWarning,
+            stacklevel=2,
+        )
+    return float(value[0])
 
 
-def _tau_values(s: Schedule) -> tuple:
-    """(tau0, tau1, tau2, tau3, tau4) with tau0 = 0."""
-    return (0.0,) + s.taus
-
-
-def _g_coefficients(s: Schedule, l: int, zr_scales: tuple) -> tuple:
-    """Step-gated coefficients g_i^(l), i = 0..4, of the closed-form sum.
+def _g_coefficients(s: Schedule, ls: list, zr_scales: tuple) -> list:
+    """Step-gated coefficients (g_0^(l), ..., g_4^(l)) of the closed-form
+    sum, one tuple for each l in `ls`.
 
     The i = 0 coefficients reuse the analytic time averages: -EpsTerm for
     l = 0, the endpoint-crossing count for l = 1, and the lag-0 overlap for
     l = 2.  For i >= 1 the coefficient is (-1)^(i+1) Theta(tau_i) tau_i,
     augmented by zr(tau_i) only for l = 1.
     """
-    if l == 0:
-        g0 = -finite_avg(AvgKind.EPS_TERM, 1.0, 0.0, s)
-    elif l == 1:
-        g0 = finite_avg(AvgKind.DELTA_PRIME_AT, 1.0, 0.0, s)
-    elif l == 2:
-        g0 = finite_avg(AvgKind.DELTA_AT, 1.0, 0.0, s)
-    else:
-        raise ValidationError(f"no coefficient set for l={l}")
     norm = s.dt1 * s.dt2
     sc = s.scale(0.0)
-    out = [g0]
-    for i, tau in enumerate(s.taus, start=1):
-        sign = 1.0 if i % 2 == 1 else -1.0
-        aug = zr(tau, zr_scales[i]) if l == 1 else 0.0
-        out.append(sign * heaviside(tau, sc) * (tau + aug) / norm)
-    return tuple(out)
+    taus = s.taus
+    gates = [sign * heaviside(tau, sc) for sign, tau in zip((1.0, -1.0, 1.0, -1.0), taus)]
+    out = []
+    for l in ls:
+        lags = taus
+        if l == 0:
+            g0 = -finite_avg(AvgKind.EPS_TERM, 1.0, 0.0, s)
+        elif l == 1:
+            g0 = finite_avg(AvgKind.DELTA_PRIME_AT, 1.0, 0.0, s)
+            lags = [tau + _in_band(tau, z) for tau, z in zip(taus, zr_scales[1:])]
+        elif l == 2:
+            g0 = finite_avg(AvgKind.DELTA_AT, 1.0, 0.0, s)
+        else:
+            raise ValidationError(f"no coefficient set for l={l}")
+        out.append((g0,) + tuple(gate * lag / norm for gate, lag in zip(gates, lags)))
+    return out
 
 
-def _ji4_args(l: int, p: RegionPair, tau: float, zr_scale: float) -> Ji4Args:
-    base = dict(alpha=p.r1, beta=p.r2, gamma=tau, delta=p.r)
-    if l in (0, 2):
-        return Ji4Args(n=0, l1=1, l2=1, l3=0, l4=l, **base)
-    # l = 1: the kernel switches form when the lag sits exactly at zero
-    if zr(tau, zr_scale) == 1.0:
-        return Ji4Args(n=1, l1=1, l2=1, l3=0, l4=1, **base)
-    return Ji4Args(n=0, l1=1, l2=1, l3=-1, l4=1, **base)
+@dataclass(frozen=True)
+class ClosedBatch:
+    """Closed-form factors of a batch of points, one array entry per point.
+
+    `cancelled` marks the points where a ji4 permutation sum lost more than
+    8 digits; their values are converged by contract but may be inexact.
+    """
+
+    value: np.ndarray
+    terms_used: np.ndarray
+    cancelled: np.ndarray
+
+
+def factor_closed_batch(kind: FactorKind, p: RegionPair) -> ClosedBatch:
+    """Geometric factors of many points of one kind in one vectorised pass.
+
+    The fields of `p` are equal-length arrays (floats broadcast).  Each
+    (l, i) lane is evaluated only where its gate is open, the ji4 integrals
+    of all lanes of one multipole are evaluated together, and one
+    CancellationWarning names how many points lost digits.
+    """
+    p.validate()
+    r1, r2, r, theta, phi, dt1, dt2, t = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(getattr(p, name), dtype=float)) for name in FIELDS)
+    )
+    n = len(r1)
+    s = Schedule(dt1, dt2, t)
+    taus = (np.zeros(n),) + s.taus
+    radii = np.maximum(np.maximum(r1, r2), np.maximum(r, 1.0))
+    zr_scales = tuple(np.maximum(radii, abs(tau)) for tau in taus)
+    weights = sorted(angular_weight(kind, theta, phi).items())
+    coefficients = _g_coefficients(s, [l for l, _ in weights], zr_scales)
+    # pieces[8 k + i] holds lane (l, i) of the k-th multipole l; eight rows
+    # per multipole keep the summation tree free of padding
+    pieces = np.zeros((8 * len(weights), n))
+    used = np.zeros(n, dtype=int)
+    cancelled = np.zeros(n, dtype=bool)
+    for k, ((l, w), g) in enumerate(zip(weights, coefficients)):
+        live = [np.flatnonzero(gi) for gi in g]
+        pt = np.concatenate(live)
+        if not len(pt):
+            continue
+        row = np.repeat(8 * k + np.arange(5), [len(idx) for idx in live])
+        gamma = np.concatenate([tau[idx] for tau, idx in zip(taus, live)])
+        gw = np.concatenate([gi[idx] for gi, idx in zip(g, live)])
+        a, b, d = r1[pt], r2[pt], r[pt]
+        if l == 1:
+            # the kernel switches form when the lag sits in the zero band
+            at_zero = _in_band(gamma, np.concatenate([z[idx] for z, idx in zip(zr_scales, live)]))
+            value = np.empty(len(pt))
+            flags = np.empty(len(pt), dtype=bool)
+            for sig, sel in (((1, 1, 1, 0, 1), at_zero), ((0, 1, 1, -1, 1), ~at_zero)):
+                if sel.any():
+                    value[sel], flags[sel] = _ji4_batch(sig, a[sel], b[sel], gamma[sel], d[sel])
+        else:
+            value, flags = _ji4_batch((0, 1, 1, 0, l), a, b, gamma, d)
+        pieces[row, pt] = np.broadcast_to(w, n)[pt] * gw * value
+        used += np.bincount(pt, minlength=n)
+        cancelled[pt[flags]] = True
+    total = 9.0 / (2.0 * math.pi**2 * r1 * r2) * _two_sum_total(pieces)
+    count = int(cancelled.sum())
+    if count:
+        warnings.warn(
+            f"{kind.value}: a ji4 permutation sum lost more than 8 digits to "
+            f"cancellation at {count} of {n} points",
+            CancellationWarning,
+            stacklevel=2,
+        )
+    return ClosedBatch(total, used, cancelled)
 
 
 def factor_closed(kind: FactorKind, p: RegionPair) -> FactorResult:
     """Geometric factor by the exact route: a finite sum of ji4 integrals."""
-    p.validate()
-    s = Schedule(p.dt1, p.dt2, p.t_offset)
-    taus = _tau_values(s)
-    zr_scales = tuple(max(p.r1, p.r2, p.r, abs(tau), 1.0) for tau in taus)
-    weights = angular_weight(kind, p.theta, p.phi)
-    pieces = []
-    used = 0
-    for l, w in sorted(weights.items()):
-        g = _g_coefficients(s, l, zr_scales)
-        for i in range(5):
-            if g[i] == 0.0:
-                continue
-            value = ji4(_ji4_args(l, p, taus[i], zr_scales[i]))
-            pieces.append(w * g[i] * value)
-            used += 1
-    total = 9.0 / (2.0 * math.pi**2 * p.r1 * p.r2) * math.fsum(pieces)
+    batch = factor_closed_batch(kind, p)
     return FactorResult(
-        value=total,
-        terms_used=used,
+        value=float(batch.value[0]),
+        terms_used=int(batch.terms_used[0]),
         tail_estimate=0.0,
         method=Method.CLOSED_FORM,
         converged=True,

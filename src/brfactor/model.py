@@ -15,11 +15,38 @@ import json
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
+
+#: RegionPair fields in declaration order
+FIELDS = ("r1", "r2", "r", "theta", "phi", "dt1", "dt2", "t_offset")
+
+#: fields that must be positive; r must be nonnegative, the rest only finite
+_POSITIVE = ("r1", "r2", "dt1", "dt2")
 
 
 class ValidationError(ValueError):
     """Raised when a parameter set violates its domain constraints."""
+
+
+def check_field(name: str, value) -> None:
+    """Raise ValidationError unless `value` is legal for the field `name`.
+
+    The constraints are per field and one-sided, so an array of values is
+    checked through its extremes.
+    """
+    if isinstance(value, np.ndarray):
+        lo, hi = float(value.min()), float(value.max())
+    else:
+        lo = hi = value
+    for v in (lo, hi):
+        if not math.isfinite(v):
+            raise ValidationError(f"{name} must be finite, got {v!r}")
+    if name in _POSITIVE and lo <= 0.0:
+        raise ValidationError(f"{name} must be positive, got {lo!r}")
+    if name == "r" and lo < 0.0:
+        raise ValidationError(f"separation must be nonnegative, got r={lo!r}")
 
 
 class FactorKind(enum.Enum):
@@ -45,7 +72,8 @@ class RegionPair:
 
     theta and phi locate the centre of sphere II relative to sphere I;
     they are ignored by every route when r == 0.  T may have any sign and
-    the two time intervals may overlap arbitrarily.
+    the two time intervals may overlap arbitrarily.  The closed form also
+    takes a batch of points as equal-length arrays in the fields.
     """
 
     r1: float
@@ -58,36 +86,18 @@ class RegionPair:
     t_offset: float = 0.0
 
     def validate(self) -> None:
-        for name in ("r1", "r2", "r", "theta", "phi", "dt1", "dt2", "t_offset"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
-        if self.r1 <= 0.0 or self.r2 <= 0.0:
-            raise ValidationError(f"radii must be positive, got r1={self.r1}, r2={self.r2}")
-        if self.dt1 <= 0.0 or self.dt2 <= 0.0:
-            raise ValidationError(f"durations must be positive, got dt1={self.dt1}, dt2={self.dt2}")
-        if self.r < 0.0:
-            raise ValidationError(f"separation must be nonnegative, got r={self.r}")
+        for name in FIELDS:
+            check_field(name, getattr(self, name))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
     def to_dict(self) -> dict:
-        return {
-            "r1": self.r1,
-            "r2": self.r2,
-            "r": self.r,
-            "theta": self.theta,
-            "phi": self.phi,
-            "dt1": self.dt1,
-            "dt2": self.dt2,
-            "t_offset": self.t_offset,
-        }
+        return {name: getattr(self, name) for name in FIELDS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RegionPair":
-        return cls(**{k: float(data[k]) for k in (
-            "r1", "r2", "r", "theta", "phi", "dt1", "dt2", "t_offset")})
+        return cls(**{k: float(data[k]) for k in FIELDS})
 
     @classmethod
     def from_json(cls, text: str) -> "RegionPair":

@@ -172,19 +172,20 @@ def angular_weight(kind: FactorKind, theta: float, phi: float) -> dict:
     with the spherical harmonics of the displacement direction: the m = +-2
     pairs collapse to cos(2*phi) (A_xx) and sin(2*phi) (A_xy) terms, the
     dipole to cos(theta).  All three routes and the numeric oracle contract
-    their radial sums against these same weights.
+    their radial sums against these same weights.  Elementwise over arrays
+    of angles; `np.float_power` rounds squares as Python's `**` does.
     """
     if kind is FactorKind.AXX:
-        st2 = math.sin(theta) ** 2
-        ct2 = math.cos(theta) ** 2
+        st2 = np.float_power(np.sin(theta), 2)
+        ct2 = np.float_power(np.cos(theta), 2)
         return {
             0: 8.0 * math.pi / 3.0,
-            2: 2.0 * math.pi * st2 * math.cos(2.0 * phi)
+            2: 2.0 * math.pi * st2 * np.cos(2.0 * phi)
             - (2.0 * math.pi / 3.0) * (3.0 * ct2 - 1.0),
         }
     if kind is FactorKind.AXY:
-        st2 = math.sin(theta) ** 2
-        return {2: 2.0 * math.pi * st2 * math.sin(2.0 * phi)}
+        st2 = np.float_power(np.sin(theta), 2)
+        return {2: 2.0 * math.pi * st2 * np.sin(2.0 * phi)}
     if kind is FactorKind.BXY:
-        return {1: -4.0 * math.pi * math.cos(theta)}
+        return {1: -4.0 * math.pi * np.cos(theta)}
     raise ValueError(f"unknown factor kind {kind!r}")

@@ -9,19 +9,22 @@ of the lag t = t2 - t1, and are normalized by dt1*dt2.  The four corner lags
 carry the whole schedule dependence.  Every step function goes through
 `heaviside` with Theta(0) = 1/2 so that parameters landing exactly on a
 kink line get the mean of the two one-sided limits.
+
+The step functions, the schedule and the q-independent averages are written
+in plain arithmetic, so they take a schedule of floats or a batch of
+schedules held in arrays alike.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
 
-from .model import ValidationError
+from .model import ValidationError, check_field
 
 #: half-band around zero (relative to a caller-supplied scale) treated as
 #: "exactly on the boundary"
@@ -39,11 +42,23 @@ class QuadratureError(RuntimeError):
         self.estimate = estimate
 
 
-def heaviside(x: float, scale: float) -> float:
-    """Unit step with Theta(0) = 1/2, the boundary band being |x| <= 1e-12*scale."""
-    if abs(x) <= BOUNDARY_RTOL * scale:
-        return 0.5
-    return 1.0 if x > 0.0 else 0.0
+def heaviside(x, scale):
+    """Unit step with Theta(0) = 1/2, the boundary band being |x| <= 1e-12*scale.
+
+    Elementwise on arrays; a float in gives a float out.
+    """
+    band = BOUNDARY_RTOL * scale
+    return (x > band) + 0.5 * (abs(x) <= band)
+
+
+# min and max of finite values that also work elementwise on arrays; the
+# unselected operand is multiplied by zero, so the result is exact
+def _lesser(a, b):
+    return a * (a <= b) + b * (b < a)
+
+
+def _greater(a, b):
+    return a * (a >= b) + b * (b > a)
 
 
 class AvgKind(enum.Enum):
@@ -68,13 +83,7 @@ class Schedule:
 
     def __post_init__(self):
         for name in ("dt1", "dt2", "t_offset"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
-        if self.dt1 <= 0.0 or self.dt2 <= 0.0:
-            raise ValidationError(
-                f"interval lengths must be positive, got dt1={self.dt1}, dt2={self.dt2}"
-            )
+            check_field(name, getattr(self, name))
 
     @property
     def taus(self) -> tuple:
@@ -88,7 +97,9 @@ class Schedule:
 
     def scale(self, r_ex: float = 0.0) -> float:
         """Magnitude scale used for boundary detection in `heaviside`."""
-        return max(self.dt1, self.dt2, abs(self.t_offset), r_ex, 1.0)
+        return _greater(
+            _greater(self.dt1, self.dt2), _greater(abs(self.t_offset), _greater(r_ex, 1.0))
+        )
 
 
 # alternating signs attached to the corner lags tau1..tau4
@@ -107,12 +118,12 @@ def _blocks(s: Schedule, r_ex: float) -> tuple:
     d0 = (
         heaviside(-tau4, sc)
         * heaviside(tau2, sc)
-        * (min(s.dt1, tau2) - max(tau3, 0.0))
+        * (_lesser(s.dt1, tau2) - _greater(tau3, 0.0))
     )
     dr = (
         heaviside(r_ex - tau4, sc)
         * heaviside(tau2 - r_ex, sc)
-        * (min(s.dt1, tau2 - r_ex) - max(tau3 - r_ex, 0.0))
+        * (_lesser(s.dt1, tau2 - r_ex) - _greater(tau3 - r_ex, 0.0))
     )
     dp = heaviside(tau2 - r_ex, sc) * heaviside(r_ex - tau1, sc) - heaviside(
         tau3 - r_ex, sc

@@ -2,12 +2,18 @@
 
 import argparse
 import csv
+import itertools
 import json
 import math
+import re
+import warnings
 
+import numpy as np
 import pytest
 
 from brfactor.cli import build_parser, main, parse_angle, round4, table1_rows
+from brfactor.closed_form import CancellationWarning, factor_closed, factor_closed_batch
+from brfactor.model import FIELDS, FactorKind, RegionPair
 
 # coincident-region rows cancel structurally on some probes; benign here
 pytestmark = pytest.mark.filterwarnings(
@@ -171,26 +177,95 @@ def test_table1_csv_is_deterministic(tmp_path, capsys):
 
 
 def test_sweep_grid_order_and_stability(tmp_path, capsys):
+    # the grid crosses r = 0, puts corner lags exactly on zero (t = -1, 0, 1
+    # with unit durations) and has a dead window (t = -5); each kind is one
+    # batch, which must equal its batches of one row by row
     out_a = tmp_path / "sweep_a.csv"
     out_b = tmp_path / "sweep_b.csv"
     args = [
-        "sweep", "--kind", "axy", "--r1", "1.0", "--r2", "1.0", "--r", "1.0",
+        "sweep", "--kind", "axx,axy,bxy", "--r1", "1.0", "--r2", "1.0", "--r", "0:1:3",
         "--theta", "pi/2", "--phi", "0:6.2831853:8", "--dt1", "1.0",
-        "--dt2", "1.0", "--t", "0.5",
+        "--dt2", "1.0", "--t", "-5:1:13",
     ]
-    assert main(args + ["--out", str(out_a)]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args + ["--out", str(out_a)]) == 0
     assert main(args + ["--out", str(out_b)]) == 0
     capsys.readouterr()
     assert out_a.read_bytes() == out_b.read_bytes()
     with open(out_a, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 8
-    phis = [float(row["phi"]) for row in rows]
-    assert phis == sorted(phis)
+    phis = np.linspace(0.0, 6.2831853, 8).tolist()
+    ts = np.linspace(-5.0, 1.0, 13).tolist()
+    grid = itertools.product(("axx", "axy", "bxy"), (0.0, 0.5, 1.0), phis, ts)
+    assert [
+        (row["kind"], float(row["r"]), float(row["phi"]), float(row["t_offset"]))
+        for row in rows
+    ] == list(grid)
+
+    flagged = []
+    for row in rows:
+        p = RegionPair(*(float(row[name]) for name in FIELDS))
+        with warnings.catch_warnings(record=True) as one:
+            warnings.simplefilter("always")
+            single = factor_closed(FactorKind(row["kind"]), p)
+        flagged.append(any(issubclass(w.category, CancellationWarning) for w in one))
+        assert row["value"] == f"{single.value:.16e}"
+        assert int(row["terms_used"]) == single.terms_used
+        assert row["converged"] == "true"
+        if p.t_offset == -5.0:
+            assert single.value == 0.0 and single.terms_used == 0
+    # the same points are flagged: one warning per kind names how many,
+    # and the batch marks exactly the points whose batch of one warns
+    counts = [
+        int(re.search(r"at (\d+) of", str(w.message)).group(1))
+        for w in caught
+        if issubclass(w.category, CancellationWarning)
+    ]
+    assert sum(counts) == sum(flagged) > 0
+    for kind in ("axx", "axy", "bxy"):
+        picks = [k for k, row in enumerate(rows) if row["kind"] == kind]
+        batch = RegionPair(*(np.array([float(rows[k][name]) for k in picks]) for name in FIELDS))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CancellationWarning)
+            cancelled = factor_closed_batch(FactorKind(kind), batch).cancelled
+        assert cancelled.tolist() == [flagged[k] for k in picks]
+
     # A_xy follows sin(2 phi): zero at multiples of pi/2, sign flips between
-    values = {phi: float(row["value"]) for phi, row in zip(phis, rows)}
+    values = {
+        float(row["phi"]): float(row["value"])
+        for row in rows
+        if row["kind"] == "axy" and row["r"] == "1" and row["t_offset"] == "0.5"
+    }
+    assert list(values) == phis
     assert abs(values[0.0]) < 1e-12
     assert values[phis[1]] * values[phis[3]] < 0.0
+
+
+def test_sweep_accepts_negative_leading_ranges(capsys):
+    args = [
+        "sweep", "--kind", "axx", "--r1", "1.0", "--r2", "1.0",
+        "--phi", "-pi/2:pi/2:3", "--t", "-1:1:3",
+    ]
+    assert main(args) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    # t varies fastest, as the last axis of the grid
+    assert [float(row["t_offset"]) for row in rows[:3]] == [-1.0, 0.0, 1.0]
+    assert [float(row["phi"]) for row in rows[::3]] == pytest.approx(
+        [-math.pi / 2, 0.0, math.pi / 2]
+    )
+
+
+def test_sweep_corner_lag_just_below_zero(capsys):
+    # t = 0.7 makes tau1 = 0.7 + 0.1 - 0.8 round to just below zero
+    args = [
+        "sweep", "--kind", "axx", "--r1", "1", "--r2", "1", "--dt1", "0.8",
+        "--dt2", "0.1", "--t", "0.5:0.9:5",
+    ]
+    assert main(args) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == 5
+    assert all(math.isfinite(float(row["value"])) for row in rows)
 
 
 def test_sweep_writes_to_stdout_by_default(capsys):

@@ -14,6 +14,7 @@ from brfactor.closed_form import (
     ji4,
     zr,
 )
+from brfactor.fourier_bessel import factor_series
 from brfactor.model import (
     FactorKind,
     Ji4Args,
@@ -22,6 +23,7 @@ from brfactor.model import (
     ValidationError,
     reverse,
 )
+from brfactor.time_averages import Schedule
 
 require_no_cancel = pytest.mark.filterwarnings(
     "error::brfactor.closed_form.CancellationWarning"
@@ -127,6 +129,25 @@ def test_ji4_unsupported_signatures_raise(sig):
 def test_ji4_rejects_nonpositive_leading_lengths(lengths):
     with pytest.raises(ValidationError):
         ji4(Ji4Args(0, 1, 1, 0, 0, *lengths))
+
+
+def test_ji4_zero_band_is_routed_before_the_sign_check():
+    # a lag that rounds to just below zero is inside the zero band: it
+    # takes the reduced sum exactly as a lag of 0 would
+    at_zero = ji4(Ji4Args(0, 1, 1, 0, 0, 1.0, 1.0, 0.0, 0.5))
+    assert ji4(Ji4Args(0, 1, 1, 0, 0, 1.0, 1.0, -1.1e-16, 0.5)) == at_zero
+    assert ji4(Ji4Args(1, 1, 1, 0, 1, 1.0, 1.2, -1e-13, 0.7)) == ji4(
+        Ji4Args(1, 1, 1, 0, 1, 1.0, 1.2, 0.0, 0.7)
+    )
+
+
+def test_corner_lag_just_below_zero_evaluates():
+    # tau1 = 0.7 + 0.1 - 0.8 rounds to -1.1e-16, inside the zero band
+    p = RegionPair(1.0, 1.0, 0.5, 0.3, 0.2, dt1=0.8, dt2=0.1, t_offset=0.7)
+    assert -1e-15 < Schedule(p.dt1, p.dt2, p.t_offset).taus[0] < 0.0
+    for kind in FactorKind:
+        res = factor_closed(kind, p)
+        assert res.value == pytest.approx(factor_series(kind, p).value, rel=5e-5)
 
 
 # full-precision values of the built-in table computed by this route and
