@@ -165,14 +165,6 @@ class RowOutcome:
     def passed(self) -> bool:
         return self.rounded == round4(float(self.row.expected))
 
-    @property
-    def abs_dev(self) -> float:
-        return abs(self.result.value - float(self.row.expected))
-
-    @property
-    def rel_dev(self) -> float:
-        return self.abs_dev / abs(float(self.row.expected))
-
 
 @dataclasses.dataclass(frozen=True)
 class RunReport:

@@ -298,14 +298,14 @@ def ji4(args: Ji4Args) -> float:
     return float(value[0])
 
 
-def _g_coefficients(s: Schedule, ls: list, zr_scales: tuple) -> list:
+def _g_coefficients(s: Schedule, ls: list, zeros: tuple) -> list:
     """Step-gated coefficients (g_0^(l), ..., g_4^(l)) of the closed-form
     sum, one tuple for each l in `ls`.
 
     The i = 0 coefficients reuse the analytic time averages: -EpsTerm for
     l = 0, the endpoint-crossing count for l = 1, and the lag-0 overlap for
     l = 2.  For i >= 1 the coefficient is (-1)^(i+1) Theta(tau_i) tau_i,
-    augmented by zr(tau_i) only for l = 1.
+    augmented for l = 1 by 1 where `zeros[i]` puts tau_i in the zero band.
     """
     norm = s.dt1 * s.dt2
     sc = s.scale(0.0)
@@ -318,7 +318,7 @@ def _g_coefficients(s: Schedule, ls: list, zr_scales: tuple) -> list:
             g0 = -finite_avg(AvgKind.EPS_TERM, 1.0, 0.0, s)
         elif l == 1:
             g0 = finite_avg(AvgKind.DELTA_PRIME_AT, 1.0, 0.0, s)
-            lags = [tau + _in_band(tau, z) for tau, z in zip(taus, zr_scales[1:])]
+            lags = [tau + z for tau, z in zip(taus, zeros[1:])]
         elif l == 2:
             g0 = finite_avg(AvgKind.DELTA_AT, 1.0, 0.0, s)
         else:
@@ -355,10 +355,15 @@ def factor_closed_batch(kind: FactorKind, p: RegionPair) -> ClosedBatch:
     n = len(r1)
     s = Schedule(dt1, dt2, t)
     taus = (np.zeros(n),) + s.taus
-    radii = np.maximum(np.maximum(r1, r2), np.maximum(r, 1.0))
-    zr_scales = tuple(np.maximum(radii, abs(tau)) for tau in taus)
+    # A lag is zero where it lies in the band of the times, where its gate
+    # reads Theta(0) = 1/2, or in the band of the radii, where ji4 cannot
+    # tell gamma from zero.  That one decision routes ji4 and augments the
+    # l = 1 lags, so a lag gated as zero is never summed as a tiny gamma.
+    scale = np.maximum(s.scale(0.0), np.maximum(np.maximum(r1, r2), r))
+    zeros = tuple(_in_band(tau, scale) for tau in taus)
+    gammas = tuple(np.where(z, 0.0, tau) for tau, z in zip(taus, zeros))
     weights = sorted(angular_weight(kind, theta, phi).items())
-    coefficients = _g_coefficients(s, [l for l, _ in weights], zr_scales)
+    coefficients = _g_coefficients(s, [l for l, _ in weights], zeros)
     # pieces[8 k + i] holds lane (l, i) of the k-th multipole l; eight rows
     # per multipole keep the summation tree free of padding
     pieces = np.zeros((8 * len(weights), n))
@@ -370,12 +375,12 @@ def factor_closed_batch(kind: FactorKind, p: RegionPair) -> ClosedBatch:
         if not len(pt):
             continue
         row = np.repeat(8 * k + np.arange(5), [len(idx) for idx in live])
-        gamma = np.concatenate([tau[idx] for tau, idx in zip(taus, live)])
+        gamma = np.concatenate([c[idx] for c, idx in zip(gammas, live)])
         gw = np.concatenate([gi[idx] for gi, idx in zip(g, live)])
         a, b, d = r1[pt], r2[pt], r[pt]
         if l == 1:
             # the kernel switches form when the lag sits in the zero band
-            at_zero = _in_band(gamma, np.concatenate([z[idx] for z, idx in zip(zr_scales, live)]))
+            at_zero = np.concatenate([z[idx] for z, idx in zip(zeros, live)])
             value = np.empty(len(pt))
             flags = np.empty(len(pt), dtype=bool)
             for sig, sel in (((1, 1, 1, 0, 1), at_zero), ((0, 1, 1, -1, 1), ~at_zero)):

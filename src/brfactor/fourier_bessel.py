@@ -11,6 +11,7 @@ the series into an exact term.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .model import (
     SeriesConfig,
     ValidationError,
 )
-from .special_functions import angular_weight, bessel_roots, fb_weight, sph_bessel
+from .special_functions import angular_weight, bessel_roots, sph_bessel
 from .time_averages import AvgKind, Schedule, finite_avg, infinite_avg
 
 #: nodes are evaluated in vectorized blocks of this size, reduced in order
@@ -106,17 +107,14 @@ def _boundary_kernel(kind: FactorKind, l: int, q, r_ex: float, s: Schedule):
     )
 
 
-def coeff_general(kind: FactorKind, l: int, n: int, r_ex: float, s: Schedule) -> float:
-    """n-th general-roots coefficient: boundary kernel over the node weight.
-
-    Spot-check API; the series route evaluates the same expressions in
-    vectorized blocks over cached root tables.
-    """
-    if n < 1:
-        raise ValidationError(f"node index must be >= 1, got {n}")
-    root = bessel_roots(l, n).roots[-1]
-    q = root / r_ex
-    return float(_boundary_kernel(kind, l, q, r_ex, s)) / fb_weight(l, root, r_ex)
+@functools.lru_cache(maxsize=None)
+def _root_nodes(l: int, count: int) -> tuple:
+    """Read-only arrays of the first `count` roots x_n of j_l and of
+    j_{l-1}(x_n)**2, the r_ex-free part of the Fourier-Bessel weights."""
+    roots = np.array(bessel_roots(l, count).roots)
+    jm1_sq = sph_bessel(l - 1, roots) ** 2
+    roots.flags.writeable = jm1_sq.flags.writeable = False
+    return roots, jm1_sq
 
 
 def _flat_monopole_coeff(s: Schedule) -> float:
@@ -238,8 +236,8 @@ def factor_series_general(
     tail = 0.0
     channel_status = []
     for l, w in sorted(weights.items()):
-        roots = np.asarray(bessel_roots(l, cfg.n_max).roots)
-        w_n = 0.5 * r_ex**3 * sph_bessel(l - 1, roots) ** 2
+        roots, jm1_sq = _root_nodes(l, cfg.n_max)
+        w_n = 0.5 * r_ex**3 * jm1_sq
         chan_pref = (9.0 / (p.r1 * p.r2)) * (w / (4.0 * math.pi))
 
         def nodes():

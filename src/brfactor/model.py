@@ -89,9 +89,6 @@ class RegionPair:
         for name in FIELDS:
             check_field(name, getattr(self, name))
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in FIELDS}
 

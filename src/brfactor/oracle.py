@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from .closed_form import CancellationWarning, ji4
 from .model import FactorKind, Ji4Args, RegionPair, ValidationError
@@ -115,6 +114,9 @@ def _oscillatory_integral(f, omega: float, cfg: QuadConfig) -> QuadResult:
     the tail is chunked at half the fastest period so that the dominant
     mode alternates chunk to chunk.
     """
+    # imported here, not with the module, so importing brfactor never loads scipy
+    from scipy import integrate
+
     h = math.pi / omega
     q0 = 2.0 * _HEAD_PERIODS * h
     # head tolerances are fixed tight: cfg's tolerances decide when to give

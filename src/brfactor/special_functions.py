@@ -97,30 +97,33 @@ def sph_bessel(l: int, x) -> float:
     return out
 
 
-def _sph_bessel_deriv(l: int, x: float) -> float:
-    # j_l'(x) = j_{l-1}(x) - (l+1)/x * j_l(x)
-    return float(_J_FUNCS[l - 1](x)) - (l + 1) / x * float(_J_FUNCS[l](x))
+def _refine_roots(l: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Newton iteration on j_l, one lane per bracket (lo[k], hi[k]).
 
-
-def _refine_root(l: int, lo: float, hi: float) -> float:
-    """Newton iteration on j_l safeguarded by the bracket (lo, hi)."""
+    Every lane starts at its midpoint; a Newton step that leaves the bracket
+    is replaced by bisection on the sign of j_l against its sign at the
+    lower end.  A lane stops once its step is at most 1e-15 of x.
+    """
+    lo, hi = lo.copy(), hi.copy()
     x = 0.5 * (lo + hi)
-    for _ in range(100):
-        f = float(_J_FUNCS[l](x))
-        df = _sph_bessel_deriv(l, x)
-        step = f / df if df != 0.0 else 0.0
-        x_new = x - step
-        if not (lo < x_new < hi):
-            # bisect using the sign of f against the sign at lo
-            f_lo = float(_J_FUNCS[l](lo))
-            if (f < 0.0) == (f_lo < 0.0):
-                lo = x
-            else:
-                hi = x
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-15 * x:
-            return x_new
-        x = x_new
+    lane = np.arange(len(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            if not len(lane):
+                break
+            xa, a, b = x[lane], lo[lane], hi[lane]
+            f = _J_FUNCS[l](xa)
+            # j_l'(x) = j_{l-1}(x) - (l+1)/x * j_l(x)
+            df = _J_FUNCS[l - 1](xa) - (l + 1) / xa * f
+            x_new = xa - np.where(df != 0.0, f / df, 0.0)
+            out = np.flatnonzero(~((a < x_new) & (x_new < b)))
+            if len(out):
+                same = (f[out] < 0.0) == (_J_FUNCS[l](a[out]) < 0.0)
+                lo[lane[out[same]]] = xa[out[same]]
+                hi[lane[out[~same]]] = xa[out[~same]]
+                x_new[out] = 0.5 * (lo[lane[out]] + hi[lane[out]])
+            x[lane] = x_new
+            lane = lane[np.abs(x_new - xa) > 1e-15 * xa]
     return x
 
 
@@ -137,13 +140,11 @@ class BesselRootTable:
 def _roots_tuple(l: int, count: int) -> tuple:
     if l == 0:
         return tuple(n * math.pi for n in range(1, count + 1))
-    lower = _roots_tuple(l - 1, count + 1)
+    lower = np.array(_roots_tuple(l - 1, count + 1))
     # Roots of consecutive orders interlace: exactly one root of j_l lies
     # between consecutive roots of j_{l-1}.
     eps = 1e-9
-    return tuple(
-        _refine_root(l, lower[n] + eps, lower[n + 1] - eps) for n in range(count)
-    )
+    return tuple(_refine_roots(l, lower[:-1] + eps, lower[1:] - eps).tolist())
 
 
 def bessel_roots(l: int, count: int) -> BesselRootTable:

@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .model import ValidationError, check_field
 
@@ -219,6 +218,9 @@ def numeric_time_average(f, s: Schedule, tol: float = 1e-10, breakpoints=(0.0,))
     QuadratureError (with the best value attached) if the error estimate
     exceeds tol.
     """
+    # imported here, not with the module, so the analytic routes never load scipy
+    import scipy.integrate
+
     t0 = s.t_offset
     bps = sorted({float(b) for b in breakpoints})
     inner_eps = 0.25 * tol * s.dt2

@@ -5,12 +5,17 @@ import csv
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import brfactor
 from brfactor.cli import build_parser, main, parse_angle, round4, table1_rows
 from brfactor.closed_form import CancellationWarning, factor_closed, factor_closed_batch
 from brfactor.model import FIELDS, FactorKind, RegionPair
@@ -94,6 +99,50 @@ def test_factor_methods_agree(capsys):
         values[method] = json.loads(capsys.readouterr().out)["value"]
     for method in ("series", "series-general", "numeric"):
         assert values[method] == pytest.approx(values["closed"], abs=5e-4)
+
+
+def _fresh_python(script: str) -> subprocess.CompletedProcess:
+    # a new interpreter that imports this checkout's brfactor
+    src = str(Path(brfactor.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+DISPLACED_ARGS = [
+    "factor", "--kind", "axx", "--r1", "1", "--r2", "1.2", "--r", "0.5",
+    "--theta", "0.3", "--phi", "0.2", "--dt1", "1", "--dt2", "1", "--t", "0.5",
+]
+
+
+def test_analytic_routes_load_no_scipy():
+    script = f"""
+import contextlib, io, sys
+import brfactor, brfactor.cli
+for method in ("closed", "series", "series-general"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert brfactor.cli.main({DISPLACED_ARGS!r} + ["--method", method]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    proc = _fresh_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_numeric_route_loads_scipy_on_demand():
+    script = f"""
+import sys
+import brfactor.cli
+assert "scipy" not in sys.modules
+sys.exit(brfactor.cli.main({DISPLACED_ARGS!r} + ["--method", "numeric"]))
+"""
+    proc = _fresh_python(script)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["method"] == "numeric"
+    assert math.isfinite(record["value"])
 
 
 def test_factor_angle_expressions(capsys):

@@ -150,6 +150,20 @@ def test_corner_lag_just_below_zero_evaluates():
         assert res.value == pytest.approx(factor_series(kind, p).value, rel=5e-5)
 
 
+@require_no_cancel
+@pytest.mark.parametrize("kind", list(FactorKind))
+def test_lag_in_the_time_band_is_routed_as_zero(kind):
+    # tau3 = 1e-10 lies in the band of the times (1e-12 * dt1 = 1e-9), where
+    # its gate reads Theta(0) = 1/2, but outside the band of the radii
+    # (1e-12); it must take the reduced sums, not an 8-term sum that
+    # cancels against a gamma of 1e-10
+    near = RegionPair(1.0, 1.0, 0.5, 0.3, 0.2, dt1=1000.0, dt2=1.0, t_offset=1e-10)
+    at_zero = RegionPair(1.0, 1.0, 0.5, 0.3, 0.2, dt1=1000.0, dt2=1.0, t_offset=0.0)
+    assert factor_closed(kind, near).value == pytest.approx(
+        factor_closed(kind, at_zero).value, rel=1e-9
+    )
+
+
 # full-precision values of the built-in table computed by this route and
 # confirmed against the series routes and the quadrature oracle
 _FROZEN = (

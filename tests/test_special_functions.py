@@ -97,6 +97,28 @@ def test_known_first_roots():
     assert bessel_roots(2, 1).roots[0] == pytest.approx(5.763459196894550, rel=1e-13)
 
 
+@pytest.mark.parametrize("l", [1, 2])
+def test_root_tables_hold_at_depth(l):
+    # the whole table the general-roots series runs over by default
+    roots = np.asarray(bessel_roots(l, 2000).roots)
+    lower = np.asarray(bessel_roots(l - 1, 2001).roots)
+    assert np.all((lower[:-1] < roots) & (roots < lower[1:]))
+    # near a root |j_l'| ~ 1/x, so a root within an ulp leaves a residual
+    # of about spacing(x)/x
+    assert np.all(np.abs(sph_bessel(l, roots)) * roots <= 2.0 * np.spacing(roots))
+
+
+@pytest.mark.parametrize("l", [1, 2])
+@pytest.mark.parametrize("n", [1, 1000, 2000])
+def test_roots_match_high_precision_zeros(l, n):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        # j_l is a multiple of the cylinder function J_{l + 1/2}
+        ref = float(mpmath.besseljzero(mpmath.mpf(l) + mpmath.mpf(1) / 2, n))
+    got = bessel_roots(l, 2000).roots[n - 1]
+    assert abs(got - ref) <= 2.0 * np.spacing(ref)
+
+
 def test_root_tables_are_cached():
     a = bessel_roots(2, 30).roots
     b = bessel_roots(2, 30).roots
