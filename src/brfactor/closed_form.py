@@ -33,7 +33,7 @@ from .model import (
     reverse,
 )
 from .special_functions import angular_weight
-from .time_averages import AvgKind, Schedule, finite_avg, heaviside
+from .time_averages import AvgKind, Schedule, finite_avg, heaviside, step_coefficients
 
 #: relative half-width of the band treated as exactly zero
 ZERO_BAND_RTOL = 1e-12
@@ -308,9 +308,8 @@ def _g_coefficients(s: Schedule, ls: list, zeros: tuple) -> list:
     augmented for l = 1 by 1 where `zeros[i]` puts tau_i in the zero band.
     """
     norm = s.dt1 * s.dt2
-    sc = s.scale(0.0)
     taus = s.taus
-    gates = [sign * heaviside(tau, sc) for sign, tau in zip((1.0, -1.0, 1.0, -1.0), taus)]
+    gates = step_coefficients(s, 0.0)[4]  # sign_i Theta(tau_i)
     out = []
     for l in ls:
         lags = taus

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .closed_form import ji4
 from .model import (
+    CHANNELS,
     FactorKind,
     FactorResult,
     Ji4Args,
@@ -34,13 +34,6 @@ from .time_averages import AvgKind, Schedule, finite_avg, infinite_avg
 #: nodes are evaluated in vectorized blocks of this size, reduced in order
 BLOCK = 128
 
-_SUPPORTED = {
-    (FactorKind.AXX, 0),
-    (FactorKind.AXX, 2),
-    (FactorKind.AXY, 2),
-    (FactorKind.BXY, 1),
-}
-
 
 @dataclass(frozen=True)
 class SeriesTermLog:
@@ -53,7 +46,7 @@ class SeriesTermLog:
 
 
 def _check_pair(kind: FactorKind, l: int) -> None:
-    if (kind, l) not in _SUPPORTED:
+    if (kind, l) not in CHANNELS:
         raise ValidationError(f"no radial kernel for (kind={kind.value}, l={l})")
 
 
@@ -64,14 +57,21 @@ def utilde(kind: FactorKind, l: int, q, s: Schedule):
     average for l = 0 and 2 (the monopole also carries the -(3/2)<delta(t)>
     flat term), q times the cosine average for l = 1.  Broadcasts over q.
     """
-    _check_pair(kind, l)
-    if l == 0:
-        return q * infinite_avg(AvgKind.SIN_INF, q, s) - 1.5 * infinite_avg(
-            AvgKind.DELTA_AT, q, s
-        )
-    if l == 2:
-        return q * infinite_avg(AvgKind.SIN_INF, q, s)
-    return q * infinite_avg(AvgKind.COS_INF, q, s)
+    return _saturated_kernels(kind, (l,), q, s)[l]
+
+
+def _saturated_kernels(kind: FactorKind, ls, q, s: Schedule) -> dict:
+    """`utilde` of every channel l in `ls`; l = 0 and 2 share one sine average."""
+    for l in ls:
+        _check_pair(kind, l)
+    out = {}
+    if 1 in ls:
+        out[1] = q * infinite_avg(AvgKind.COS_INF, q, s)
+    if 0 in ls or 2 in ls:
+        out[2] = q * infinite_avg(AvgKind.SIN_INF, q, s)
+    if 0 in ls:
+        out[0] = out[2] - 1.5 * infinite_avg(AvgKind.DELTA_AT, q, s)
+    return out
 
 
 def _boundary_kernel(kind: FactorKind, l: int, q, r_ex: float, s: Schedule):
@@ -134,36 +134,68 @@ def _flat_head(g00: float, a: float, b: float, r: float) -> float:
     )
 
 
-def _accumulate(term_iter, cfg: SeriesConfig, start: float, term_log=None):
-    """Kahan-sum (n, q_n, term) triples with the windowed stopping rule.
+def _accumulate(blocks, cfg: SeriesConfig, start: float, term_log=None):
+    """Kahan-sum blocks of (n, q_n, term) arrays with the windowed stopping rule.
 
-    Stops once the largest |term| across the trailing window falls below
-    tail_tol times the current |partial sum| (floored away from zero).
+    Stops at the first term after which the largest |term| across the
+    trailing tail_window terms falls below tail_tol times the current
+    |partial sum| (floored away from zero).  The terms are summed one by
+    one; the stop rule is tested once per block, over every window that ends
+    in it, and a window may reach back into earlier blocks.
     Returns (total, last_n, tail_estimate, converged).
     """
+    width = cfg.tail_window
     total = start
     comp = 0.0
-    window = deque(maxlen=cfg.tail_window)
+    # |term| of the last width - 1 terms before the current block
+    recent = mags = np.empty(0)
     used = 0
-    converged = False
-    for n, q_n, term in term_iter:
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        window.append(abs(term))
+    for n, q, terms in blocks:
+        values = terms.tolist()
+        partials = []
+        for term in values:
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            partials.append(t)
+        mags = np.concatenate((recent, np.abs(terms)))
+        count = len(values)
+        stop = None
+        # window k covers mags[k:k + width] and ends at block index k + lead
+        lead = width - 1 - len(recent)
+        if lead < count:
+            window_max = _window_max(mags, width)
+            bound = cfg.tail_tol * np.maximum(np.abs(partials[lead:]), 1e-300)
+            hits = np.flatnonzero(window_max < bound)
+            if hits.size:
+                stop = int(hits[0])
+                count = lead + stop + 1
         if term_log is not None:
-            term_log.append(
-                SeriesTermLog(n=n, q_n=q_n, term_value=term, partial_sum=total)
+            term_log.extend(
+                map(SeriesTermLog, n[:count].tolist(), q[:count].tolist(),
+                    values[:count], partials[:count])
             )
-        used = n
-        if len(window) == cfg.tail_window and max(window) < cfg.tail_tol * max(
-            abs(total), 1e-300
-        ):
-            converged = True
-            break
-    tail = max(window) if window else 0.0
-    return total, used, tail, converged
+        used = int(n[count - 1])
+        if stop is not None:
+            return partials[count - 1], used, float(window_max[stop]), True
+        recent = mags[max(len(mags) - width + 1, 0):]
+    tail = float(mags[-width:].max()) if len(mags) else 0.0
+    return total, used, tail, False
+
+
+def _window_max(mags: np.ndarray, width: int) -> np.ndarray:
+    """Max over every window of `width` consecutive entries, in order.
+
+    Maxima over windows of 1, 2, 4, ... entries are built by doubling; two
+    overlapping windows of the largest power of two cover each full window.
+    Taking a max is exact, so this equals the max over each window.
+    """
+    out, span = mags, 1
+    while 2 * span <= width:
+        out = np.maximum(out[:-span], out[span:])
+        span *= 2
+    return np.maximum(out[: len(mags) - width + 1], out[width - span :])
 
 
 def factor_series(
@@ -196,13 +228,14 @@ def factor_series(
             n = np.arange(lo, min(lo + BLOCK, cfg.n_max + 1))
             q = n * (math.pi / r_ex)
             acc = np.zeros_like(q)
+            kernels = _saturated_kernels(kind, weights, q, s)
             for l, w in sorted(weights.items()):
-                rad = utilde(kind, l, q, s)
+                rad = kernels[l]
                 if l == 0:
                     rad = rad - g00
                 acc = acc + w * rad * sph_bessel(l, q * p.r)
             terms = prefac * sph_bessel(1, q * r1p) * sph_bessel(1, q * p.r2) * acc
-            yield from zip(n.tolist(), q.tolist(), terms.tolist())
+            yield n, q, terms
 
     total, used, tail, converged = _accumulate(nodes(), cfg, head, term_log)
     return FactorResult(
@@ -255,8 +288,7 @@ def factor_series_general(
                     * sph_bessel(l, q * p.r)
                     / (q * q)
                 )
-                n = np.arange(lo + 1, sl.stop + 1)
-                yield from zip(n.tolist(), q.tolist(), terms.tolist())
+                yield np.arange(lo + 1, sl.stop + 1), q, terms
 
         total_l, used_l, tail_l, conv_l = _accumulate(nodes(), cfg, 0.0, term_log)
         totals.append(total_l)

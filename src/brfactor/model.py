@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,12 +50,28 @@ def check_field(name: str, value) -> None:
         raise ValidationError(f"separation must be nonnegative, got r={lo!r}")
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ValidationError unless `value` is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 class FactorKind(enum.Enum):
     """Which geometric factor is being computed."""
 
     AXX = "axx"
     AXY = "axy"
     BXY = "bxy"
+
+
+#: (kind, l) multipole channels that carry a radial kernel; the keys of
+#: `angular_weight` for each kind
+CHANNELS = frozenset({
+    (FactorKind.AXX, 0),
+    (FactorKind.AXX, 2),
+    (FactorKind.AXY, 2),
+    (FactorKind.BXY, 1),
+})
 
 
 class Method(enum.Enum):
@@ -162,6 +179,8 @@ class SeriesConfig:
     def __post_init__(self) -> None:
         if self.rex_slack < 0.0:
             raise ValidationError(f"rex_slack must be >= 0, got {self.rex_slack}")
+        check_integer("n_max", self.n_max)
+        check_integer("tail_window", self.tail_window)
         if not (self.n_max >= self.tail_window >= 1):
             raise ValidationError(
                 f"need n_max >= tail_window >= 1, got {self.n_max}, {self.tail_window}")

@@ -16,6 +16,7 @@ give them something independent to agree with.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,9 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .closed_form import CancellationWarning, ji4
-from .model import FactorKind, Ji4Args, RegionPair, ValidationError
+from .model import CHANNELS, FactorKind, Ji4Args, RegionPair, ValidationError
 from .special_functions import angular_weight, sph_bessel
-from .time_averages import QuadratureError, Schedule, heaviside
+from .time_averages import _TAU_SIGNS, QuadratureError, Schedule, heaviside
 
 __all__ = [
     "QuadConfig",
@@ -36,13 +37,17 @@ __all__ = [
     "utilde_direct",
 ]
 
-# endpoint signs of the two sampling windows, in tau_1..tau_4 order
-_SIGNS = (1.0, -1.0, 1.0, -1.0)
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
 #: head length, in periods of the fastest oscillation, before chunking starts
 _HEAD_PERIODS = 8
+
+
+@functools.cache
+def _gauss_legendre() -> tuple:
+    """16-point Gauss-Legendre nodes and weights on (-1, 1).
+
+    Built on first use, so only the quadrature routes load numpy.polynomial.
+    """
+    return np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)
@@ -130,11 +135,12 @@ def _oscillatory_integral(f, omega: float, cfg: QuadConfig) -> QuadResult:
         limit=cfg.max_subdivisions,
         full_output=1,
     )
+    gl_nodes, gl_weights = _gauss_legendre()
     edges = q0 + h * np.arange(cfg.tail_periods + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
-    grid = mid[:, None] + (0.5 * h) * _GL_NODES[None, :]
+    grid = mid[:, None] + (0.5 * h) * gl_nodes[None, :]
     vals = np.asarray(f(grid.ravel()), dtype=float).reshape(grid.shape)
-    chunks = (0.5 * h) * (vals @ _GL_WEIGHTS)
+    chunks = (0.5 * h) * (vals @ gl_weights)
     tail, tail_err = _averaged_limit(chunks)
     return QuadResult(head[0] + tail, head[1] + tail_err)
 
@@ -175,7 +181,7 @@ def _active_echoes(s: Schedule) -> list:
     """(signed gate, tau) pairs whose trig echo survives the step functions."""
     sc = s.scale(0.0)
     out = []
-    for sign, tau in zip(_SIGNS, s.taus):
+    for sign, tau in zip(_TAU_SIGNS, s.taus):
         gate = sign * heaviside(tau, sc)
         if gate != 0.0 and tau != 0.0:
             out.append((gate, tau))
@@ -202,14 +208,6 @@ def _echo_kernel(l: int, qa: np.ndarray, s: Schedule):
     return total / norm
 
 
-_CHANNELS = {
-    (FactorKind.AXX, 0),
-    (FactorKind.AXX, 2),
-    (FactorKind.AXY, 2),
-    (FactorKind.BXY, 1),
-}
-
-
 def utilde_direct(kind: FactorKind, l: int, q, s: Schedule):
     """Radial kernel in echo-plus-flat form; algebraically equal to utilde.
 
@@ -217,7 +215,7 @@ def utilde_direct(kind: FactorKind, l: int, q, s: Schedule):
     compared; broadcasts over q (q >= 0 allowed, the q -> 0 limits are
     built in).
     """
-    if (kind, l) not in _CHANNELS:
+    if (kind, l) not in CHANNELS:
         raise ValidationError(f"no radial kernel for (kind={kind.value}, l={l})")
     qa = np.asarray(q, dtype=float)
     if np.any(qa < 0.0) or not np.all(np.isfinite(qa)):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FactorKind
+from .model import FactorKind, check_integer
 
 # Below this argument the trigonometric closed forms of j1, j2 lose digits
 # to cancellation; switch to the Maclaurin polynomials there.
@@ -41,8 +41,8 @@ _J2_POLY = (
 )
 
 
-def _horner(coeffs: tuple, u):
-    acc = np.full_like(u, coeffs[-1]) if np.ndim(u) else coeffs[-1]
+def _horner(coeffs: tuple, u: np.ndarray) -> np.ndarray:
+    acc = np.full_like(u, coeffs[-1])
     for c in coeffs[-2::-1]:
         acc = acc * u + c
     return acc
@@ -60,8 +60,11 @@ def _j1(x):
     small = np.abs(x) < SMALL_X
     xs = np.where(small, 1.0, x)
     with np.errstate(invalid="ignore", divide="ignore"):
-        direct = np.sin(xs) / xs**2 - np.cos(xs) / xs
-    return np.where(small, x * _horner(_J1_POLY, x * x), direct)
+        out = np.asarray(np.sin(xs) / xs**2 - np.cos(xs) / xs)
+    if small.any():
+        xm = x[small]
+        out[small] = xm * _horner(_J1_POLY, xm * xm)
+    return out
 
 
 def _j2(x):
@@ -69,8 +72,11 @@ def _j2(x):
     small = np.abs(x) < SMALL_X
     xs = np.where(small, 1.0, x)
     with np.errstate(invalid="ignore", divide="ignore"):
-        direct = (3.0 / xs**3 - 1.0 / xs) * np.sin(xs) - 3.0 * np.cos(xs) / xs**2
-    return np.where(small, x * x * _horner(_J2_POLY, x * x), direct)
+        out = np.asarray((3.0 / xs**3 - 1.0 / xs) * np.sin(xs) - 3.0 * np.cos(xs) / xs**2)
+    if small.any():
+        xm = x[small]
+        out[small] = xm * xm * _horner(_J2_POLY, xm * xm)
+    return out
 
 
 def _jm1(x):
@@ -149,8 +155,10 @@ def _roots_tuple(l: int, count: int) -> tuple:
 
 def bessel_roots(l: int, count: int) -> BesselRootTable:
     """First `count` positive roots of j_l, l in {0, 1, 2}, to 1e-14 relative."""
+    check_integer("l", l)
     if l not in (0, 1, 2):
         raise ValueError(f"root tables exist for l in {{0, 1, 2}}, got {l}")
+    check_integer("count", count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     return BesselRootTable(l=l, roots=_roots_tuple(l, count), count=count)

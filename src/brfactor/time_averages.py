@@ -83,6 +83,9 @@ class Schedule:
     def __post_init__(self):
         for name in ("dt1", "dt2", "t_offset"):
             check_field(name, getattr(self, name))
+        # step_coefficients' memo, one entry per r_ex; the fields are frozen,
+        # so an entry never goes stale
+        object.__setattr__(self, "_step_coefficients", {})
 
     @property
     def taus(self) -> tuple:
@@ -105,37 +108,48 @@ class Schedule:
 _TAU_SIGNS = (1.0, -1.0, 1.0, -1.0)
 
 
-def _blocks(s: Schedule, r_ex: float) -> tuple:
-    """Step-gated overlap blocks (D0, Dr, DP, const_pair) of the schedule.
+def step_coefficients(s: Schedule, r_ex: float) -> tuple:
+    """Step-gated, q-independent coefficients of the schedule at radius r_ex,
+    computed once per schedule and r_ex.
 
-    D0 and Dr are the diagonal-overlap lengths at lag 0 and lag r_ex, DP is
-    the signed count of interval endpoints the line t = r_ex crosses, and
-    const_pair = Theta(tau2)Theta(-tau1) - Theta(tau3)Theta(-tau4).
+    Returns (D0, Dr, DP, const_pair, open_gates, radius_gates).  D0 and Dr
+    are the diagonal-overlap lengths at lag 0 and lag r_ex, DP is the signed
+    count of interval endpoints the line t = r_ex crosses, and const_pair =
+    Theta(tau2)Theta(-tau1) - Theta(tau3)Theta(-tau4).  The gates are
+    sign_i Theta(tau_i) and sign_i Theta(tau_i) Theta(r_ex - tau_i), in
+    tau1..tau4 order.
     """
-    tau1, tau2, tau3, tau4 = s.taus
-    sc = s.scale(r_ex)
-    d0 = (
-        heaviside(-tau4, sc)
-        * heaviside(tau2, sc)
-        * (_lesser(s.dt1, tau2) - _greater(tau3, 0.0))
-    )
-    dr = (
-        heaviside(r_ex - tau4, sc)
-        * heaviside(tau2 - r_ex, sc)
-        * (_lesser(s.dt1, tau2 - r_ex) - _greater(tau3 - r_ex, 0.0))
-    )
-    dp = heaviside(tau2 - r_ex, sc) * heaviside(r_ex - tau1, sc) - heaviside(
-        tau3 - r_ex, sc
-    ) * heaviside(r_ex - tau4, sc)
-    const_pair = heaviside(tau2, sc) * heaviside(-tau1, sc) - heaviside(
-        tau3, sc
-    ) * heaviside(-tau4, sc)
-    return d0, dr, dp, const_pair
+    memo = s._step_coefficients
+    if r_ex not in memo:
+        tau1, tau2, tau3, tau4 = taus = s.taus
+        sc = s.scale(r_ex)
+        d0 = (
+            heaviside(-tau4, sc)
+            * heaviside(tau2, sc)
+            * (_lesser(s.dt1, tau2) - _greater(tau3, 0.0))
+        )
+        dr = (
+            heaviside(r_ex - tau4, sc)
+            * heaviside(tau2 - r_ex, sc)
+            * (_lesser(s.dt1, tau2 - r_ex) - _greater(tau3 - r_ex, 0.0))
+        )
+        dp = heaviside(tau2 - r_ex, sc) * heaviside(r_ex - tau1, sc) - heaviside(
+            tau3 - r_ex, sc
+        ) * heaviside(r_ex - tau4, sc)
+        const_pair = heaviside(tau2, sc) * heaviside(-tau1, sc) - heaviside(
+            tau3, sc
+        ) * heaviside(-tau4, sc)
+        open_gates = tuple(sign * heaviside(tau, sc) for sign, tau in zip(_TAU_SIGNS, taus))
+        radius_gates = tuple(
+            gate * heaviside(r_ex - tau, sc) for gate, tau in zip(open_gates, taus)
+        )
+        memo[r_ex] = (d0, dr, dp, const_pair, open_gates, radius_gates)
+    return memo[r_ex]
 
 
 def _check_q(q) -> np.ndarray:
     qa = np.asarray(q, dtype=float)
-    if np.any(qa <= 0.0) or not np.all(np.isfinite(qa)):
+    if (qa <= 0.0).any() or not np.isfinite(qa).all():
         raise ValidationError("q must be positive and finite for Sin/Cos averages")
     return qa
 
@@ -153,7 +167,7 @@ def finite_avg(kind: AvgKind, q, r_ex: float, s: Schedule):
     if r_ex < 0.0:
         raise ValidationError(f"r_ex must be >= 0, got {r_ex}")
     norm = s.dt1 * s.dt2
-    d0, dr, dp, const_pair = _blocks(s, r_ex)
+    d0, dr, dp, const_pair, _, gates = step_coefficients(s, r_ex)
     if kind is AvgKind.DELTA_AT:
         return dr / norm
     if kind is AvgKind.DELTA_PRIME_AT:
@@ -165,12 +179,7 @@ def finite_avg(kind: AvgKind, q, r_ex: float, s: Schedule):
     if r_ex <= 0.0:
         raise ValidationError("Sin/Cos finite averages need r_ex > 0")
     qa = _check_q(q)
-    sc = s.scale(r_ex)
     taus = s.taus
-    gates = [
-        sign * heaviside(tau, sc) * heaviside(r_ex - tau, sc)
-        for sign, tau in zip(_TAU_SIGNS, taus)
-    ]
     if kind is AvgKind.SIN_FINITE:
         osc = sum(g * np.sin(qa * tau) for g, tau in zip(gates, taus))
         val = (
@@ -193,12 +202,8 @@ def infinite_avg(kind: AvgKind, q, s: Schedule):
         raise ValidationError(f"unsupported infinite-average kind {kind!r}")
     qa = _check_q(q)
     norm = s.dt1 * s.dt2
-    d0, _, _, const_pair = _blocks(s, 0.0)
-    sc = s.scale(0.0)
+    d0, _, _, const_pair, gates, _ = step_coefficients(s, 0.0)
     taus = s.taus
-    gates = [
-        sign * heaviside(tau, sc) for sign, tau in zip(_TAU_SIGNS, taus)
-    ]
     # associate divisions exactly as in finite_avg so that the saturated
     # r_ex limit is equal bit for bit, not merely to rounding
     if kind is AvgKind.SIN_INF:

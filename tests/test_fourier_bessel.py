@@ -1,12 +1,20 @@
 """Series routes against the closed form and each other; stopping honesty."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
 from brfactor.closed_form import factor_closed
-from brfactor.fourier_bessel import factor_series, factor_series_general, utilde
+from brfactor.fourier_bessel import (
+    BLOCK,
+    SeriesTermLog,
+    _accumulate,
+    factor_series,
+    factor_series_general,
+    utilde,
+)
 from brfactor.model import (
     FactorKind,
     Method,
@@ -69,6 +77,77 @@ def test_term_log_records_the_accumulation():
         assert entry.q_n == pytest.approx(entry.n * math.pi / r_ex, rel=1e-15)
     assert log[-1].partial_sum == res.value
     assert all(math.isfinite(entry.term_value) for entry in log)
+
+
+def _accumulate_per_term(terms, q, cfg, start, term_log):
+    """Reference: the stop rule tested after every term, as a deque max."""
+    total = start
+    comp = 0.0
+    window = deque(maxlen=cfg.tail_window)
+    used = 0
+    converged = False
+    for n, (q_n, term) in enumerate(zip(q, terms), start=1):
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        window.append(abs(term))
+        term_log.append(SeriesTermLog(n=n, q_n=q_n, term_value=term, partial_sum=total))
+        used = n
+        if len(window) == cfg.tail_window and max(window) < cfg.tail_tol * max(
+            abs(total), 1e-300
+        ):
+            converged = True
+            break
+    tail = max(window) if window else 0.0
+    return total, used, tail, converged
+
+
+def _terms_stopping_at(stop, width, count, seed):
+    """Signed terms of mixed size that fall below the stop threshold from
+    node stop - width + 1 on, so the window rule first holds at `stop`."""
+    rng = np.random.default_rng(seed)
+    terms = rng.choice([-1.0, 1.0], count) * rng.uniform(1e-3, 1.0, count)
+    terms /= np.arange(1, count + 1)
+    if stop is not None:
+        first_small = stop - width
+        terms[first_small:] = rng.uniform(-1e-9, 1e-9, count - first_small)
+        # a term just above the threshold right before the quiet run
+        if first_small > 0:
+            terms[first_small - 1] = 1e-5
+    return terms
+
+
+@pytest.mark.parametrize(
+    "width,stop",
+    [
+        (width, stop)
+        for width in (1, 20, 200)
+        for stop in (20, 127, 128, 129, 200, 256, None)
+        if stop is None or stop >= width  # a stop needs a full window
+    ],
+)
+def test_block_stop_rule_matches_the_per_term_rule(width, stop):
+    # windows that end at n = 129 or 256 reach back across a block boundary
+    count = 300
+    cfg = SeriesConfig(n_max=count, tail_window=width)
+    terms = _terms_stopping_at(stop, width, count, seed=width * 1000 + (stop or 0))
+    n = np.arange(1, count + 1)
+    q = 0.5 * n
+
+    def blocks():
+        for lo in range(0, count, BLOCK):
+            yield n[lo:lo + BLOCK], q[lo:lo + BLOCK], terms[lo:lo + BLOCK]
+
+    log, ref_log = [], []
+    got = _accumulate(blocks(), cfg, 5.0, log)
+    expected = _accumulate_per_term(terms.tolist(), q.tolist(), cfg, 5.0, ref_log)
+    assert got == expected
+    assert log == ref_log
+    assert got[1] == (stop if stop is not None else count)
+    assert got[3] is (stop is not None)
+    # without a log the same result comes back
+    assert _accumulate(blocks(), cfg, 5.0) == expected
 
 
 def test_small_budget_reports_nonconvergence():

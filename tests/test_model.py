@@ -181,6 +181,11 @@ def test_reverse_flips_the_displacement_direction():
         {"tail_window": 0},
         {"tail_tol": 0.0},
         {"tail_tol": -1e-9},
+        # budgets are counts: a fraction or a bool is not one
+        {"n_max": 100.5},
+        {"n_max": 300, "tail_window": 2.5},
+        {"tail_window": True},
+        {"n_max": 300.0},
     ],
 )
 def test_series_config_rejects_bad_values(kwargs):

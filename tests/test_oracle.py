@@ -3,17 +3,20 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from brfactor.closed_form import CancellationWarning, factor_closed, ji4
-from brfactor.model import FactorKind, Ji4Args, RegionPair, ValidationError
+from brfactor.fourier_bessel import utilde
+from brfactor.model import CHANNELS, FactorKind, Ji4Args, RegionPair, ValidationError
 from brfactor.oracle import (
     QuadConfig,
     QuadResult,
     factor_fourier_numeric,
     ji4_numeric,
+    utilde_direct,
 )
-from brfactor.time_averages import QuadratureError
+from brfactor.time_averages import QuadratureError, Schedule
 
 LOOSE = QuadConfig(abs_tol=1.0, rel_tol=1.0)
 
@@ -149,3 +152,28 @@ def test_factor_oracle_validates_inputs():
     bad = RegionPair(1.0, -1.0, 0.5, 0.0, 0.0, 1.0, 1.0, 0.0)
     with pytest.raises(ValidationError):
         factor_fourier_numeric(FactorKind.AXX, bad, LOOSE)
+
+
+def _utilde_schedules():
+    rng = np.random.default_rng(20)
+    drawn = [
+        Schedule(rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0), rng.uniform(-4.0, 4.0))
+        for _ in range(40)
+    ]
+    # corner lags exactly on a kink: tau3, tau1, tau4 and tau2 = 0
+    kinks = [Schedule(1.0, 1.0, 0.0), Schedule(1.0, 0.5, 0.5), Schedule(1.0, 1.0, 1.0),
+             Schedule(0.5, 1.0, -1.0)]
+    return drawn + kinks
+
+
+@pytest.mark.parametrize("kind,l", sorted(CHANNELS, key=lambda c: (c[0].value, c[1])))
+def test_utilde_direct_equals_utilde(kind, l):
+    # the echo-plus-flat kernel is written independently of the gated
+    # averages behind utilde; the two forms agree to rounding
+    rng = np.random.default_rng(21)
+    q = np.concatenate([np.geomspace(0.05, 60.0, 60), rng.uniform(0.05, 60.0, 60)])
+    for s in _utilde_schedules():
+        expected = utilde(kind, l, q, s)
+        got = utilde_direct(kind, l, q, s)
+        scale = np.max(np.abs(expected)) + 1.0
+        assert np.max(np.abs(got - expected)) <= 1e-12 * scale, s

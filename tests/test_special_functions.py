@@ -119,6 +119,14 @@ def test_roots_match_high_precision_zeros(l, n):
     assert abs(got - ref) <= 2.0 * np.spacing(ref)
 
 
+@pytest.mark.parametrize(
+    "l,count", [(1, 3.0), (1, 2.5), (1, True), (1, 0), (1.0, 3), (True, 3)]
+)
+def test_root_table_arguments_must_be_integers(l, count):
+    with pytest.raises(ValueError):
+        bessel_roots(l, count)
+
+
 def test_root_tables_are_cached():
     a = bessel_roots(2, 30).roots
     b = bessel_roots(2, 30).roots
