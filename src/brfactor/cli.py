@@ -56,7 +56,6 @@ from .time_averages import (
 )
 
 __all__ = [
-    "RunReport",
     "Table1Row",
     "build_parser",
     "main",
@@ -149,35 +148,6 @@ def table1_rows() -> tuple:
     return tuple(rows)
 
 
-@dataclasses.dataclass(frozen=True)
-class RowOutcome:
-    """Computed value and pass/fail for one reference row."""
-
-    index: int
-    row: Table1Row
-    result: FactorResult
-
-    @property
-    def rounded(self) -> str:
-        return round4(self.result.value)
-
-    @property
-    def passed(self) -> bool:
-        return self.rounded == round4(float(self.row.expected))
-
-
-@dataclasses.dataclass(frozen=True)
-class RunReport:
-    """Outcomes for a full table run."""
-
-    method: Method
-    outcomes: tuple
-
-    @property
-    def all_passed(self) -> bool:
-        return all(o.passed for o in self.outcomes)
-
-
 # ---------------------------------------------------------------------------
 # shared evaluation core
 
@@ -201,105 +171,40 @@ def _evaluate(
     series_cfg: SeriesConfig,
     quad_cfg: QuadConfig,
 ) -> FactorResult:
-    """Dispatch to one computation route, normalizing to FactorResult."""
+    """Dispatch to one computation route; the one place where a route's
+    output becomes a FactorResult.
+
+    A quadrature that misses its error budget gives its best estimate,
+    flagged `converged=False` with an infinite tail estimate.
+    """
     if method is Method.CLOSED_FORM:
         return factor_closed(kind, p)
     if method is Method.SERIES_SIMPLE:
         return factor_series(kind, p, series_cfg)
     if method is Method.SERIES_GENERAL:
         return factor_series_general(kind, p, series_cfg)
-    quad = factor_fourier_numeric(kind, p, quad_cfg)
-    return FactorResult(
-        value=quad.value,
-        terms_used=0,
-        tail_estimate=quad.error,
-        method=Method.FOURIER_NUMERIC,
-        converged=True,
-    )
+    try:
+        quad = factor_fourier_numeric(kind, p, quad_cfg)
+    except QuadratureError as exc:
+        return FactorResult(exc.estimate, 0, math.inf, method, converged=False)
+    return FactorResult(quad.value, 0, quad.error, method, converged=True)
 
 
 def _record(kind: FactorKind, p: RegionPair, result: FactorResult) -> dict:
+    tail = result.tail_estimate
     return {
         "inputs": p.to_dict(),
         "kind": kind.value,
         "method": result.method.value,
         "value": result.value,
         "terms_used": result.terms_used,
-        "tail_estimate": result.tail_estimate,
+        # JSON has no inf: an error past its budget is written as null
+        "tail_estimate": tail if math.isfinite(tail) else None,
         "converged": result.converged,
     }
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def _region_from_args(args: argparse.Namespace) -> RegionPair:
-    return RegionPair(
-        r1=args.r1,
-        r2=args.r2,
-        r=args.r,
-        theta=args.theta,
-        phi=args.phi,
-        dt1=args.dt1,
-        dt2=args.dt2,
-        t_offset=args.t,
-    )
-
-
-def cmd_factor(args: argparse.Namespace) -> int:
-    """Evaluate one factor and print a JSON record."""
-    kind = FactorKind(args.kind)
-    p = _region_from_args(args)
-    method = Method(args.method)
-    try:
-        result = _evaluate(kind, p, method, _series_config(args), _quad_config(args))
-    except QuadratureError as exc:
-        best = FactorResult(
-            value=exc.estimate,
-            terms_used=0,
-            tail_estimate=float("inf"),
-            method=method,
-            converged=False,
-        )
-        record = _record(kind, p, best)
-        record["tail_estimate"] = None  # JSON has no inf; error exceeded budget
-        print(json.dumps(record))
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    print(json.dumps(_record(kind, p, result)))
-    return 0 if result.converged else 3
-
-
-_TABLE_HEADER = (
-    f"{'row':>3}  {'kind':<4}  {'method':<14}  {'computed':>23}  "
-    f"{'4-digit':>10}  {'expected':>10}  {'terms':>6}  result"
-)
-
-
-def _format_outcome_line(o: RowOutcome) -> str:
-    return (
-        f"{o.index:>3}  {o.row.kind.value:<4}  {o.result.method.value:<14}  "
-        f"{o.result.value:>23.16e}  {o.rounded:>10}  {o.row.expected:>10}  "
-        f"{o.result.terms_used:>6}  {'pass' if o.passed else 'FAIL'}"
-    )
-
-
-_CSV_COLUMNS = (
-    "kind",
-    "r1",
-    "r2",
-    "r",
-    "theta",
-    "phi",
-    "dt1",
-    "dt2",
-    "t_offset",
-    "method",
-    "value",
-    "terms_used",
-    "converged",
-)
+_CSV_COLUMNS = ("kind", *FIELDS, "method", "value", "terms_used", "converged")
 
 
 def _result_fields(method: str, value: float, terms_used: int, converged: bool) -> list:
@@ -314,33 +219,72 @@ def _csv_row(kind: FactorKind, p: RegionPair, result: FactorResult) -> list:
     )
 
 
+def _write_csv(path: Optional[str], header: Sequence[str], rows) -> None:
+    """Write a header line and the rows as CSV to `path`, or to stdout."""
+    out = open(path, "w", newline="") if path is not None else sys.stdout
+    try:
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(rows)
+    finally:
+        if out is not sys.stdout:
+            out.close()
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+
+def cmd_factor(args: argparse.Namespace) -> int:
+    """Evaluate one factor and print a JSON record."""
+    kind = FactorKind(args.kind)
+    p = RegionPair(**{name: getattr(args, name) for name in FIELDS})
+    result = _evaluate(kind, p, Method(args.method), _series_config(args), _quad_config(args))
+    print(json.dumps(_record(kind, p, result)))
+    return 0 if result.converged else 3
+
+
+_TABLE_HEADER = (
+    f"{'row':>3}  {'kind':<4}  {'method':<14}  {'computed':>23}  "
+    f"{'4-digit':>10}  {'expected':>10}  {'terms':>6}  result"
+)
+
+
 def cmd_table1(args: argparse.Namespace) -> int:
-    """Recompute the sixteen reference rows and report pass/fail per row."""
+    """Recompute the sixteen reference rows and report pass/fail per row.
+
+    A row passes when its result converged and rounds to the printed value.
+    Exit 3 if any row did not converge, else 1 if any row failed.
+    """
     method = Method(args.method)
     series_cfg = _series_config(args)
     quad_cfg = _quad_config(args)
-    outcomes = []
-    for index, row in enumerate(table1_rows(), start=1):
-        result = _evaluate(row.kind, row.params, method, series_cfg, quad_cfg)
-        outcomes.append(RowOutcome(index, row, result))
-    report = RunReport(method, tuple(outcomes))
-
+    rows = table1_rows()
+    passed = 0
+    all_converged = True
+    csv_rows = []
     print(_TABLE_HEADER)
-    for o in report.outcomes:
-        print(_format_outcome_line(o))
-    passed = sum(o.passed for o in report.outcomes)
-    print(f"{passed}/{len(report.outcomes)} rows pass at 4 significant digits")
+    for index, row in enumerate(rows, start=1):
+        result = _evaluate(row.kind, row.params, method, series_cfg, quad_cfg)
+        rounded = round4(result.value)
+        ok = result.converged and rounded == round4(float(row.expected))
+        passed += ok
+        all_converged = all_converged and result.converged
+        print(
+            f"{index:>3}  {row.kind.value:<4}  {result.method.value:<14}  "
+            f"{result.value:>23.16e}  {rounded:>10}  {row.expected:>10}  "
+            f"{result.terms_used:>6}  {'pass' if ok else 'FAIL'}"
+        )
+        csv_rows.append(
+            _csv_row(row.kind, row.params, result) + [row.expected, "true" if ok else "false"]
+        )
+    print(f"{passed}/{len(rows)} rows pass at 4 significant digits")
 
     if args.csv is not None:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_CSV_COLUMNS + ("expected", "passed"))
-            for o in report.outcomes:
-                writer.writerow(
-                    _csv_row(o.row.kind, o.row.params, o.result)
-                    + [o.row.expected, "true" if o.passed else "false"]
-                )
-    return 0 if report.all_passed else 1
+        _write_csv(args.csv, _CSV_COLUMNS + ("expected", "passed"), csv_rows)
+    if not all_converged:
+        return 3
+    return 0 if passed == len(rows) else 1
 
 
 def _parse_axis(text: str):
@@ -371,20 +315,12 @@ def _parse_kinds(text: str):
     return tuple(kinds)
 
 
-def _point_fields(kind, p, method, series_cfg, quad_cfg) -> tuple:
-    try:
-        result = _evaluate(kind, p, method, series_cfg, quad_cfg)
-    except QuadratureError as exc:
-        return method.value, exc.estimate, 0, False
-    return result.method.value, result.value, result.terms_used, result.converged
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Evaluate a parameter grid and write one CSV row per point."""
     method = Method(args.method)
     series_cfg = _series_config(args)
     quad_cfg = _quad_config(args)
-    axes = (args.r1, args.r2, args.r, args.theta, args.phi, args.dt1, args.dt2, args.t)
+    axes = tuple(getattr(args, name) for name in FIELDS)
     total = len(args.kind) * math.prod(len(a) for a in axes)
     if total > args.max_points:
         print(
@@ -396,38 +332,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # checks every grid point
     for name, values in zip(FIELDS, axes):
         check_field(name, np.array(values))
-    labels = list(itertools.product(*([f"{v:.17g}" for v in values] for values in axes)))
 
     rows = []
-    for kind in args.kind:
-        if method is Method.CLOSED_FORM:
-            # the whole grid of this kind as one batch, in itertools.product order
-            grid = RegionPair(*(g.ravel() for g in np.meshgrid(*axes, indexing="ij")))
+    if method is Method.CLOSED_FORM:
+        # each kind's whole grid is one batch, in itertools.product order;
+        # no FactorResult per point, which would cost more than the batch
+        labels = list(itertools.product(*([f"{v:.17g}" for v in values] for values in axes)))
+        grid = RegionPair(*(g.ravel() for g in np.meshgrid(*axes, indexing="ij")))
+        # an enum's value is a property lookup; read it once, not per row
+        route = method.value
+        for kind in args.kind:
             batch = factor_closed_batch(kind, grid)
-            results = zip(
-                itertools.repeat(method.value),
-                batch.value.tolist(),
-                batch.terms_used.tolist(),
-                itertools.repeat(True),
+            name = kind.value
+            rows.extend(
+                [name, *label, *_result_fields(route, value, terms, True)]
+                for label, value, terms in zip(
+                    labels, batch.value.tolist(), batch.terms_used.tolist()
+                )
             )
-        else:
-            results = (
-                _point_fields(kind, RegionPair(*point), method, series_cfg, quad_cfg)
-                for point in itertools.product(*axes)
-            )
-        name = kind.value
-        rows.extend(
-            [name, *label, *_result_fields(*fields)] for label, fields in zip(labels, results)
-        )
-
-    out = open(args.out, "w", newline="") if args.out is not None else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(_CSV_COLUMNS)
-        writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    else:
+        for kind, point in itertools.product(args.kind, itertools.product(*axes)):
+            p = RegionPair(*point)
+            rows.append(_csv_row(kind, p, _evaluate(kind, p, method, series_cfg, quad_cfg)))
+    _write_csv(args.out, _CSV_COLUMNS, rows)
     return 0
 
 
@@ -563,18 +490,36 @@ def _add_series_flags(sp: argparse.ArgumentParser) -> None:
                     help="oscillatory tail chunks for the numeric method")
 
 
-def _add_geometry_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--r1", type=float, required=True, help="radius of region 1")
-    sp.add_argument("--r2", type=float, required=True, help="radius of region 2")
-    sp.add_argument("--r", type=float, default=0.0, help="centre separation")
-    sp.add_argument("--theta", type=parse_angle, default=0.0,
-                    help="polar angle of the displacement (radians or e.g. 1/6pi)")
-    sp.add_argument("--phi", type=parse_angle, default=0.0,
-                    help="azimuthal angle of the displacement")
-    sp.add_argument("--dt1", type=float, default=1.0, help="length of interval 1")
-    sp.add_argument("--dt2", type=float, default=1.0, help="length of interval 2")
-    sp.add_argument("--t", type=float, default=0.0,
-                    help="start of interval 2 minus start of interval 1")
+_FIELD_HELP = {
+    "r1": "radius of region 1",
+    "r2": "radius of region 2",
+    "r": "centre separation",
+    "theta": "polar angle of the displacement (radians or e.g. 1/6pi)",
+    "phi": "azimuthal angle of the displacement",
+    "dt1": "length of interval 1",
+    "dt2": "length of interval 2",
+    "t_offset": "start of interval 2 minus start of interval 1",
+}
+
+
+def _add_geometry_flags(sp: argparse.ArgumentParser, axes: bool) -> None:
+    """One flag per RegionPair field, `--t` for t_offset, with the field's
+    default; a field without a default is a required flag.
+
+    With `axes` every flag takes a grid axis, and a default is an axis of
+    one value.
+    """
+    for field in dataclasses.fields(RegionPair):
+        name = field.name
+        required = field.default is dataclasses.MISSING
+        if axes:
+            parse, default = _parse_axis, None if required else (field.default,)
+        else:
+            parse = parse_angle if name in ("theta", "phi") else float
+            default = None if required else field.default
+        sp.add_argument("--t" if name == "t_offset" else "--" + name, dest=name,
+                        type=parse, required=required, default=default,
+                        help=_FIELD_HELP[name])
 
 
 _METHODS = tuple(m.value for m in Method)
@@ -590,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("factor", help="evaluate one factor, print JSON")
     sp.add_argument("--kind", required=True, choices=[k.value for k in FactorKind])
-    _add_geometry_flags(sp)
+    _add_geometry_flags(sp, axes=False)
     sp.add_argument("--method", default="closed", choices=_METHODS)
     _add_series_flags(sp)
     sp.set_defaults(handler=cmd_factor)
@@ -604,16 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="evaluate a parameter grid, write CSV")
     sp.add_argument("--kind", type=_parse_kinds, default=(FactorKind.AXX,),
                     help="comma-separated list: axx,axy,bxy")
-    for name, help_text in (("--r1", "radius of region 1"),
-                            ("--r2", "radius of region 2"),
-                            ("--r", "centre separation")):
-        sp.add_argument(name, type=_parse_axis, required=name != "--r",
-                        default=None if name != "--r" else (0.0,), help=help_text)
-    sp.add_argument("--theta", type=_parse_axis, default=(0.0,))
-    sp.add_argument("--phi", type=_parse_axis, default=(0.0,))
-    sp.add_argument("--dt1", type=_parse_axis, default=(1.0,))
-    sp.add_argument("--dt2", type=_parse_axis, default=(1.0,))
-    sp.add_argument("--t", type=_parse_axis, default=(0.0,))
+    _add_geometry_flags(sp, axes=True)
     sp.add_argument("--method", default="closed", choices=_METHODS)
     sp.add_argument("--out", default=None, help="CSV output path (default stdout)")
     sp.add_argument("--max-points", type=int, default=20000,

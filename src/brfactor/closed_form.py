@@ -33,10 +33,14 @@ from .model import (
     reverse,
 )
 from .special_functions import angular_weight
-from .time_averages import AvgKind, Schedule, finite_avg, heaviside, step_coefficients
-
-#: relative half-width of the band treated as exactly zero
-ZERO_BAND_RTOL = 1e-12
+from .time_averages import (
+    BOUNDARY_RTOL,
+    AvgKind,
+    Schedule,
+    finite_avg,
+    heaviside,
+    step_coefficients,
+)
 
 #: a sign sum whose total is below this fraction of its largest term is
 #: reported as cancellation-limited
@@ -51,19 +55,9 @@ class CancellationWarning(RuntimeWarning):
     """A permutation sum lost more than ~8 digits to cancellation."""
 
 
-def zr(x, scale):
-    """Indicator of the zero band: 1 if |x| <= 1e-12*scale, else 0.
-
-    Elementwise on arrays; a float in gives a float out.
-    """
-    if np.any(scale <= 0.0):
-        raise ValidationError(f"scale must be positive, got {scale}")
-    return 1.0 * _in_band(x, scale)
-
-
 def _in_band(x, scale):
-    # zr as a mask, for callers whose scale is >= 1 by construction
-    return abs(x) <= ZERO_BAND_RTOL * scale
+    # the zero band of `heaviside`, as a mask
+    return abs(x) <= BOUNDARY_RTOL * scale
 
 
 # sign patterns for the permutation sums, one row per term: the second
@@ -223,11 +217,11 @@ def _ji4_n1_1101_quad(a, b, d):
 def _ji4_batch(sig: tuple, a, b, c, d) -> tuple:
     """(values, cancelled) of one signature's ji4 over equal-length arrays.
 
-    Zero detection of gamma and delta uses the band of `zr` with scale =
-    max(alpha, beta, |gamma|, |delta|, 1).  Arguments inside the band route
-    to the reduced sums, so boundary parameter sets (corner lags landing on
-    zero, from either side) evaluate without indeterminate forms.  Each
-    sum formula runs only on the entries that select it.
+    Zero detection of gamma and delta uses the band of `heaviside` with
+    scale = max(alpha, beta, |gamma|, |delta|, 1).  Arguments inside the
+    band route to the reduced sums, so boundary parameter sets (corner lags
+    landing on zero, from either side) evaluate without indeterminate forms.
+    Each sum formula runs only on the entries that select it.
     """
     scale = np.maximum(np.maximum(a, b), np.maximum(np.maximum(abs(c), abs(d)), 1.0))
     # route code: 0 neither zero, 1 gamma zero, 2 delta zero, 3 both zero
@@ -283,7 +277,7 @@ def ji4(args: Ji4Args) -> float:
     a, b, c, d = args.alpha, args.beta, args.gamma, args.delta
     scale = max(a, b, abs(c), abs(d), 1.0)
     for name, v in (("alpha", a), ("beta", b), ("gamma", c), ("delta", d)):
-        if not math.isfinite(v) or (v < 0.0 and zr(v, scale) == 0.0):
+        if not math.isfinite(v) or (v < 0.0 and not _in_band(v, scale)):
             raise ValidationError(f"{name} must be finite and >= 0, got {v!r}")
     if a == 0.0 or b == 0.0:
         raise ValidationError("alpha and beta must be positive")

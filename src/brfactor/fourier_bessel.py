@@ -28,7 +28,7 @@ from .model import (
     SeriesConfig,
     ValidationError,
 )
-from .special_functions import angular_weight, bessel_roots, sph_bessel
+from .special_functions import angular_weight, bessel_roots, fb_weight, sph_bessel
 from .time_averages import AvgKind, Schedule, finite_avg, infinite_avg
 
 #: nodes are evaluated in vectorized blocks of this size, reduced in order
@@ -109,12 +109,12 @@ def _boundary_kernel(kind: FactorKind, l: int, q, r_ex: float, s: Schedule):
 
 @functools.lru_cache(maxsize=None)
 def _root_nodes(l: int, count: int) -> tuple:
-    """Read-only arrays of the first `count` roots x_n of j_l and of
-    j_{l-1}(x_n)**2, the r_ex-free part of the Fourier-Bessel weights."""
-    roots = np.array(bessel_roots(l, count).roots)
-    jm1_sq = sph_bessel(l - 1, roots) ** 2
-    roots.flags.writeable = jm1_sq.flags.writeable = False
-    return roots, jm1_sq
+    """Read-only arrays of the first `count` roots x_n of j_l and of their
+    Fourier-Bessel weights at r_ex = 1; a weight at r_ex is r_ex**3 times it."""
+    roots = bessel_roots(l, count)
+    weights = fb_weight(l, roots, 1.0)
+    weights.flags.writeable = False
+    return roots, weights
 
 
 def _flat_monopole_coeff(s: Schedule) -> float:
@@ -269,8 +269,8 @@ def factor_series_general(
     tail = 0.0
     channel_status = []
     for l, w in sorted(weights.items()):
-        roots, jm1_sq = _root_nodes(l, cfg.n_max)
-        w_n = 0.5 * r_ex**3 * jm1_sq
+        roots, unit_weights = _root_nodes(l, cfg.n_max)
+        w_n = r_ex**3 * unit_weights
         chan_pref = (9.0 / (p.r1 * p.r2)) * (w / (4.0 * math.pi))
 
         def nodes():

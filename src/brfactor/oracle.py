@@ -27,7 +27,7 @@ import numpy as np
 from .closed_form import CancellationWarning, ji4
 from .model import CHANNELS, FactorKind, Ji4Args, RegionPair, ValidationError
 from .special_functions import angular_weight, sph_bessel
-from .time_averages import _TAU_SIGNS, QuadratureError, Schedule, heaviside
+from .time_averages import _TAU_SIGNS, QuadratureError, Schedule, heaviside, step_coefficients
 
 __all__ = [
     "QuadConfig",
@@ -39,6 +39,9 @@ __all__ = [
 
 #: head length, in periods of the fastest oscillation, before chunking starts
 _HEAD_PERIODS = 8
+
+#: subinterval limit of the adaptive head quadrature
+_HEAD_SUBDIVISIONS = 200
 
 
 @functools.cache
@@ -56,7 +59,6 @@ class QuadConfig:
 
     abs_tol: float = 1e-7
     rel_tol: float = 1e-4
-    max_subdivisions: int = 200
     tail_periods: int = 400
 
     def __post_init__(self) -> None:
@@ -64,10 +66,6 @@ class QuadConfig:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
                 raise ValidationError(f"{name} must be positive and finite, got {value!r}")
-        if self.max_subdivisions < 1:
-            raise ValidationError(
-                f"max_subdivisions must be >= 1, got {self.max_subdivisions}"
-            )
         if self.tail_periods < 8:
             raise ValidationError(f"tail_periods must be >= 8, got {self.tail_periods}")
 
@@ -132,7 +130,7 @@ def _oscillatory_integral(f, omega: float, cfg: QuadConfig) -> QuadResult:
         q0,
         epsabs=min(1e-12, 0.1 * cfg.abs_tol),
         epsrel=min(1e-11, 0.1 * cfg.rel_tol),
-        limit=cfg.max_subdivisions,
+        limit=_HEAD_SUBDIVISIONS,
         full_output=1,
     )
     gl_nodes, gl_weights = _gauss_legendre()
@@ -156,24 +154,16 @@ def _require_converged(result: QuadResult, cfg: QuadConfig, context: str) -> Qua
     return result
 
 
-def _d0_gate(s: Schedule) -> float:
-    """Coincidence-gate length Theta(-tau4)Theta(tau2)(min(dt1,tau2) - max(tau3,0))."""
-    _, tau2, tau3, tau4 = s.taus
-    sc = s.scale(0.0)
-    return heaviside(-tau4, sc) * heaviside(tau2, sc) * (
-        min(s.dt1, tau2) - max(tau3, 0.0)
-    )
-
-
 def _flat_part(l: int, s: Schedule) -> float:
     """Large-q limit of the radial kernel (zero for the odd channel).
 
     The monopole keeps -(3/2) of the coincidence gate against +1 from its
-    sine average; the quadrupole keeps the sine average's gate alone.
+    sine average; the quadrupole keeps the sine average's gate alone.  The
+    gate is the lag-0 diagonal overlap D0 of the schedule.
     """
     if l == 1:
         return 0.0
-    flat = _d0_gate(s) / (s.dt1 * s.dt2)
+    flat = step_coefficients(s, 0.0)[0] / (s.dt1 * s.dt2)
     return -0.5 * flat if l == 0 else flat
 
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,45 +132,44 @@ def _refine_roots(l: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class BesselRootTable:
-    """Ascending positive roots x with j_l(x) = 0."""
-
-    l: int
-    roots: tuple
-    count: int
-
-
 @functools.lru_cache(maxsize=None)
-def _roots_tuple(l: int, count: int) -> tuple:
+def _roots(l: int, count: int) -> np.ndarray:
     if l == 0:
-        return tuple(n * math.pi for n in range(1, count + 1))
-    lower = np.array(_roots_tuple(l - 1, count + 1))
-    # Roots of consecutive orders interlace: exactly one root of j_l lies
-    # between consecutive roots of j_{l-1}.
-    eps = 1e-9
-    return tuple(_refine_roots(l, lower[:-1] + eps, lower[1:] - eps).tolist())
+        roots = np.arange(1, count + 1) * math.pi
+    else:
+        lower = _roots(l - 1, count + 1)
+        # Roots of consecutive orders interlace: exactly one root of j_l lies
+        # between consecutive roots of j_{l-1}.
+        eps = 1e-9
+        roots = _refine_roots(l, lower[:-1] + eps, lower[1:] - eps)
+    roots.flags.writeable = False  # shared by every caller through the cache
+    return roots
 
 
-def bessel_roots(l: int, count: int) -> BesselRootTable:
-    """First `count` positive roots of j_l, l in {0, 1, 2}, to 1e-14 relative."""
+def bessel_roots(l: int, count: int) -> np.ndarray:
+    """First `count` positive roots of j_l, l in {0, 1, 2}, to 1e-14 relative.
+
+    Ascending, in a read-only array that is built once per (l, count).
+    """
     check_integer("l", l)
     if l not in (0, 1, 2):
         raise ValueError(f"root tables exist for l in {{0, 1, 2}}, got {l}")
     check_integer("count", count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    return BesselRootTable(l=l, roots=_roots_tuple(l, count), count=count)
+    return _roots(l, count)
 
 
-def fb_weight(l: int, root: float, r_ex: float) -> float:
+def fb_weight(l: int, root, r_ex: float):
     """Fourier-Bessel weight w_n for a root of j_l scaled so q = root/r_ex.
 
     At a root of j_l the derivative reduces to j_{l-1}, so
     w = (r_ex**3 / 2) * j_{l-1}(root)**2; for l = 0 and root = n*pi this is
-    r_ex**3 / (2 n**2 pi**2).
+    r_ex**3 / (2 n**2 pi**2).  Elementwise over an array of roots; a float
+    in gives a float out.
     """
-    return 0.5 * r_ex**3 * float(_J_FUNCS[l - 1](root)) ** 2
+    w = 0.5 * r_ex**3 * _J_FUNCS[l - 1](root) ** 2
+    return float(w) if np.ndim(root) == 0 else w
 
 
 def angular_weight(kind: FactorKind, theta: float, phi: float) -> dict:

@@ -1,0 +1,52 @@
+"""The benchmark's traced run wraps brfactor functions by name.
+
+`perfbench/spans.py` lists them in `TRACED`; a name deleted or moved in the
+package would break the traced run, so the list is loaded from the file and
+checked here, and one traced call is made through it.
+"""
+
+import contextlib
+import importlib
+import importlib.util
+import io
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    spans = _load_spans()
+    for name in spans.MODULES:
+        importlib.import_module(name)
+    for owner, fname, _ in spans.TRACED:
+        module = importlib.import_module("brfactor." + owner)
+        assert callable(getattr(module, fname, None)), f"brfactor.{owner}.{fname}"
+
+
+def test_traced_call_records_spans():
+    spans = _load_spans()
+    for name in spans.MODULES:
+        importlib.import_module(name)
+    cli = importlib.import_module("brfactor.cli")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([
+                "factor", "--kind", "axx", "--r1", "1", "--r2", "1", "--r", "0.5",
+                "--method", "series-general",
+            ]) == 0
+        counts, self_s = tracer.aggregate()
+    finally:
+        tracer.remove()
+    assert counts["cli.main.calls"] == 1
+    assert counts["fourier_bessel.factor_series_general.calls"] == 1
+    assert counts["closed_form.ji4.calls.0_1_1_0_0"] >= 1
+    assert self_s["cli.main"] > 0.0

@@ -222,10 +222,26 @@ def test_factor_impossible_budget_exits_3(capsys):
         "--method", "numeric", "--abs-tol", "1e-30", "--rel-tol", "1e-30",
     ]
     assert main(args) == 3
-    out = capsys.readouterr().out
-    record = json.loads(out)
+    captured = capsys.readouterr()
+    record = json.loads(captured.out)
     assert record["converged"] is False
+    assert record["tail_estimate"] is None
     assert record["value"] == pytest.approx(-1.625, abs=1e-3)
+    # the record is the whole report, as on the series routes
+    assert captured.err == ""
+
+
+def test_sweep_numeric_stall_is_a_flagged_row(capsys):
+    args = [
+        "sweep", "--kind", "axx", "--r1", "1", "--r2", "1", "--r", "0:1:2",
+        "--method", "numeric", "--abs-tol", "1e-30", "--rel-tol", "1e-30",
+    ]
+    assert main(args) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [(row["method"], row["terms_used"], row["converged"]) for row in rows] == [
+        ("numeric", "0", "false")
+    ] * 2
+    assert float(rows[0]["value"]) == pytest.approx(-1.625, abs=1e-3)
 
 
 def test_series_depth_starves_and_exits_3(capsys):
@@ -249,6 +265,33 @@ def test_table1_passes(method, capsys):
     assert len(body) == 16
     assert all("pass" in line for line in body)
     assert lines[-1].startswith("16/16 rows pass")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--method", "series", "--n-max", "60"],
+        ["--method", "series-general", "--n-max", "100"],
+        ["--method", "numeric", "--abs-tol", "1e-30", "--rel-tol", "1e-30"],
+    ],
+    ids=["series", "series-general", "numeric"],
+)
+def test_table1_fails_rows_that_did_not_converge(flags, tmp_path, capsys):
+    # at these settings every converged row rounds to its printed value,
+    # and every unconverged row fails
+    path = tmp_path / "rows.csv"
+    assert main(["table1", *flags, "--csv", str(path)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    verdicts = [line.split()[-1] for line in lines if line.split()[0].isdigit()]
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(verdicts) == len(rows) == 16
+    assert any(row["converged"] == "false" for row in rows)
+    for verdict, row in zip(verdicts, rows):
+        passed = row["converged"] == "true"
+        assert verdict == ("pass" if passed else "FAIL")
+        assert row["passed"] == ("true" if passed else "false")
+    assert lines[-1].startswith(f"{verdicts.count('pass')}/16 rows pass")
 
 
 def test_table1_csv_is_deterministic(tmp_path, capsys):

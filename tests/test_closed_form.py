@@ -12,7 +12,6 @@ from brfactor.closed_form import (
     commutator_difference,
     factor_closed,
     ji4,
-    zr,
 )
 from brfactor.fourier_bessel import factor_series
 from brfactor.model import (
@@ -30,15 +29,16 @@ require_no_cancel = pytest.mark.filterwarnings(
 )
 
 
-def test_zr_band():
-    assert zr(0.0, 1.0) == 1.0
-    assert zr(5e-13, 1.0) == 1.0
-    assert zr(-5e-13, 1.0) == 1.0
-    assert zr(2e-12, 1.0) == 0.0
-    assert zr(0.5, 1.0) == 0.0
-    assert zr(5e-10, 1e3) == 1.0
+def test_ji4_zero_band():
+    # gamma within 1e-12 of zero, relative to max(alpha, beta, |gamma|,
+    # |delta|, 1), counts as zero whatever its sign; a negative gamma
+    # outside the band is refused
+    for a, b, inside in ((1.0, 2.0, -5e-13), (1e3, 2e3, -5e-10)):
+        zero = ji4(Ji4Args(0, 1, 1, 0, 0, a, b, 0.0, 0.0))
+        assert ji4(Ji4Args(0, 1, 1, 0, 0, a, b, inside, 0.0)) == zero
+        assert ji4(Ji4Args(0, 1, 1, 0, 0, a, b, -inside, 0.0)) == zero
     with pytest.raises(ValidationError):
-        zr(0.1, 0.0)
+        ji4(Ji4Args(0, 1, 1, 0, 0, 0.5, 1.0, -2e-12, 0.0))
 
 
 def test_ji4_two_argument_pin():

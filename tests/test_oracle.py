@@ -28,7 +28,6 @@ LOOSE = QuadConfig(abs_tol=1.0, rel_tol=1.0)
         {"abs_tol": -1e-9},
         {"rel_tol": 0.0},
         {"abs_tol": float("inf")},
-        {"max_subdivisions": 0},
         {"tail_periods": 4},
     ],
 )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import spherical_jn
 
+from brfactor.fourier_bessel import _root_nodes
 from brfactor.model import FactorKind
 from brfactor.special_functions import (
     SMALL_X,
@@ -71,37 +72,36 @@ def test_scalar_in_scalar_out():
 
 @pytest.mark.parametrize("l", [0, 1, 2])
 def test_roots_are_roots_and_ascend(l):
-    table = bessel_roots(l, 60)
-    assert table.l == l and table.count == 60 and len(table.roots) == 60
-    roots = np.asarray(table.roots)
+    roots = bessel_roots(l, 60)
+    assert roots.shape == (60,) and not roots.flags.writeable
     assert np.all(np.diff(roots) > 0)
     residual = np.abs(sph_bessel(l, roots))
     assert np.max(residual) < 1e-13
 
 
 def test_l0_roots_are_multiples_of_pi():
-    roots = bessel_roots(0, 10).roots
-    assert roots == tuple(n * math.pi for n in range(1, 11))
+    roots = bessel_roots(0, 10)
+    assert roots.tolist() == [n * math.pi for n in range(1, 11)]
 
 
 @pytest.mark.parametrize("l", [0, 1])
 def test_roots_of_consecutive_orders_interlace(l):
-    lower = bessel_roots(l, 21).roots
-    upper = bessel_roots(l + 1, 20).roots
+    lower = bessel_roots(l, 21)
+    upper = bessel_roots(l + 1, 20)
     for n, u in enumerate(upper):
         assert lower[n] < u < lower[n + 1]
 
 
 def test_known_first_roots():
-    assert bessel_roots(1, 1).roots[0] == pytest.approx(4.493409457909064, rel=1e-13)
-    assert bessel_roots(2, 1).roots[0] == pytest.approx(5.763459196894550, rel=1e-13)
+    assert bessel_roots(1, 1)[0] == pytest.approx(4.493409457909064, rel=1e-13)
+    assert bessel_roots(2, 1)[0] == pytest.approx(5.763459196894550, rel=1e-13)
 
 
 @pytest.mark.parametrize("l", [1, 2])
 def test_root_tables_hold_at_depth(l):
     # the whole table the general-roots series runs over by default
-    roots = np.asarray(bessel_roots(l, 2000).roots)
-    lower = np.asarray(bessel_roots(l - 1, 2001).roots)
+    roots = bessel_roots(l, 2000)
+    lower = bessel_roots(l - 1, 2001)
     assert np.all((lower[:-1] < roots) & (roots < lower[1:]))
     # near a root |j_l'| ~ 1/x, so a root within an ulp leaves a residual
     # of about spacing(x)/x
@@ -115,7 +115,7 @@ def test_roots_match_high_precision_zeros(l, n):
     with mpmath.workdps(30):
         # j_l is a multiple of the cylinder function J_{l + 1/2}
         ref = float(mpmath.besseljzero(mpmath.mpf(l) + mpmath.mpf(1) / 2, n))
-    got = bessel_roots(l, 2000).roots[n - 1]
+    got = bessel_roots(l, 2000)[n - 1]
     assert abs(got - ref) <= 2.0 * np.spacing(ref)
 
 
@@ -128,21 +128,23 @@ def test_root_table_arguments_must_be_integers(l, count):
 
 
 def test_root_tables_are_cached():
-    a = bessel_roots(2, 30).roots
-    b = bessel_roots(2, 30).roots
+    a = bessel_roots(2, 30)
+    b = bessel_roots(2, 30)
     assert a is b
 
 
 @pytest.mark.parametrize("l", [0, 1, 2])
 def test_fb_weight_matches_norm_integral(l):
-    # w_n = integral_0^R j_l(q_n s)^2 s^2 ds at q_n = root/R
+    # w_n = integral_0^R j_l(q_n s)^2 s^2 ds at q_n = root/R, both from
+    # fb_weight and as the general series scales its cached r_ex = 1 weights
     r_ex = 1.7
-    for root in bessel_roots(l, 3).roots:
-        q = root / r_ex
-        s = np.linspace(0.0, r_ex, 20001)
-        f = sph_bessel(l, q * s) ** 2 * s**2
+    roots, unit_weights = _root_nodes(l, 3)
+    s = np.linspace(0.0, r_ex, 20001)
+    for root, unit in zip(roots, unit_weights):
+        f = sph_bessel(l, root / r_ex * s) ** 2 * s**2
         w_quad = np.trapezoid(f, s)
         assert fb_weight(l, root, r_ex) == pytest.approx(w_quad, rel=1e-6)
+        assert r_ex**3 * unit == pytest.approx(w_quad, rel=1e-6)
 
 
 def test_fb_weight_l0_closed_form():
