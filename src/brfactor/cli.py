@@ -316,7 +316,7 @@ def _parse_kinds(text: str):
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Evaluate a parameter grid and write one CSV row per point."""
+    """Write one CSV row per grid point; exit 3 if any row did not converge."""
     method = Method(args.method)
     series_cfg = _series_config(args)
     quad_cfg = _quad_config(args)
@@ -334,6 +334,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         check_field(name, np.array(values))
 
     rows = []
+    all_converged = True
     if method is Method.CLOSED_FORM:
         # each kind's whole grid is one batch, in itertools.product order;
         # no FactorResult per point, which would cost more than the batch
@@ -353,9 +354,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         for kind, point in itertools.product(args.kind, itertools.product(*axes)):
             p = RegionPair(*point)
-            rows.append(_csv_row(kind, p, _evaluate(kind, p, method, series_cfg, quad_cfg)))
+            result = _evaluate(kind, p, method, series_cfg, quad_cfg)
+            all_converged = all_converged and result.converged
+            rows.append(_csv_row(kind, p, result))
     _write_csv(args.out, _CSV_COLUMNS, rows)
-    return 0
+    return 0 if all_converged else 3
 
 
 # validation suite bounds: series routes vs closed form, the quadrature
@@ -436,11 +439,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
         r_ex = rng.uniform(0.2, 6.0)
         s = Schedule(rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0), rng.uniform(-4.0, 4.0))
         sc = s.scale(r_ex)
-        for avg_kind, trig in ((AvgKind.SIN_FINITE, math.sin), (AvgKind.COS_FINITE, math.cos)):
+        for avg_kind, trig in ((AvgKind.SIN, math.sin), (AvgKind.COS, math.cos)):
             gated = lambda t: trig(q * t) * heaviside(t, sc) * heaviside(r_ex - t, sc)
             numeric = numeric_time_average(gated, s, breakpoints=(0.0, r_ex))
             dev_avg = max(dev_avg, abs(finite_avg(avg_kind, q, r_ex, s) - numeric))
-        for avg_kind, trig in ((AvgKind.SIN_INF, math.sin), (AvgKind.COS_INF, math.cos)):
             open_ended = lambda t: trig(q * t) * heaviside(t, sc)
             numeric = numeric_time_average(open_ended, s, breakpoints=(0.0,))
             dev_avg = max(dev_avg, abs(infinite_avg(avg_kind, q, s) - numeric))
@@ -522,6 +524,12 @@ def _add_geometry_flags(sp: argparse.ArgumentParser, axes: bool) -> None:
                         help=_FIELD_HELP[name])
 
 
+def _count(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {text!r}")
+    return int(text)
+
+
 _METHODS = tuple(m.value for m in Method)
 
 
@@ -559,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="seeded cross-method comparison report")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--samples", type=int, default=25,
+    sp.add_argument("--samples", type=_count, default=25,
                     help="draws per suite (0 gives a vacuous pass)")
     sp.set_defaults(handler=cmd_validate)
 

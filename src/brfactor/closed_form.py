@@ -33,14 +33,7 @@ from .model import (
     reverse,
 )
 from .special_functions import angular_weight
-from .time_averages import (
-    BOUNDARY_RTOL,
-    AvgKind,
-    Schedule,
-    finite_avg,
-    heaviside,
-    step_coefficients,
-)
+from .time_averages import BOUNDARY_RTOL, Schedule, heaviside, step_coefficients
 
 #: a sign sum whose total is below this fraction of its largest term is
 #: reported as cancellation-limited
@@ -292,32 +285,20 @@ def ji4(args: Ji4Args) -> float:
     return float(value[0])
 
 
-def _g_coefficients(s: Schedule, ls: list, zeros: tuple) -> list:
-    """Step-gated coefficients (g_0^(l), ..., g_4^(l)) of the closed-form
-    sum, one tuple for each l in `ls`.
+def _g_coefficients(s: Schedule, l: int, zeros: tuple) -> tuple:
+    """Step-gated coefficients (g_0^(l), ..., g_4^(l)) of the closed-form sum.
 
-    The i = 0 coefficients reuse the analytic time averages: -EpsTerm for
-    l = 0, the endpoint-crossing count for l = 1, and the lag-0 overlap for
-    l = 2.  For i >= 1 the coefficient is (-1)^(i+1) Theta(tau_i) tau_i,
-    augmented for l = 1 by 1 where `zeros[i]` puts tau_i in the zero band.
+    g_0 is a step coefficient at lag 0: -<delta(t)>/2 for l = 0, the
+    endpoint-crossing count <delta'(t)> for l = 1, and the lag-0 overlap
+    <delta(t)> for l = 2.  For i >= 1 the coefficient is (-1)^(i+1)
+    Theta(tau_i) tau_i, augmented for l = 1 by 1 where `zeros[i]` puts tau_i
+    in the zero band.
     """
     norm = s.dt1 * s.dt2
-    taus = s.taus
-    gates = step_coefficients(s, 0.0)[4]  # sign_i Theta(tau_i)
-    out = []
-    for l in ls:
-        lags = taus
-        if l == 0:
-            g0 = -finite_avg(AvgKind.EPS_TERM, 1.0, 0.0, s)
-        elif l == 1:
-            g0 = finite_avg(AvgKind.DELTA_PRIME_AT, 1.0, 0.0, s)
-            lags = [tau + z for tau, z in zip(taus, zeros[1:])]
-        elif l == 2:
-            g0 = finite_avg(AvgKind.DELTA_AT, 1.0, 0.0, s)
-        else:
-            raise ValidationError(f"no coefficient set for l={l}")
-        out.append((g0,) + tuple(gate * lag / norm for gate, lag in zip(gates, lags)))
-    return out
+    st = step_coefficients(s, 0.0)
+    lags = [tau + z for tau, z in zip(s.taus, zeros[1:])] if l == 1 else s.taus
+    g0 = (-0.5 * st.d0, st.dp, st.d0)[l] / norm
+    return (g0,) + tuple(gate * lag / norm for gate, lag in zip(st.open_gates, lags))
 
 
 @dataclass(frozen=True)
@@ -356,13 +337,13 @@ def factor_closed_batch(kind: FactorKind, p: RegionPair) -> ClosedBatch:
     zeros = tuple(_in_band(tau, scale) for tau in taus)
     gammas = tuple(np.where(z, 0.0, tau) for tau, z in zip(taus, zeros))
     weights = sorted(angular_weight(kind, theta, phi).items())
-    coefficients = _g_coefficients(s, [l for l, _ in weights], zeros)
     # pieces[8 k + i] holds lane (l, i) of the k-th multipole l; eight rows
     # per multipole keep the summation tree free of padding
     pieces = np.zeros((8 * len(weights), n))
     used = np.zeros(n, dtype=int)
     cancelled = np.zeros(n, dtype=bool)
-    for k, ((l, w), g) in enumerate(zip(weights, coefficients)):
+    for k, (l, w) in enumerate(weights):
+        g = _g_coefficients(s, l, zeros)
         live = [np.flatnonzero(gi) for gi in g]
         pt = np.concatenate(live)
         if not len(pt):

@@ -29,7 +29,7 @@ from .model import (
     ValidationError,
 )
 from .special_functions import angular_weight, bessel_roots, fb_weight, sph_bessel
-from .time_averages import AvgKind, Schedule, finite_avg, infinite_avg
+from .time_averages import AvgKind, Schedule, finite_avg, infinite_avg, step_coefficients
 
 #: nodes are evaluated in vectorized blocks of this size, reduced in order
 BLOCK = 128
@@ -66,11 +66,11 @@ def _saturated_kernels(kind: FactorKind, ls, q, s: Schedule) -> dict:
         _check_pair(kind, l)
     out = {}
     if 1 in ls:
-        out[1] = q * infinite_avg(AvgKind.COS_INF, q, s)
+        out[1] = q * infinite_avg(AvgKind.COS, q, s)
     if 0 in ls or 2 in ls:
-        out[2] = q * infinite_avg(AvgKind.SIN_INF, q, s)
+        out[2] = q * infinite_avg(AvgKind.SIN, q, s)
     if 0 in ls:
-        out[0] = out[2] - 1.5 * infinite_avg(AvgKind.DELTA_AT, q, s)
+        out[0] = out[2] - 1.5 * (step_coefficients(s, 0.0).d0 / (s.dt1 * s.dt2))
     return out
 
 
@@ -82,25 +82,26 @@ def _boundary_kernel(kind: FactorKind, l: int, q, r_ex: float, s: Schedule):
     gated averages.  Broadcasts over q.
     """
     _check_pair(kind, l)
-    delta_r = finite_avg(AvgKind.DELTA_AT, 1.0, r_ex, s)
-    dp = finite_avg(AvgKind.DELTA_PRIME_AT, 1.0, r_ex, s)
+    norm = s.dt1 * s.dt2
+    st = step_coefficients(s, r_ex)
+    delta_r = st.dr / norm
+    dp = st.dp / norm
     if l == 1:
-        cos_avg = finite_avg(AvgKind.COS_FINITE, q, r_ex, s)
+        cos_avg = finite_avg(AvgKind.COS, q, r_ex, s)
         return (
             q * cos_avg
             - np.sin(q * r_ex) * delta_r
             - r_ex * sph_bessel(1, q * r_ex) * dp
         )
-    sin_avg = finite_avg(AvgKind.SIN_FINITE, q, r_ex, s)
+    sin_avg = finite_avg(AvgKind.SIN, q, r_ex, s)
     if l == 0:
-        delta_0 = finite_avg(AvgKind.DELTA_AT, 1.0, 0.0, s)
-        eps = finite_avg(AvgKind.EPS_TERM, 1.0, 0.0, s)
+        d0 = step_coefficients(s, 0.0).d0
         boundary = (
-            delta_0
+            d0 / norm
             - np.cos(q * r_ex) * delta_r
             - r_ex * sph_bessel(0, q * r_ex) * dp
         )
-        return q * sin_avg - boundary - eps
+        return q * sin_avg - boundary - 0.5 * d0 / norm
     combo = np.cos(q * r_ex) - sph_bessel(0, q * r_ex) - sph_bessel(2, q * r_ex)
     return (
         q * sin_avg + combo * delta_r - r_ex * sph_bessel(2, q * r_ex) * dp
@@ -119,7 +120,7 @@ def _root_nodes(l: int, count: int) -> tuple:
 
 def _flat_monopole_coeff(s: Schedule) -> float:
     """q-independent part of the monopole kernels: -<delta(t)>/2."""
-    return -finite_avg(AvgKind.EPS_TERM, 1.0, 0.0, s)
+    return -0.5 * step_coefficients(s, 0.0).d0 / (s.dt1 * s.dt2)
 
 
 def _flat_head(g00: float, a: float, b: float, r: float) -> float:

@@ -177,15 +177,15 @@ class SeriesConfig:
     tail_window: int = 20
 
     def __post_init__(self) -> None:
-        if self.rex_slack < 0.0:
-            raise ValidationError(f"rex_slack must be >= 0, got {self.rex_slack}")
+        if not (math.isfinite(self.rex_slack) and self.rex_slack >= 0.0):
+            raise ValidationError(f"rex_slack must be finite and >= 0, got {self.rex_slack}")
         check_integer("n_max", self.n_max)
         check_integer("tail_window", self.tail_window)
         if not (self.n_max >= self.tail_window >= 1):
             raise ValidationError(
                 f"need n_max >= tail_window >= 1, got {self.n_max}, {self.tail_window}")
-        if self.tail_tol <= 0.0:
-            raise ValidationError(f"tail_tol must be positive, got {self.tail_tol}")
+        if not (math.isfinite(self.tail_tol) and self.tail_tol > 0.0):
+            raise ValidationError(f"tail_tol must be positive and finite, got {self.tail_tol}")
 
 
 @dataclass(frozen=True)

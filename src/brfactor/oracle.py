@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .closed_form import CancellationWarning, ji4
-from .model import CHANNELS, FactorKind, Ji4Args, RegionPair, ValidationError
+from .model import CHANNELS, FactorKind, Ji4Args, RegionPair, ValidationError, check_integer
 from .special_functions import angular_weight, sph_bessel
 from .time_averages import _TAU_SIGNS, QuadratureError, Schedule, heaviside, step_coefficients
 
@@ -64,8 +64,11 @@ class QuadConfig:
     def __post_init__(self) -> None:
         for name in ("abs_tol", "rel_tol"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
+            # a bool is an int to Python, but no tolerance
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and math.isfinite(value) and value > 0.0):
                 raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+        check_integer("tail_periods", self.tail_periods)
         if self.tail_periods < 8:
             raise ValidationError(f"tail_periods must be >= 8, got {self.tail_periods}")
 
@@ -163,7 +166,7 @@ def _flat_part(l: int, s: Schedule) -> float:
     """
     if l == 1:
         return 0.0
-    flat = step_coefficients(s, 0.0)[0] / (s.dt1 * s.dt2)
+    flat = step_coefficients(s, 0.0).d0 / (s.dt1 * s.dt2)
     return -0.5 * flat if l == 0 else flat
 
 

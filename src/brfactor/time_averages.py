@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,15 +62,10 @@ def _greater(a, b):
 
 
 class AvgKind(enum.Enum):
-    """Selector for the analytic double time averages."""
+    """Trig factor of the analytic double time averages."""
 
-    SIN_FINITE = "sin-finite"  # <sin(q t) Theta(t) Theta(r_ex - t)>
-    COS_FINITE = "cos-finite"  # <cos(q t) Theta(t) Theta(r_ex - t)>
-    DELTA_AT = "delta-at"  # <delta(t - r_ex)>
-    DELTA_PRIME_AT = "delta-prime-at"  # <delta'(t - r_ex)>
-    EPS_TERM = "eps-term"  # (1/2) <delta(t)>
-    SIN_INF = "sin-inf"  # <sin(q t) Theta(t)>
-    COS_INF = "cos-inf"  # <cos(q t) Theta(t)>
+    SIN = "sin"  # <sin(q t) Theta(t)>, radius-gated by Theta(r_ex - t) in finite_avg
+    COS = "cos"  # <cos(q t) Theta(t)>, likewise
 
 
 @dataclass(frozen=True)
@@ -108,16 +104,28 @@ class Schedule:
 _TAU_SIGNS = (1.0, -1.0, 1.0, -1.0)
 
 
-def step_coefficients(s: Schedule, r_ex: float) -> tuple:
-    """Step-gated, q-independent coefficients of the schedule at radius r_ex,
-    computed once per schedule and r_ex.
+class StepCoefficients(NamedTuple):
+    """Step-gated, q-independent coefficients of a schedule at one radius."""
 
-    Returns (D0, Dr, DP, const_pair, open_gates, radius_gates).  D0 and Dr
-    are the diagonal-overlap lengths at lag 0 and lag r_ex, DP is the signed
-    count of interval endpoints the line t = r_ex crosses, and const_pair =
-    Theta(tau2)Theta(-tau1) - Theta(tau3)Theta(-tau4).  The gates are
-    sign_i Theta(tau_i) and sign_i Theta(tau_i) Theta(r_ex - tau_i), in
-    tau1..tau4 order.
+    d0: float
+    dr: float
+    dp: float
+    const_pair: float
+    open_gates: tuple
+    radius_gates: tuple
+
+
+def step_coefficients(s: Schedule, r_ex: float) -> StepCoefficients:
+    """Step coefficients of the schedule at radius r_ex, computed once per
+    schedule and r_ex.
+
+    Divided by dt1*dt2, d0 is <delta(t)>, the lag density at t = 0 (the
+    diagonal overlap); dr is <delta(t - r_ex)>, the lag density at t = r_ex;
+    and dp is <delta'(t - r_ex)>, the signed count of interval endpoints the
+    line t = r_ex crosses.  const_pair = Theta(tau2)Theta(-tau1) -
+    Theta(tau3)Theta(-tau4) is the constant of the cosine averages.  The
+    gates are sign_i Theta(tau_i) and sign_i Theta(tau_i) Theta(r_ex - tau_i),
+    in tau1..tau4 order.
     """
     memo = s._step_coefficients
     if r_ex not in memo:
@@ -143,7 +151,7 @@ def step_coefficients(s: Schedule, r_ex: float) -> tuple:
         radius_gates = tuple(
             gate * heaviside(r_ex - tau, sc) for gate, tau in zip(open_gates, taus)
         )
-        memo[r_ex] = (d0, dr, dp, const_pair, open_gates, radius_gates)
+        memo[r_ex] = StepCoefficients(d0, dr, dp, const_pair, open_gates, radius_gates)
     return memo[r_ex]
 
 
@@ -159,34 +167,23 @@ def _as_input_shape(value: np.ndarray, q) -> float:
 
 
 def finite_avg(kind: AvgKind, q, r_ex: float, s: Schedule):
-    """Analytic double average of the finite-radius kernel terms.
+    """Analytic double average of trig(q t) Theta(t) Theta(r_ex - t).
 
     Broadcasts over `q` (the step-gated blocks are q-independent), returning
-    a float for scalar q.  DeltaAt / DeltaPrimeAt / EpsTerm ignore q.
+    a float for scalar q.
     """
-    if r_ex < 0.0:
-        raise ValidationError(f"r_ex must be >= 0, got {r_ex}")
+    if r_ex <= 0.0:
+        raise ValidationError(f"finite averages need r_ex > 0, got {r_ex}")
+    qa = _check_q(q)
     norm = s.dt1 * s.dt2
     d0, dr, dp, const_pair, _, gates = step_coefficients(s, r_ex)
-    if kind is AvgKind.DELTA_AT:
-        return dr / norm
-    if kind is AvgKind.DELTA_PRIME_AT:
-        return dp / norm
-    if kind is AvgKind.EPS_TERM:
-        return 0.5 * d0 / norm
-    if kind not in (AvgKind.SIN_FINITE, AvgKind.COS_FINITE):
-        raise ValidationError(f"unsupported finite-average kind {kind!r}")
-    if r_ex <= 0.0:
-        raise ValidationError("Sin/Cos finite averages need r_ex > 0")
-    qa = _check_q(q)
-    taus = s.taus
-    if kind is AvgKind.SIN_FINITE:
-        osc = sum(g * np.sin(qa * tau) for g, tau in zip(gates, taus))
+    if kind is AvgKind.SIN:
+        osc = sum(g * np.sin(qa * tau) for g, tau in zip(gates, s.taus))
         val = (
             (osc - np.sin(qa * r_ex) * dp) / qa - np.cos(qa * r_ex) * dr + d0
         ) / (qa * norm)
     else:
-        osc = sum(g * np.cos(qa * tau) for g, tau in zip(gates, taus))
+        osc = sum(g * np.cos(qa * tau) for g, tau in zip(gates, s.taus))
         val = (
             (osc - np.cos(qa * r_ex) * dp + const_pair) / qa
             + np.sin(qa * r_ex) * dr
@@ -195,22 +192,18 @@ def finite_avg(kind: AvgKind, q, r_ex: float, s: Schedule):
 
 
 def infinite_avg(kind: AvgKind, q, s: Schedule):
-    """Analytic double average with the radius gate removed (r_ex -> infinity)."""
-    if kind is AvgKind.DELTA_AT:
-        return finite_avg(AvgKind.DELTA_AT, q, 0.0, s)
-    if kind not in (AvgKind.SIN_INF, AvgKind.COS_INF):
-        raise ValidationError(f"unsupported infinite-average kind {kind!r}")
+    """Analytic double average of trig(q t) Theta(t), the radius gate
+    removed (r_ex -> infinity)."""
     qa = _check_q(q)
     norm = s.dt1 * s.dt2
     d0, _, _, const_pair, gates, _ = step_coefficients(s, 0.0)
-    taus = s.taus
     # associate divisions exactly as in finite_avg so that the saturated
     # r_ex limit is equal bit for bit, not merely to rounding
-    if kind is AvgKind.SIN_INF:
-        osc = sum(g * np.sin(qa * tau) for g, tau in zip(gates, taus))
+    if kind is AvgKind.SIN:
+        osc = sum(g * np.sin(qa * tau) for g, tau in zip(gates, s.taus))
         val = (osc / qa + d0) / (qa * norm)
     else:
-        osc = sum(g * np.cos(qa * tau) for g, tau in zip(gates, taus))
+        osc = sum(g * np.cos(qa * tau) for g, tau in zip(gates, s.taus))
         val = ((osc + const_pair) / qa) / (qa * norm)
     return _as_input_shape(val, q)
 

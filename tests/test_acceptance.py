@@ -36,7 +36,9 @@ from brfactor import (
     reverse,
     sph_bessel,
 )
-from brfactor.cli import table1_rows
+# the random draws are the CLI's own, so `validate` and these criteria
+# sample the same geometries
+from brfactor.cli import _JI4_SIGS, _draw_ji4, _draw_pair, table1_rows
 from brfactor.time_averages import heaviside, numeric_time_average
 
 _CTX4 = decimal.Context(prec=4, rounding=decimal.ROUND_HALF_EVEN)
@@ -148,24 +150,6 @@ def test_criterion_4_coincident_closed_form():
 _KINDS = (FactorKind.AXX, FactorKind.AXY, FactorKind.BXY)
 
 
-def _draw_pair(rng: np.random.Generator, index: int):
-    """Random configuration with a non-negligible closed value."""
-    kind = _KINDS[index % 3]
-    while True:
-        r1, r2 = rng.uniform(0.3, 3.0, size=2)
-        r = 0.0 if rng.random() < 0.1 else rng.uniform(0.0, 3.0)
-        theta = rng.uniform(0.0, math.pi)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        dt1, dt2 = rng.uniform(0.2, 3.0, size=2)
-        t = rng.uniform(-4.0, 4.0)
-        p = RegionPair(r1, r2, r, theta, phi, dt1, dt2, t)
-        closed = factor_closed(kind, p).value
-        # structural zeros would compare rounding noise against rounding
-        # noise; they get exact checks of their own in the unit suite
-        if abs(closed) >= 1e-4:
-            return kind, p, closed
-
-
 @IGNORE_CANCEL
 def test_criterion_5_cross_method_random_grid():
     rng = np.random.default_rng(20260501)
@@ -205,40 +189,17 @@ def test_criterion_6_time_average_quadrature():
         )
         sc = s.scale(r_ex)
         for kind, trig in (
-            (AvgKind.SIN_FINITE, math.sin),
-            (AvgKind.COS_FINITE, math.cos),
+            (AvgKind.SIN, math.sin),
+            (AvgKind.COS, math.cos),
         ):
             gated = lambda t: trig(q * t) * heaviside(t, sc) * heaviside(r_ex - t, sc)
             numeric = numeric_time_average(gated, s, breakpoints=(0.0, r_ex))
             worst = max(worst, abs(finite_avg(kind, q, r_ex, s) - numeric))
-        for kind, trig in ((AvgKind.SIN_INF, math.sin), (AvgKind.COS_INF, math.cos)):
+        for kind, trig in ((AvgKind.SIN, math.sin), (AvgKind.COS, math.cos)):
             open_ended = lambda t: trig(q * t) * heaviside(t, sc)
             numeric = numeric_time_average(open_ended, s, breakpoints=(0.0,))
             worst = max(worst, abs(infinite_avg(kind, q, s) - numeric))
     assert worst <= 1e-8, worst
-
-
-_JI4_SIGS = ((0, 1, 1, 0, 0), (0, 1, 1, 0, 2), (0, 1, 1, -1, 1), (1, 1, 1, 0, 1))
-
-
-def _draw_ji4(rng: np.random.Generator, index: int) -> Ji4Args:
-    """Supported signature, safely inside compact support, stable value."""
-    n, l1, l2, l3, l4 = _JI4_SIGS[index % 4]
-    while True:
-        a, b = rng.uniform(0.3, 3.0, size=2)
-        g = 0.0 if (n, l1, l2, l3, l4) == (1, 1, 1, 0, 1) else rng.uniform(0.2, 3.0)
-        d = rng.uniform(0.2, 3.0)
-        if (n, l1, l2, l3, l4) == (0, 1, 1, 0, 0):
-            if rng.random() < 0.2:
-                g = 0.0
-            if rng.random() < 0.2:
-                d = 0.0
-        vals = [v for v in (a, b, g, d) if v > 0.0]
-        if max(vals) > sum(vals) - max(vals) - 0.1:
-            continue
-        args = Ji4Args(n, l1, l2, l3, l4, a, b, g, d)
-        if abs(ji4(args)) >= 1e-3:
-            return args
 
 
 @IGNORE_CANCEL
@@ -359,7 +320,7 @@ def test_criterion_8_invariant_properties():
     for dt1, dt2, r_ex in ((1.0, 1.0, 2.5), (0.7, 1.9, 1.2), (2.2, 0.4, 3.0)):
         for t0 in (dt1, -dt2, r_ex - dt2):
             for q in (0.3, 1.0, 4.0, 12.0):
-                for kind in (AvgKind.SIN_FINITE, AvgKind.COS_FINITE):
+                for kind in (AvgKind.SIN, AvgKind.COS):
                     f = lambda t: finite_avg(kind, q, r_ex, Schedule(dt1, dt2, t))
                     mid = 0.5 * (f(t0 + eps) + f(t0 - eps))
                     assert abs(f(t0) - mid) <= 1e-12, (dt1, dt2, r_ex, t0, q, kind)

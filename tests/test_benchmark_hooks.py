@@ -50,3 +50,9 @@ def test_traced_call_records_spans():
     assert counts["fourier_bessel.factor_series_general.calls"] == 1
     assert counts["closed_form.ji4.calls.0_1_1_0_0"] >= 1
     assert self_s["cli.main"] > 0.0
+
+
+def test_cancellation_warning_is_exported():
+    # perfbench/run.py silences it by this name outside TRACED
+    brfactor = importlib.import_module("brfactor")
+    assert issubclass(brfactor.CancellationWarning, Warning)

@@ -236,12 +236,24 @@ def test_sweep_numeric_stall_is_a_flagged_row(capsys):
         "sweep", "--kind", "axx", "--r1", "1", "--r2", "1", "--r", "0:1:2",
         "--method", "numeric", "--abs-tol", "1e-30", "--rel-tol", "1e-30",
     ]
-    assert main(args) == 0
+    # every row is still written, and the exit code says one did not converge
+    assert main(args) == 3
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert [(row["method"], row["terms_used"], row["converged"]) for row in rows] == [
         ("numeric", "0", "false")
     ] * 2
     assert float(rows[0]["value"]) == pytest.approx(-1.625, abs=1e-3)
+
+
+def test_sweep_series_stall_exits_3(capsys):
+    args = [
+        "sweep", "--kind", "axx,bxy", "--r1", "1", "--r2", "1", "--r", "1",
+        "--theta", "pi/6", "--phi", "pi/3", "--t", "0.5", "--method", "series",
+        "--n-max", "25",
+    ]
+    assert main(args) == 3
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == 2 and "false" in [row["converged"] for row in rows]
 
 
 def test_series_depth_starves_and_exits_3(capsys):
@@ -446,6 +458,13 @@ def test_validate_zero_samples_is_a_vacuous_pass(capsys):
     assert main(["validate", "--samples", "0"]) == 0
     out = capsys.readouterr().out
     assert "pass" in out
+
+
+def test_validate_negative_samples_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["validate", "--samples", "-1"])
+    assert exc_info.value.code == 2
+    assert "count >= 0" in capsys.readouterr().err
 
 
 def test_parser_program_metadata():

@@ -204,5 +204,5 @@ def test_utilde_broadcasts_and_matches_its_averages():
         assert utilde(FactorKind.AXY, 2, float(qi), s) == vec[i]
     # the dipole channel is the q-weighted saturated cosine average
     got = utilde(FactorKind.BXY, 1, q, s)
-    expected = q * infinite_avg(AvgKind.COS_INF, q, s)
+    expected = q * infinite_avg(AvgKind.COS, q, s)
     assert np.allclose(got, expected, rtol=1e-15, atol=0.0)

@@ -186,6 +186,11 @@ def test_reverse_flips_the_displacement_direction():
         {"n_max": 300, "tail_window": 2.5},
         {"tail_window": True},
         {"n_max": 300.0},
+        # an infinite tolerance stops after one window; a nan one never stops
+        {"tail_tol": float("inf")},
+        {"tail_tol": float("nan")},
+        {"rex_slack": float("inf")},
+        {"rex_slack": float("nan")},
     ],
 )
 def test_series_config_rejects_bad_values(kwargs):

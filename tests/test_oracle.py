@@ -29,6 +29,10 @@ LOOSE = QuadConfig(abs_tol=1.0, rel_tol=1.0)
         {"rel_tol": 0.0},
         {"abs_tol": float("inf")},
         {"tail_periods": 4},
+        # chunk counts are integers, tolerances are numbers but not bools
+        {"tail_periods": 10.5},
+        {"abs_tol": True},
+        {"rel_tol": True},
     ],
 )
 def test_quad_config_rejects_bad_values(kwargs):

@@ -14,6 +14,7 @@ from brfactor.time_averages import (
     heaviside,
     infinite_avg,
     numeric_time_average,
+    step_coefficients,
 )
 
 SCHEDULES = (
@@ -60,7 +61,7 @@ def test_heaviside_boundary_band():
 @pytest.mark.parametrize("r_ex", [0.7, 2.5])
 def test_finite_averages_match_quadrature(s, q, r_ex):
     sc = s.scale(r_ex)
-    for kind, trig in ((AvgKind.SIN_FINITE, math.sin), (AvgKind.COS_FINITE, math.cos)):
+    for kind, trig in ((AvgKind.SIN, math.sin), (AvgKind.COS, math.cos)):
         f = lambda t: trig(q * t) * heaviside(t, sc) * heaviside(r_ex - t, sc)
         numeric = numeric_time_average(f, s, breakpoints=(0.0, r_ex))
         assert finite_avg(kind, q, r_ex, s) == pytest.approx(numeric, abs=1e-9)
@@ -70,7 +71,7 @@ def test_finite_averages_match_quadrature(s, q, r_ex):
 @pytest.mark.parametrize("q", [0.3, 2.7, 11.0])
 def test_infinite_averages_match_quadrature(s, q):
     sc = s.scale()
-    for kind, trig in ((AvgKind.SIN_INF, math.sin), (AvgKind.COS_INF, math.cos)):
+    for kind, trig in ((AvgKind.SIN, math.sin), (AvgKind.COS, math.cos)):
         f = lambda t: trig(q * t) * heaviside(t, sc)
         numeric = numeric_time_average(f, s, breakpoints=(0.0,))
         assert infinite_avg(kind, q, s) == pytest.approx(numeric, abs=1e-9)
@@ -81,12 +82,17 @@ def test_zero_offset_unit_square_closed_forms():
     # <cos(qt) Theta(t)> = (1 - cos q)/q^2 and <sin(qt) Theta(t)> = (q - sin q)/q^2
     s = Schedule(1.0, 1.0, 0.0)
     for q in (0.4, 1.7, 9.3):
-        assert infinite_avg(AvgKind.COS_INF, q, s) == pytest.approx(
+        assert infinite_avg(AvgKind.COS, q, s) == pytest.approx(
             (1.0 - math.cos(q)) / q**2, rel=1e-13
         )
-        assert infinite_avg(AvgKind.SIN_INF, q, s) == pytest.approx(
+        assert infinite_avg(AvgKind.SIN, q, s) == pytest.approx(
             (q - math.sin(q)) / q**2, rel=1e-13
         )
+
+
+def _per_norm(s: Schedule, r_ex: float, field: str) -> float:
+    # a step coefficient divided by dt1*dt2, the average it stands for
+    return getattr(step_coefficients(s, r_ex), field) / (s.dt1 * s.dt2)
 
 
 def _overlap_density(s: Schedule, lag: float) -> float:
@@ -99,13 +105,13 @@ def _overlap_density(s: Schedule, lag: float) -> float:
 @pytest.mark.parametrize("s", SCHEDULES)
 @pytest.mark.parametrize("r_ex", [0.35, 0.9, 1.8])
 def test_delta_average_is_the_overlap_density(s, r_ex):
-    got = finite_avg(AvgKind.DELTA_AT, 1.0, r_ex, s)
+    got = _per_norm(s, r_ex, "dr")
     assert got == pytest.approx(_overlap_density(s, r_ex), abs=1e-14)
 
 
 @pytest.mark.parametrize("s", SCHEDULES)
 def test_eps_term_is_half_the_zero_lag_density(s):
-    got = finite_avg(AvgKind.EPS_TERM, 1.0, 0.55, s)
+    got = 0.5 * _per_norm(s, 0.55, "d0")
     assert got == pytest.approx(0.5 * _overlap_density(s, 0.0), abs=1e-14)
 
 
@@ -119,10 +125,10 @@ def test_delta_prime_is_minus_the_density_slope(s, r_ex):
         pytest.skip("probe too close to a corner lag")
     h = 1e-6
     slope = (
-        finite_avg(AvgKind.DELTA_AT, 1.0, r_ex + h, s)
-        - finite_avg(AvgKind.DELTA_AT, 1.0, r_ex - h, s)
+        _per_norm(s, r_ex + h, "dr")
+        - _per_norm(s, r_ex - h, "dr")
     ) / (2.0 * h)
-    got = finite_avg(AvgKind.DELTA_PRIME_AT, 1.0, r_ex, s)
+    got = _per_norm(s, r_ex, "dp")
     assert got == pytest.approx(-slope, abs=1e-8)
 
 
@@ -134,11 +140,11 @@ def test_gate_derivative_links_cosine_to_delta(s, q):
     if any(abs(r_ex - tau) < 1e-3 for tau in s.taus):
         pytest.skip("probe too close to a corner lag")
     h = 1e-5
-    for kind, trig in ((AvgKind.COS_FINITE, math.cos), (AvgKind.SIN_FINITE, math.sin)):
+    for kind, trig in ((AvgKind.COS, math.cos), (AvgKind.SIN, math.sin)):
         slope = (
             finite_avg(kind, q, r_ex + h, s) - finite_avg(kind, q, r_ex - h, s)
         ) / (2.0 * h)
-        expected = trig(q * r_ex) * finite_avg(AvgKind.DELTA_AT, q, r_ex, s)
+        expected = trig(q * r_ex) * _per_norm(s, r_ex, "dr")
         assert slope == pytest.approx(expected, abs=5e-8)
 
 
@@ -147,24 +153,24 @@ def test_saturated_gate_reproduces_infinite_average(s):
     # once r_ex exceeds every positive lag the gate is inert, bit for bit
     r_big = 50.0
     q = np.array([0.3, 1.9, 7.5])
-    sin_f = finite_avg(AvgKind.SIN_FINITE, q, r_big, s)
-    cos_f = finite_avg(AvgKind.COS_FINITE, q, r_big, s)
-    assert np.array_equal(sin_f, infinite_avg(AvgKind.SIN_INF, q, s))
-    assert np.array_equal(cos_f, infinite_avg(AvgKind.COS_INF, q, s))
+    sin_f = finite_avg(AvgKind.SIN, q, r_big, s)
+    cos_f = finite_avg(AvgKind.COS, q, r_big, s)
+    assert np.array_equal(sin_f, infinite_avg(AvgKind.SIN, q, s))
+    assert np.array_equal(cos_f, infinite_avg(AvgKind.COS, q, s))
 
 
 def test_broadcasting_and_scalar_types():
     s = Schedule(1.0, 0.8, 0.3)
     q = np.array([0.5, 1.5, 2.5, 3.5])
-    vec = finite_avg(AvgKind.SIN_FINITE, q, 1.1, s)
+    vec = finite_avg(AvgKind.SIN, q, 1.1, s)
     assert isinstance(vec, np.ndarray) and vec.shape == q.shape
     for i, qi in enumerate(q):
-        scalar = finite_avg(AvgKind.SIN_FINITE, float(qi), 1.1, s)
+        scalar = finite_avg(AvgKind.SIN, float(qi), 1.1, s)
         assert isinstance(scalar, float)
         assert scalar == vec[i]
-    vec_inf = infinite_avg(AvgKind.COS_INF, q, s)
+    vec_inf = infinite_avg(AvgKind.COS, q, s)
     assert vec_inf.shape == q.shape
-    assert infinite_avg(AvgKind.COS_INF, 1.5, s) == vec_inf[1]
+    assert infinite_avg(AvgKind.COS, 1.5, s) == vec_inf[1]
 
 
 def test_quadrature_error_carries_its_estimate():
