@@ -439,7 +439,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         r_ex = rng.uniform(0.2, 6.0)
         s = Schedule(rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0), rng.uniform(-4.0, 4.0))
         sc = s.scale(r_ex)
-        for avg_kind, trig in ((AvgKind.SIN, math.sin), (AvgKind.COS, math.cos)):
+        for avg_kind, trig in ((AvgKind.SIN, np.sin), (AvgKind.COS, np.cos)):
             gated = lambda t: trig(q * t) * heaviside(t, sc) * heaviside(r_ex - t, sc)
             numeric = numeric_time_average(gated, s, breakpoints=(0.0, r_ex))
             dev_avg = max(dev_avg, abs(finite_avg(avg_kind, q, r_ex, s) - numeric))

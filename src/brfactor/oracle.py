@@ -2,9 +2,9 @@
 
 Both the factor integrand and the four-Bessel integrals oscillate with a
 bounded combined frequency and decay algebraically, so the two oracles
-share one scheme: an adaptive head over the first few periods, then fixed
-half-period chunks integrated by Gauss-Legendre rules, with the limit of
-the chunk partial sums taken by iterated averaging.  The flat (large-q)
+share one scheme: a head of fixed Gauss-Legendre panels over the first few
+periods, then half-period chunks integrated by the same rule, with the limit
+of the chunk partial sums taken by iterated averaging.  The flat (large-q)
 part of the monopole and quadrupole kernels would leave a non-oscillatory
 1/q^2 tail that no such extrapolation can truncate, so the quadrature is
 pointed at the decaying echo part of the kernel only and the flat part
@@ -16,7 +16,6 @@ give them something independent to agree with.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,7 +26,10 @@ import numpy as np
 from .closed_form import CancellationWarning, ji4
 from .model import CHANNELS, FactorKind, Ji4Args, RegionPair, ValidationError, check_integer
 from .special_functions import angular_weight, sph_bessel
-from .time_averages import _TAU_SIGNS, QuadratureError, Schedule, heaviside, step_coefficients
+from .time_averages import (
+    _TAU_SIGNS, QuadratureError, Schedule, _gauss_legendre, _panel_sums, heaviside,
+    step_coefficients,
+)
 
 __all__ = [
     "QuadConfig",
@@ -39,18 +41,6 @@ __all__ = [
 
 #: head length, in periods of the fastest oscillation, before chunking starts
 _HEAD_PERIODS = 8
-
-#: subinterval limit of the adaptive head quadrature
-_HEAD_SUBDIVISIONS = 200
-
-
-@functools.cache
-def _gauss_legendre() -> tuple:
-    """16-point Gauss-Legendre nodes and weights on (-1, 1).
-
-    Built on first use, so only the quadrature routes load numpy.polynomial.
-    """
-    return np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)
@@ -80,21 +70,13 @@ class QuadResult(NamedTuple):
     error: float
 
 
-def _plateau(chunks: np.ndarray) -> tuple:
-    """Iterated-averaging limit of the partial sums and its settling move.
+def _rounding_floor(panels: np.ndarray) -> float:
+    """Rounding error of summing the panel values in order."""
+    return float(4e-16 * (np.max(np.abs(np.cumsum(panels))) + np.max(np.abs(panels))))
 
-    Adjacent averaging multiplies a mode of per-chunk ratio rho (on the
-    unit circle for an oscillation, sub-unit for a decaying one) by
-    (1 + rho)/2 per level, so every non-DC mode is damped; the level whose
-    estimate moved least supplies the value and its last move the spread.
-    """
-    partial = np.cumsum(chunks)
-    estimates = np.empty(partial.size)
-    estimates[0] = partial[-1]
-    row = partial
-    for level in range(1, partial.size):
-        row = 0.5 * (row[1:] + row[:-1])
-        estimates[level] = row[-1]
+
+def _settled(estimates: np.ndarray) -> tuple:
+    """Estimate after the smallest move between averaging levels, and that move."""
     moves = np.abs(np.diff(estimates))
     best = int(np.argmin(moves))
     return float(estimates[best + 1]), float(moves[best])
@@ -103,47 +85,52 @@ def _plateau(chunks: np.ndarray) -> tuple:
 def _averaged_limit(chunks: np.ndarray) -> tuple:
     """Extrapolated tail with an error estimate honest about slow modes.
 
-    A barely-damped beat frequency can leave the full-depth plateau move
-    far below the true error, so the estimate also compares the limit
-    against the one taken from half as many chunks.
+    Averaging adjacent partial sums multiplies a mode of per-chunk ratio rho
+    by (1 + rho)/2 per level, damping every non-DC mode; the level that
+    moved least gives the value and the spread.  A barely-damped beat can
+    leave that move far below the true error, so the limit is also compared
+    with the one from the first m chunks, read off the same averaged rows.
     """
-    value, move = _plateau(chunks)
-    half_value, _ = _plateau(chunks[: max(chunks.size // 2, 8)])
-    floor = 4e-16 * (np.max(np.abs(np.cumsum(chunks))) + np.max(np.abs(chunks)))
-    return value, float(max(move, abs(value - half_value), floor))
+    m = max(chunks.size // 2, 8)
+    row = np.cumsum(chunks)
+    full, half = np.empty(row.size), np.empty(m)
+    full[0], half[0] = row[-1], row[m - 1]
+    for level in range(1, row.size):
+        row = 0.5 * (row[1:] + row[:-1])
+        full[level] = row[-1]
+        if level < m:
+            half[level] = row[m - 1 - level]
+    (value, move), (half_value, _) = _settled(full), _settled(half)
+    return value, float(max(move, abs(value - half_value), _rounding_floor(chunks)))
+
+
+def _head(f, h: float) -> tuple:
+    """Integral of f over (0, 2 * _HEAD_PERIODS * h) and its error estimate,
+    from one call of f: the sum over 16-point Gauss-Legendre panels of width
+    h/2, and its distance from the sum over panels of width h."""
+    n = 2 * _HEAD_PERIODS
+    lo = np.concatenate((h * np.arange(n), 0.5 * h * np.arange(2 * n)))
+    panels = _panel_sums(f, lo, lo + np.repeat((h, 0.5 * h), (n, 2 * n)))[0]
+    value = float(np.sum(panels[n:]))
+    return value, abs(value - float(np.sum(panels[:n]))) + _rounding_floor(panels[n:])
 
 
 def _oscillatory_integral(f, omega: float, cfg: QuadConfig) -> QuadResult:
     """Integral of f over (0, inf), f oscillating no faster than omega.
 
-    f must accept numpy arrays; the head is adaptive scalar quadrature,
-    the tail is chunked at half the fastest period so that the dominant
-    mode alternates chunk to chunk.
+    f must accept numpy arrays.  The tail is chunked at half the fastest
+    period, so that the dominant mode alternates chunk to chunk.
     """
-    # imported here, not with the module, so importing brfactor never loads scipy
-    from scipy import integrate
-
     h = math.pi / omega
-    q0 = 2.0 * _HEAD_PERIODS * h
-    # head tolerances are fixed tight: cfg's tolerances decide when to give
-    # up (the stall guard), they must not degrade the computed value
-    head = integrate.quad(
-        f,
-        0.0,
-        q0,
-        epsabs=min(1e-12, 0.1 * cfg.abs_tol),
-        epsrel=min(1e-11, 0.1 * cfg.rel_tol),
-        limit=_HEAD_SUBDIVISIONS,
-        full_output=1,
-    )
-    gl_nodes, gl_weights = _gauss_legendre()
-    edges = q0 + h * np.arange(cfg.tail_periods + 1)
+    head, head_err = _head(f, h)
+    nodes, weights = _gauss_legendre()
+    edges = 2 * _HEAD_PERIODS * h + h * np.arange(cfg.tail_periods + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
-    grid = mid[:, None] + (0.5 * h) * gl_nodes[None, :]
+    grid = mid[:, None] + (0.5 * h) * nodes[None, :]
     vals = np.asarray(f(grid.ravel()), dtype=float).reshape(grid.shape)
-    chunks = (0.5 * h) * (vals @ gl_weights)
+    chunks = (0.5 * h) * (vals @ weights)
     tail, tail_err = _averaged_limit(chunks)
-    return QuadResult(head[0] + tail, head[1] + tail_err)
+    return QuadResult(head + tail, head_err + tail_err)
 
 
 def _require_converged(result: QuadResult, cfg: QuadConfig, context: str) -> QuadResult:
@@ -181,8 +168,9 @@ def _active_echoes(s: Schedule) -> list:
     return out
 
 
-def _echo_kernel(l: int, qa: np.ndarray, s: Schedule):
-    """Decaying part of the radial kernel, one gated trig term per endpoint.
+def _echo_kernel(l: int, qa: np.ndarray, s: Schedule, echoes: list):
+    """Decaying part of the radial kernel, one gated trig term per endpoint
+    of `echoes`, the schedule's `_active_echoes`.
 
     Each term carries its own finite q -> 0 limit (tau j0(q tau), or a
     half-angle sine square over q), so nothing cancels at small q and
@@ -191,12 +179,12 @@ def _echo_kernel(l: int, qa: np.ndarray, s: Schedule):
     norm = s.dt1 * s.dt2
     total = np.zeros_like(qa)
     if l == 1:
-        for gate, tau in _active_echoes(s):
+        for gate, tau in echoes:
             half = np.sin(0.5 * qa * tau)
             total = total - gate * 2.0 * half * half
         safe = np.where(qa == 0.0, 1.0, qa)
         return np.where(qa == 0.0, 0.0, total / safe) / norm
-    for gate, tau in _active_echoes(s):
+    for gate, tau in echoes:
         total = total + gate * tau * sph_bessel(0, qa * tau)
     return total / norm
 
@@ -213,7 +201,7 @@ def utilde_direct(kind: FactorKind, l: int, q, s: Schedule):
     qa = np.asarray(q, dtype=float)
     if np.any(qa < 0.0) or not np.all(np.isfinite(qa)):
         raise ValidationError("q must be >= 0 and finite")
-    value = _echo_kernel(l, qa, s) + _flat_part(l, s)
+    value = _echo_kernel(l, qa, s, _active_echoes(s)) + _flat_part(l, s)
     return float(value) if np.ndim(q) == 0 else value
 
 
@@ -231,8 +219,7 @@ def factor_fourier_numeric(
     s = Schedule(p.dt1, p.dt2, p.t_offset)
     echoes = _active_echoes(s)
     pref = 9.0 / (2.0 * math.pi**2 * p.r1 * p.r2)
-    value = 0.0
-    error = 0.0
+    value = error = 0.0
     for l, w in sorted(angular_weight(kind, p.theta, p.phi).items()):
         if w == 0.0 or (l >= 1 and p.r == 0.0):
             continue  # j_l(0) = 0 for l >= 1 kills the channel exactly
@@ -250,11 +237,10 @@ def factor_fourier_numeric(
         omega = p.r1 + p.r2 + p.r + max(tau for _, tau in echoes)
 
         def integrand(qv, l=l):
-            qv = np.asarray(qv, dtype=float)
             return (
                 sph_bessel(1, qv * p.r1)
                 * sph_bessel(1, qv * p.r2)
-                * _echo_kernel(l, qv, s)
+                * _echo_kernel(l, qv, s, echoes)
                 * sph_bessel(l, qv * p.r)
             )
 
@@ -275,14 +261,9 @@ def ji4_numeric(args: Ji4Args, cfg: QuadConfig = QuadConfig()) -> QuadResult:
     """
     if args.n < 0 or args.n != int(args.n):
         raise ValidationError(f"n must be a non-negative integer, got {args.n}")
-    slots = list(
-        zip(
-            (args.l1, args.l2, args.l3, args.l4),
-            (args.alpha, args.beta, args.gamma, args.delta),
-        )
-    )
     active = []
-    for l, a in slots:
+    orders = (args.l1, args.l2, args.l3, args.l4)
+    for l, a in zip(orders, (args.alpha, args.beta, args.gamma, args.delta)):
         if l not in (-1, 0, 1, 2):
             raise ValidationError(f"spherical Bessel order {l} not available")
         if not (math.isfinite(a) and a >= 0.0):
@@ -302,7 +283,6 @@ def ji4_numeric(args: Ji4Args, cfg: QuadConfig = QuadConfig()) -> QuadResult:
     omega = sum(a for _, a in active)
 
     def integrand(xv):
-        xv = np.asarray(xv, dtype=float)
         total = np.ones_like(xv)
         for l, a in active:
             total = total * sph_bessel(l, xv * a)

@@ -16,28 +16,17 @@ from .model import FactorKind, check_integer
 # to cancellation; switch to the Maclaurin polynomials there.
 SMALL_X = 1.0
 
-# coefficients of j_l(x)/x^l as a polynomial in x^2:
-# (-1)^k / (2^k k! (2k + 2l + 1)!!)
-_J1_POLY = (
-    1.0 / 3.0,
-    -1.0 / 30.0,
-    1.0 / 840.0,
-    -1.0 / 45360.0,
-    1.0 / 3991680.0,
-    -1.0 / 518918400.0,
-    1.0 / 93405312000.0,
-    -1.0 / 22230464256000.0,
-)
-_J2_POLY = (
-    1.0 / 15.0,
-    -1.0 / 210.0,
-    1.0 / 7560.0,
-    -1.0 / 498960.0,
-    1.0 / 51891840.0,
-    -1.0 / 7783776000.0,
-    1.0 / 1587890304000.0,
-    -1.0 / 422378820864000.0,
-)
+
+def _series_coefficients(l: int) -> tuple:
+    """First eight coefficients of j_l(x)/x^l as a polynomial in x^2,
+    (-1)^k / (2^k k! (2k + 2l + 1)!!); the integer denominators are exact."""
+    return tuple(
+        (-1) ** k / (2**k * math.factorial(k) * math.prod(range(1, 2 * k + 2 * l + 2, 2)))
+        for k in range(8)
+    )
+
+
+_J1_POLY, _J2_POLY = _series_coefficients(1), _series_coefficients(2)
 
 
 def _horner(coeffs: tuple, u: np.ndarray) -> np.ndarray:

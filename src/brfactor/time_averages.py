@@ -18,7 +18,7 @@ schedules held in arrays alike.
 from __future__ import annotations
 
 import enum
-import warnings
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,6 +29,11 @@ from .model import ValidationError, check_field
 #: half-band around zero (relative to a caller-supplied scale) treated as
 #: "exactly on the boundary"
 BOUNDARY_RTOL = 1e-12
+
+#: evaluations of f allowed to one numeric_time_average call, and to each of
+#: its inner integrals
+_EVAL_BUDGET = 1 << 21
+_INNER_BUDGET = 1 << 10
 
 
 class QuadratureError(RuntimeError):
@@ -59,6 +64,15 @@ def _lesser(a, b):
 
 def _greater(a, b):
     return a * (a >= b) + b * (b > a)
+
+
+@functools.cache
+def _gauss_legendre() -> tuple:
+    """16-point Gauss-Legendre nodes and weights on (-1, 1).
+
+    Built on first use, so only the quadrature routes load numpy.polynomial.
+    """
+    return np.polynomial.legendre.leggauss(16)
 
 
 class AvgKind(enum.Enum):
@@ -155,7 +169,9 @@ def step_coefficients(s: Schedule, r_ex: float) -> StepCoefficients:
     return memo[r_ex]
 
 
-def _check_q(q) -> np.ndarray:
+def _check_q(kind, q) -> np.ndarray:
+    if not isinstance(kind, AvgKind):
+        raise ValidationError(f"kind must be an AvgKind, got {kind!r}")
     qa = np.asarray(q, dtype=float)
     if (qa <= 0.0).any() or not np.isfinite(qa).all():
         raise ValidationError("q must be positive and finite for Sin/Cos averages")
@@ -174,7 +190,7 @@ def finite_avg(kind: AvgKind, q, r_ex: float, s: Schedule):
     """
     if r_ex <= 0.0:
         raise ValidationError(f"finite averages need r_ex > 0, got {r_ex}")
-    qa = _check_q(q)
+    qa = _check_q(kind, q)
     norm = s.dt1 * s.dt2
     d0, dr, dp, const_pair, _, gates = step_coefficients(s, r_ex)
     if kind is AvgKind.SIN:
@@ -194,7 +210,7 @@ def finite_avg(kind: AvgKind, q, r_ex: float, s: Schedule):
 def infinite_avg(kind: AvgKind, q, s: Schedule):
     """Analytic double average of trig(q t) Theta(t), the radius gate
     removed (r_ex -> infinity)."""
-    qa = _check_q(q)
+    qa = _check_q(kind, q)
     norm = s.dt1 * s.dt2
     d0, _, _, const_pair, gates, _ = step_coefficients(s, 0.0)
     # associate divisions exactly as in finite_avg so that the saturated
@@ -208,55 +224,81 @@ def infinite_avg(kind: AvgKind, q, s: Schedule):
     return _as_input_shape(val, q)
 
 
-def numeric_time_average(f, s: Schedule, tol: float = 1e-10, breakpoints=(0.0,)) -> float:
-    """Adaptive 2-D quadrature of (1/dt1 dt2) * double integral of f(t2 - t1).
+def _panel_sums(f, lo, hi) -> np.ndarray:
+    """16-point Gauss-Legendre sums over the panels (lo_i, hi_i) from one call
+    of f, which returns a row of values per node, or a row of values and a
+    row of their errors; one row of sums per row of f."""
+    nodes, weights = _gauss_legendre()
+    half = 0.5 * (hi - lo)
+    grid = (lo + half)[:, None] + half[:, None] * nodes
+    return half * (np.reshape(f(grid.ravel()), (-1,) + grid.shape) @ weights)
 
-    `breakpoints` lists lag values where f has kinks (pass (0.0, r_ex) for
-    radius-gated integrands); subdivision is aligned to those lines.  Raises
-    QuadratureError (with the best value attached) if the error estimate
+
+def _bisected_panels(f, lo, hi, density: float, budget: int) -> tuple:
+    """Integrals of f over the intervals (lo_i, hi_i) and their error bounds.
+
+    A panel is bisected while its one-panel and two-half values differ by
+    more than density times its width; where `budget` evaluations of f do not
+    pay for all bisections, those that differ most go first.
+    """
+    n = lo.size
+    value, error, owner = np.zeros(n), np.zeros(n), np.arange(n)
+    whole = _panel_sums(f, lo, hi)[0]
+    budget -= 16 * n
+    while owner.size:
+        mid = 0.5 * (lo + hi)
+        left, right = np.split(
+            _panel_sums(f, np.concatenate((lo, mid)), np.concatenate((mid, hi))), 2, axis=1
+        )
+        budget -= 32 * owner.size
+        both = left + right
+        diff = np.abs(whole - both[0])
+        split = diff > density * (hi - lo)
+        room = max(budget // 64, 0)  # a bisection costs two panels of halves
+        if np.count_nonzero(split) > room:
+            split[np.argsort(np.where(split, -diff, 0.0))[room:]] = False
+        done = ~split
+        value += np.bincount(owner[done], both[0, done], n)
+        error += np.bincount(owner[done], (diff + both[1:].sum(axis=0))[done], n)
+        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
+        whole = np.concatenate((left[0, split], right[0, split]))
+        owner = np.concatenate((owner[split], owner[split]))
+    return value, error
+
+
+def _inner_integrals(f, s: Schedule, bps: np.ndarray, tol: float, t1: np.ndarray):
+    """Integral of f(t2 - t1) over t2 in (T, T + dt2) for each t1, taken in
+    the lag and cut at the breakpoints: a row of values, a row of errors."""
+    first = (s.t_offset - t1)[:, None]
+    last = first + s.dt2
+    edges = np.hstack((first, np.clip(bps, first, last), last))
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    row = np.repeat(np.arange(t1.size), bps.size + 1)
+    live = hi > lo
+    sums = _bisected_panels(f, lo[live], hi[live], 0.25 * tol, _INNER_BUDGET * t1.size)
+    return np.stack([np.bincount(row[live], part, t1.size) for part in sums])
+
+
+def numeric_time_average(f, s: Schedule, tol: float = 1e-10, breakpoints=(0.0,)) -> float:
+    """2-D quadrature of (1/dt1 dt2) * double integral of f(t2 - t1).
+
+    f takes a numpy array of lags.  `breakpoints` lists lag values where f
+    has kinks (pass (0.0, r_ex) for radius-gated integrands); both axes are
+    cut along those lines, and the inner t2 integrals run for all t1 nodes of
+    a bisection level at once.  A budget of 2**21 evaluations of f per call,
+    2**10 per inner integral, bounds time and memory when tol cannot be met:
+    QuadratureError, with the best value attached, if the error estimate
     exceeds tol.
     """
-    # imported here, not with the module, so the analytic routes never load scipy
-    import scipy.integrate
-
-    t0 = s.t_offset
-    bps = sorted({float(b) for b in breakpoints})
-    inner_eps = 0.25 * tol * s.dt2
-    outer_eps = 0.25 * tol * s.dt1 * s.dt2
-    margin = 1e-13 * s.scale(max((abs(b) for b in bps), default=0.0))
-
-    def inner(t1: float) -> float:
-        pts = [t1 + b for b in bps if t0 + margin < t1 + b < t0 + s.dt2 - margin]
-        val, _ = scipy.integrate.quad(
-            lambda t2: f(t2 - t1),
-            t0,
-            t0 + s.dt2,
-            points=pts or None,
-            limit=200,
-            epsabs=inner_eps,
-            epsrel=1e-12,
-        )
-        return val
-
-    outer_pts = []
-    for b in bps:
-        for edge in (t0 - b, t0 + s.dt2 - b):
-            if margin < edge < s.dt1 - margin:
-                outer_pts.append(edge)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        total, err = scipy.integrate.quad(
-            inner,
-            0.0,
-            s.dt1,
-            points=sorted(outer_pts) or None,
-            limit=200,
-            epsabs=outer_eps,
-            epsrel=1e-12,
-        )
+    bps = np.unique(np.asarray(breakpoints, dtype=float))
+    edges = np.concatenate((s.t_offset - bps, s.t_offset + s.dt2 - bps))
+    cuts = np.unique(np.concatenate(([0.0, s.dt1], edges[(edges > 0.0) & (edges < s.dt1)])))
+    outer = functools.partial(_inner_integrals, f, s, bps, tol)
+    budget = _EVAL_BUDGET // _INNER_BUDGET  # in t1 nodes
+    total, err = _bisected_panels(outer, cuts[:-1], cuts[1:], 0.25 * tol * s.dt2, budget)
     norm = s.dt1 * s.dt2
-    value = total / norm
-    err_bound = (err + s.dt1 * inner_eps) / norm
+    value = float(total.sum()) / norm
+    err_bound = float(err.sum()) / norm
     if err_bound > tol:
         raise QuadratureError(
             f"2-D average error estimate {err_bound:.3e} exceeds tol {tol:.3e}",

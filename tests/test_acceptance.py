@@ -189,13 +189,13 @@ def test_criterion_6_time_average_quadrature():
         )
         sc = s.scale(r_ex)
         for kind, trig in (
-            (AvgKind.SIN, math.sin),
-            (AvgKind.COS, math.cos),
+            (AvgKind.SIN, np.sin),
+            (AvgKind.COS, np.cos),
         ):
             gated = lambda t: trig(q * t) * heaviside(t, sc) * heaviside(r_ex - t, sc)
             numeric = numeric_time_average(gated, s, breakpoints=(0.0, r_ex))
             worst = max(worst, abs(finite_avg(kind, q, r_ex, s) - numeric))
-        for kind, trig in ((AvgKind.SIN, math.sin), (AvgKind.COS, math.cos)):
+        for kind, trig in ((AvgKind.SIN, np.sin), (AvgKind.COS, np.cos)):
             open_ended = lambda t: trig(q * t) * heaviside(t, sc)
             numeric = numeric_time_average(open_ended, s, breakpoints=(0.0,))
             worst = max(worst, abs(infinite_avg(kind, q, s) - numeric))

@@ -136,11 +136,17 @@ print(sorted(m for m in sys.modules if m.startswith("numpy.polynomial")))
 
 
 def test_numeric_route_loads_scipy_on_demand():
+    # the numeric route and validate run on numpy alone: scipy is never demanded
     script = f"""
-import sys
+import contextlib, io, sys
 import brfactor.cli
 assert "scipy" not in sys.modules
-sys.exit(brfactor.cli.main({DISPLACED_ARGS!r} + ["--method", "numeric"]))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert brfactor.cli.main({DISPLACED_ARGS!r} + ["--method", "numeric"]) == 0
+    assert brfactor.cli.main(["validate", "--samples", "1"]) == 0
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+print(out.getvalue().splitlines()[0])
 """
     proc = _fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr

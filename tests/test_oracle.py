@@ -9,6 +9,8 @@ import pytest
 from brfactor.closed_form import CancellationWarning, factor_closed, ji4
 from brfactor.fourier_bessel import utilde
 from brfactor.model import CHANNELS, FactorKind, Ji4Args, RegionPair, ValidationError
+from brfactor import oracle
+from brfactor.cli import _draw_ji4, _draw_pair
 from brfactor.oracle import (
     QuadConfig,
     QuadResult,
@@ -180,3 +182,58 @@ def test_utilde_direct_equals_utilde(kind, l):
         got = utilde_direct(kind, l, q, s)
         scale = np.max(np.abs(expected)) + 1.0
         assert np.max(np.abs(got - expected)) <= 1e-12 * scale, s
+
+
+@pytest.mark.filterwarnings("ignore::brfactor.closed_form.CancellationWarning")
+def test_head_matches_adaptive_quadrature(monkeypatch):
+    # scipy (a test dependency only) referees the fixed-panel head on the
+    # integrands validate draws, over the same interval
+    from scipy import integrate
+
+    heads = []
+    head = oracle._head
+
+    def recorded(f, h):
+        heads.append((f, h, head(f, h)))
+        return heads[-1][2]
+
+    monkeypatch.setattr(oracle, "_head", recorded)
+    rng = np.random.default_rng(20261018)
+    for i in range(20):
+        kind, p, _ = _draw_pair(rng, i)
+        factor_fourier_numeric(kind, p, LOOSE)
+        ji4_numeric(_draw_ji4(rng, i), LOOSE)
+    assert len(heads) >= 40
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        for f, h, (value, error) in heads:
+            end = 2 * oracle._HEAD_PERIODS * h
+            reference, _ = integrate.quad(f, 0.0, end, epsabs=1e-15, epsrel=1e-14, limit=500)
+            assert abs(value - reference) <= max(error, 1e-13)
+
+
+def _two_pass_limit(chunks):
+    # the tail extrapolation as it was first written: one averaging pass over
+    # all chunks and a second over the first half of them
+    def plateau(c):
+        row = np.cumsum(c)
+        estimates = [row[-1]]
+        for _ in range(1, c.size):
+            row = 0.5 * (row[1:] + row[:-1])
+            estimates.append(row[-1])
+        moves = np.abs(np.diff(estimates))
+        best = int(np.argmin(moves))
+        return float(estimates[best + 1]), float(moves[best])
+
+    value, move = plateau(chunks)
+    half_value, _ = plateau(chunks[: max(chunks.size // 2, 8)])
+    floor = 4e-16 * (np.max(np.abs(np.cumsum(chunks))) + np.max(np.abs(chunks)))
+    return value, float(max(move, abs(value - half_value), floor))
+
+
+def test_one_pass_tail_limit_is_bit_identical_to_two_passes():
+    rng = np.random.default_rng(7)
+    for n in (8, 9, 17, 64, 401, 800):
+        k = np.arange(n)
+        chunks = rng.normal() * (-1.0) ** k / (k + 3.0) ** 2 + 1e-3 * rng.normal(size=n)
+        assert oracle._averaged_limit(chunks) == _two_pass_limit(chunks)

@@ -61,7 +61,7 @@ def test_heaviside_boundary_band():
 @pytest.mark.parametrize("r_ex", [0.7, 2.5])
 def test_finite_averages_match_quadrature(s, q, r_ex):
     sc = s.scale(r_ex)
-    for kind, trig in ((AvgKind.SIN, math.sin), (AvgKind.COS, math.cos)):
+    for kind, trig in ((AvgKind.SIN, np.sin), (AvgKind.COS, np.cos)):
         f = lambda t: trig(q * t) * heaviside(t, sc) * heaviside(r_ex - t, sc)
         numeric = numeric_time_average(f, s, breakpoints=(0.0, r_ex))
         assert finite_avg(kind, q, r_ex, s) == pytest.approx(numeric, abs=1e-9)
@@ -71,7 +71,7 @@ def test_finite_averages_match_quadrature(s, q, r_ex):
 @pytest.mark.parametrize("q", [0.3, 2.7, 11.0])
 def test_infinite_averages_match_quadrature(s, q):
     sc = s.scale()
-    for kind, trig in ((AvgKind.SIN, math.sin), (AvgKind.COS, math.cos)):
+    for kind, trig in ((AvgKind.SIN, np.sin), (AvgKind.COS, np.cos)):
         f = lambda t: trig(q * t) * heaviside(t, sc)
         numeric = numeric_time_average(f, s, breakpoints=(0.0,))
         assert infinite_avg(kind, q, s) == pytest.approx(numeric, abs=1e-9)
@@ -177,9 +177,44 @@ def test_quadrature_error_carries_its_estimate():
     # a jump that is not on the breakpoint list defeats the error budget
     s = Schedule(1.0, 1.0, 0.0)
     jump = 0.3712345
-    f = lambda t: 0.0 if t < jump else 1.0
+    f = lambda t: np.where(t < jump, 0.0, 1.0)
     reference = numeric_time_average(f, s, tol=1e-9, breakpoints=(jump,))
     with pytest.raises(QuadratureError) as exc_info:
         numeric_time_average(f, s, tol=1e-13)
     estimate = exc_info.value.estimate
     assert estimate == pytest.approx(reference, abs=1e-6)
+
+
+@pytest.mark.parametrize("average", [finite_avg, infinite_avg])
+def test_averages_refuse_a_kind_that_is_not_an_avgkind(average):
+    # the string "sin" used to be read as the cosine average, silently
+    s = Schedule(1.3, 0.7, 0.4)
+    args = (11.0, 2.5, s) if average is finite_avg else (11.0, s)
+    for kind in ("sin", "cos", None):
+        with pytest.raises(ValidationError):
+            average(kind, *args)
+    assert finite_avg(AvgKind.SIN, 11.0, 2.5, s) == pytest.approx(0.0653714048737, rel=1e-10)
+
+
+def test_time_average_quadrature_takes_arrays_within_its_budget():
+    # f is called on arrays of lags, and a tolerance that cannot be met
+    # stops at the evaluation budget
+    s = Schedule(1.0, 1.0, 0.0)
+    sizes = []
+
+    def step(t):
+        sizes.append(np.size(t))
+        return np.where(t < 0.3712345, 0.0, 1.0)
+
+    with pytest.raises(QuadratureError):
+        numeric_time_average(step, s, tol=1e-13)
+    assert min(sizes) > 1 and sum(sizes) <= 2**21
+
+    def wave(t):
+        sizes.append(np.size(t))
+        return np.cos(2.0 * t)
+
+    sizes.clear()
+    # |int_0^1 exp(2it) dt|^2 = 2 (1 - cos 2) / 2^2
+    assert numeric_time_average(wave, s) == pytest.approx(0.5 * (1.0 - math.cos(2.0)), abs=1e-13)
+    assert min(sizes) > 1 and sum(sizes) < 10_000
