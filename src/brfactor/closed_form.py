@@ -8,10 +8,12 @@ over sign permutations of the arguments; each factor kind then becomes a
 weighted sum of at most ten such integrals with step-gated coefficients
 built from the corner lags of the sampling schedule.
 
-Everything below works on arrays of points: the sign permutations are a
-leading axis of 2, 4 or 8 terms, the zero band and the signature choice are
-masks, and each sum formula runs once over all the integrals that select
-it.  A single factor or integral is a batch of one.
+Which sum applies depends only on the signature and on which of gamma and
+delta vanish: one table, `_ROUTES`, holds a kernel, an exact zero or a
+refusal for each case.  The sign permutations are a leading axis of 2, 4 or
+8 terms, a factor stacks the gates of all its (l, i) lanes into one grid per
+call, and each signature runs once over the open lanes that take it.  A
+single factor or integral is a batch of one.
 """
 
 from __future__ import annotations
@@ -98,10 +100,10 @@ def _sign_sum(signs: tuple, args: tuple, term) -> tuple:
     return total, abs(total) < CANCELLATION_RTOL * abs(terms).max(axis=0)
 
 
-# Each kernel maps its argument arrays to (values, cancelled).
+# Each kernel maps the argument arrays (a, b, c, d) to (values, cancelled).
 
 
-def _ji4_1100_pair(a, b):
+def _ji4_1100_pair(a, b, c, d):
     # both remaining arguments zero: two-term sum, equals (pi/6) R_< / R_>^2
     def term(an, bn):
         return abs(an + bn) / (an * bn) * (an * an - an * bn + bn * bn)
@@ -110,8 +112,8 @@ def _ji4_1100_pair(a, b):
     return math.pi / (12.0 * a * b) * total, cancelled
 
 
-def _ji4_1100_three(a, b, c):
-    # one argument zero: four-term sum with a signed-square kernel
+def _ji4_1100_three(a, b, c, d):
+    # delta zero: four-term sum with a signed-square kernel
     def term(an, bn, cn):
         s = an + bn + cn
         return (
@@ -123,6 +125,11 @@ def _ji4_1100_three(a, b, c):
 
     total, cancelled = _sign_sum(_SIGNS4, (a, b, c), term)
     return math.pi / (192.0 * a * b) * total, cancelled
+
+
+def _ji4_1100_three_swapped(a, b, c, d):
+    # gamma zero: j0 is symmetric in its two slots, so swap delta into gamma
+    return _ji4_1100_three(a, b, d, c)
 
 
 def _ji4_1100_full(a, b, c, d):
@@ -138,8 +145,8 @@ def _ji4_1100_full(a, b, c, d):
     return math.pi / (1920.0 * a * b) * total, cancelled
 
 
-def _ji4_1102_quad(a, b, d):
-    # third argument zero; the fourth flips sign every two terms here
+def _ji4_1102_quad(a, b, c, d):
+    # gamma zero; delta flips sign every two terms here
     def term(an, bn, dn):
         s = an + bn + dn
         return (
@@ -193,7 +200,7 @@ def _ji4_11m11_full(a, b, c, d):
     return -math.pi / (11520.0 * a * b * c * d) * total, cancelled
 
 
-def _ji4_n1_1101_quad(a, b, d):
+def _ji4_n1_1101_quad(a, b, c, d):
     def term(an, bn, dn):
         s = an + bn + dn
         poly = (
@@ -207,56 +214,48 @@ def _ji4_n1_1101_quad(a, b, d):
     return -math.pi / (1152.0 * a * b * d) * total, cancelled
 
 
+_GAMMA_POSITIVE = (
+    "ji4(0;1,1,-1,1) needs gamma > 0; the gamma = 0 case uses signature (1;1,1,0,1) instead"
+)
+_GAMMA_ZERO = "ji4(1;1,1,0,1) is only available with gamma = 0"
+
+#: The formula of each supported signature (n, l1, l2, l3, l4) by zero-band
+#: code (0 neither of gamma and delta zero, 1 gamma zero, 2 delta zero, 3
+#: both): a kernel, None for an exact zero, or a refusal's message.  Row l
+#: serves multipole l's lanes, row 3 dipole lanes whose lag is in the band.
+_ROUTES = {
+    (0, 1, 1, 0, 0): (_ji4_1100_full, _ji4_1100_three_swapped, _ji4_1100_three, _ji4_1100_pair),
+    (0, 1, 1, -1, 1): (_ji4_11m11_full, _GAMMA_POSITIVE, None, None),
+    (0, 1, 1, 0, 2): (_ji4_1102_full, _ji4_1102_quad, None, None),
+    (1, 1, 1, 0, 1): (_GAMMA_ZERO, _ji4_n1_1101_quad, _GAMMA_ZERO, None),
+}
+
+
 def _ji4_batch(sig: tuple, a, b, c, d) -> tuple:
     """(values, cancelled) of one signature's ji4 over equal-length arrays.
 
     Zero detection of gamma and delta uses the band of `heaviside` with
-    scale = max(alpha, beta, |gamma|, |delta|, 1).  Arguments inside the
-    band route to the reduced sums, so boundary parameter sets (corner lags
-    landing on zero, from either side) evaluate without indeterminate forms.
-    Each sum formula runs only on the entries that select it.
+    scale = max(alpha, beta, |gamma|, |delta|, 1).  Each entry takes the
+    `_ROUTES` cell of its zero-band code, so boundary parameter sets (corner
+    lags landing on zero, from either side) evaluate without indeterminate
+    forms.  Each formula runs only on the entries that select it.
     """
+    if sig not in _ROUTES:
+        raise UnsupportedSignatureError(f"no closed form for signature {sig}")
     scale = np.maximum(np.maximum(a, b), np.maximum(np.maximum(abs(c), abs(d)), 1.0))
-    # route code: 0 neither zero, 1 gamma zero, 2 delta zero, 3 both zero
     code = _in_band(c, scale) + 2 * _in_band(d, scale)
     counts = np.bincount(code, minlength=4).tolist()
-    # a trailing order > 0 with a zero argument gives 0, so for those
-    # signatures codes 2 and 3 select no formula
-    if sig == (0, 1, 1, 0, 0):
-        routes = (
-            (_ji4_1100_full, (a, b, c, d)),
-            # j0 is symmetric in its two slots, so swap delta into gamma
-            (_ji4_1100_three, (a, b, d)),
-            (_ji4_1100_three, (a, b, c)),
-            (_ji4_1100_pair, (a, b)),
-        )
-    elif sig == (0, 1, 1, 0, 2):
-        routes = ((_ji4_1102_full, (a, b, c, d)), (_ji4_1102_quad, (a, b, d)))
-    elif sig == (0, 1, 1, -1, 1):
-        if counts[1]:
-            raise UnsupportedSignatureError(
-                "ji4(0;1,1,-1,1) needs gamma > 0; the gamma = 0 case uses "
-                "signature (1;1,1,0,1) instead"
-            )
-        routes = ((_ji4_11m11_full, (a, b, c, d)),)
-    elif sig == (1, 1, 1, 0, 1):
-        if counts[0] or counts[2]:
-            raise UnsupportedSignatureError(
-                "ji4(1;1,1,0,1) is only available with gamma = 0"
-            )
-        routes = (None, (_ji4_n1_1101_quad, (a, b, d)))
-    else:
-        raise UnsupportedSignatureError(f"no closed form for signature {sig}")
     value = np.zeros_like(a)
     cancelled = np.zeros(a.shape, dtype=bool)
-    for k, route in enumerate(routes):
-        if not counts[k]:
+    for k, route in enumerate(_ROUTES[sig]):
+        if not counts[k] or route is None:  # j_l(0) = 0 for a trailing l > 0
             continue
-        kernel, args = route
+        if isinstance(route, str):
+            raise UnsupportedSignatureError(route)
         if counts[k] == len(a):  # every entry takes this formula
-            return kernel(*args)
+            return route(a, b, c, d)
         mask = code == k
-        value[mask], cancelled[mask] = kernel(*(x[mask] for x in args))
+        value[mask], cancelled[mask] = route(a[mask], b[mask], c[mask], d[mask])
     return value, cancelled
 
 
@@ -285,7 +284,7 @@ def ji4(args: Ji4Args) -> float:
     return float(value[0])
 
 
-def _g_coefficients(s: Schedule, l: int, zeros: tuple) -> tuple:
+def _g_coefficients(s: Schedule, l: int, zeros: np.ndarray) -> tuple:
     """Step-gated coefficients (g_0^(l), ..., g_4^(l)) of the closed-form sum.
 
     g_0 is a step coefficient at lag 0: -<delta(t)>/2 for l = 0, the
@@ -317,10 +316,10 @@ class ClosedBatch:
 def factor_closed_batch(kind: FactorKind, p: RegionPair) -> ClosedBatch:
     """Geometric factors of many points of one kind in one vectorised pass.
 
-    The fields of `p` are equal-length arrays (floats broadcast).  Each
-    (l, i) lane is evaluated only where its gate is open, the ji4 integrals
-    of all lanes of one multipole are evaluated together, and one
-    CancellationWarning names how many points lost digits.
+    The fields of `p` are equal-length arrays (floats broadcast).  The
+    gates of all (l, i) lanes form one grid; each open lane picks its ji4
+    signature there, each signature runs once over the lanes that picked
+    it, and one CancellationWarning names how many points lost digits.
     """
     p.validate()
     r1, r2, r, theta, phi, dt1, dt2, t = np.broadcast_arrays(
@@ -328,44 +327,34 @@ def factor_closed_batch(kind: FactorKind, p: RegionPair) -> ClosedBatch:
     )
     n = len(r1)
     s = Schedule(dt1, dt2, t)
-    taus = (np.zeros(n),) + s.taus
+    taus = np.array((np.zeros(n),) + s.taus)
     # A lag is zero where it lies in the band of the times, where its gate
     # reads Theta(0) = 1/2, or in the band of the radii, where ji4 cannot
     # tell gamma from zero.  That one decision routes ji4 and augments the
     # l = 1 lags, so a lag gated as zero is never summed as a tiny gamma.
     scale = np.maximum(s.scale(0.0), np.maximum(np.maximum(r1, r2), r))
-    zeros = tuple(_in_band(tau, scale) for tau in taus)
-    gammas = tuple(np.where(z, 0.0, tau) for tau, z in zip(taus, zeros))
+    zeros = _in_band(taus, scale)
+    gammas = np.where(zeros, 0.0, taus)
     weights = sorted(angular_weight(kind, theta, phi).items())
-    # pieces[8 k + i] holds lane (l, i) of the k-th multipole l; eight rows
-    # per multipole keep the summation tree free of padding
-    pieces = np.zeros((8 * len(weights), n))
-    used = np.zeros(n, dtype=int)
-    cancelled = np.zeros(n, dtype=bool)
-    for k, (l, w) in enumerate(weights):
-        g = _g_coefficients(s, l, zeros)
-        live = [np.flatnonzero(gi) for gi in g]
-        pt = np.concatenate(live)
-        if not len(pt):
-            continue
-        row = np.repeat(8 * k + np.arange(5), [len(idx) for idx in live])
-        gamma = np.concatenate([c[idx] for c, idx in zip(gammas, live)])
-        gw = np.concatenate([gi[idx] for gi, idx in zip(g, live)])
-        a, b, d = r1[pt], r2[pt], r[pt]
-        if l == 1:
-            # the kernel switches form when the lag sits in the zero band
-            at_zero = np.concatenate([z[idx] for z, idx in zip(zeros, live)])
-            value = np.empty(len(pt))
-            flags = np.empty(len(pt), dtype=bool)
-            for sig, sel in (((1, 1, 1, 0, 1), at_zero), ((0, 1, 1, -1, 1), ~at_zero)):
-                if sel.any():
-                    value[sel], flags[sel] = _ji4_batch(sig, a[sel], b[sel], gamma[sel], d[sel])
-        else:
-            value, flags = _ji4_batch((0, 1, 1, 0, l), a, b, gamma, d)
-        pieces[row, pt] = np.broadcast_to(w, n)[pt] * gw * value
-        used += np.bincount(pt, minlength=n)
-        cancelled[pt[flags]] = True
-    total = 9.0 / (2.0 * math.pi**2 * r1 * r2) * _two_sum_total(pieces)
+    ls = np.array([l for l, _ in weights])[:, None, None]
+    # gates[k, i] is lane (l, i) of the k-th multipole l, coeff[k, i] its
+    # weighted gate
+    gates = np.array([_g_coefficients(s, l, zeros) for l, _ in weights])
+    coeff = np.array([np.broadcast_to(w, n) for _, w in weights])[:, None] * gates
+    # each open lane's row of `_ROUTES`: l, or 3 for a dipole lag in the band
+    routes = np.where(gates != 0.0, ls + 2 * ((ls == 1) & zeros), -1)
+    # pieces[k, i] holds lane (l, i); eight rows per multipole keep the
+    # summation tree free of padding
+    pieces = np.zeros((len(weights), 8, n))
+    flagged = np.zeros(gates.shape, dtype=bool)
+    for j, sig in enumerate(_ROUTES):
+        sel = routes == j
+        if sel.any():
+            args = (np.broadcast_to(x, gates.shape)[sel] for x in (r1, r2, gammas, r))
+            value, flagged[sel] = _ji4_batch(sig, *args)
+            pieces[:, :5][sel] = coeff[sel] * value
+    total = 9.0 / (2.0 * math.pi**2 * r1 * r2) * _two_sum_total(pieces.reshape(-1, n))
+    cancelled = flagged.any(axis=(0, 1))
     count = int(cancelled.sum())
     if count:
         warnings.warn(
@@ -374,7 +363,7 @@ def factor_closed_batch(kind: FactorKind, p: RegionPair) -> ClosedBatch:
             CancellationWarning,
             stacklevel=2,
         )
-    return ClosedBatch(total, used, cancelled)
+    return ClosedBatch(total, np.count_nonzero(gates, axis=(0, 1)), cancelled)
 
 
 def factor_closed(kind: FactorKind, p: RegionPair) -> FactorResult:
@@ -396,8 +385,8 @@ def coincident_axx(R0: float, dt0: float) -> float:
     -(1/(8 R0^4 kappa)) (4+kappa)(2-kappa)^2 Theta(2-kappa) - 1/(R0^4 kappa),
     reducing to -1/(R0^4 kappa) once kappa >= 2.
     """
-    if R0 <= 0.0 or dt0 <= 0.0:
-        raise ValidationError("R0 and dt0 must be positive")
+    if not (0.0 < R0 < math.inf and 0.0 < dt0 < math.inf):
+        raise ValidationError("R0 and dt0 must be finite and positive")
     kappa = dt0 / R0
     gate = heaviside(2.0 - kappa, max(kappa, 1.0))
     r4 = R0**4

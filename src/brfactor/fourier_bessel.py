@@ -79,33 +79,22 @@ def _boundary_kernel(kind: FactorKind, l: int, q, r_ex: float, s: Schedule):
 
     Combines the radius-gated averages with the delta-type boundary terms at
     t = r_ex; at the roots of j_l the non-decaying pieces cancel against the
-    gated averages.  Broadcasts over q.
+    gated averages.  Evaluated only at those roots, q r_ex = x_n, where every
+    term carrying j_l(q r_ex) vanishes and is left out.  Broadcasts over q.
     """
     _check_pair(kind, l)
     norm = s.dt1 * s.dt2
-    st = step_coefficients(s, r_ex)
-    delta_r = st.dr / norm
-    dp = st.dp / norm
+    delta_r = step_coefficients(s, r_ex).dr / norm
     if l == 1:
         cos_avg = finite_avg(AvgKind.COS, q, r_ex, s)
-        return (
-            q * cos_avg
-            - np.sin(q * r_ex) * delta_r
-            - r_ex * sph_bessel(1, q * r_ex) * dp
-        )
+        return q * cos_avg - np.sin(q * r_ex) * delta_r
     sin_avg = finite_avg(AvgKind.SIN, q, r_ex, s)
     if l == 0:
         d0 = step_coefficients(s, 0.0).d0
-        boundary = (
-            d0 / norm
-            - np.cos(q * r_ex) * delta_r
-            - r_ex * sph_bessel(0, q * r_ex) * dp
-        )
+        boundary = d0 / norm - np.cos(q * r_ex) * delta_r
         return q * sin_avg - boundary - 0.5 * d0 / norm
-    combo = np.cos(q * r_ex) - sph_bessel(0, q * r_ex) - sph_bessel(2, q * r_ex)
-    return (
-        q * sin_avg + combo * delta_r - r_ex * sph_bessel(2, q * r_ex) * dp
-    )
+    combo = np.cos(q * r_ex) - sph_bessel(0, q * r_ex)
+    return q * sin_avg + combo * delta_r
 
 
 @functools.lru_cache(maxsize=None)

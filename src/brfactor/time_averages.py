@@ -188,8 +188,8 @@ def finite_avg(kind: AvgKind, q, r_ex: float, s: Schedule):
     Broadcasts over `q` (the step-gated blocks are q-independent), returning
     a float for scalar q.
     """
-    if r_ex <= 0.0:
-        raise ValidationError(f"finite averages need r_ex > 0, got {r_ex}")
+    if not 0.0 < r_ex < np.inf:
+        raise ValidationError(f"finite averages need a finite r_ex > 0, got {r_ex}")
     qa = _check_q(kind, q)
     norm = s.dt1 * s.dt2
     d0, dr, dp, const_pair, _, gates = step_coefficients(s, r_ex)

@@ -22,6 +22,7 @@ from brfactor.model import (
     ValidationError,
     reverse,
 )
+from brfactor.oracle import ji4_numeric
 from brfactor.time_averages import Schedule
 
 require_no_cancel = pytest.mark.filterwarnings(
@@ -131,6 +132,40 @@ def test_ji4_rejects_nonpositive_leading_lengths(lengths):
         ji4(Ji4Args(0, 1, 1, 0, 0, *lengths))
 
 
+# every cell of the route table at alpha = 0.9, beta = 1.3: (gamma, delta)
+# both positive, gamma zero, delta zero, both zero.  A trailing order > 0
+# meeting a zero argument is an exact zero; a refused cell has no formula.
+_ROUTE_CELLS = ((0.6, 0.7), (0.0, 0.7), (0.6, 0.0), (0.0, 0.0))
+_ROUTE_OUTCOMES = {
+    (0, 1, 1, 0, 0): ("value", "value", "value", "value"),
+    (0, 1, 1, 0, 2): ("value", "value", "zero", "zero"),
+    (0, 1, 1, -1, 1): ("value", "refused", "zero", "zero"),
+    (1, 1, 1, 0, 1): ("refused", "value", "refused", "zero"),
+}
+
+
+@require_no_cancel
+@pytest.mark.parametrize(
+    "sig,gamma,delta,outcome",
+    [
+        (sig, gamma, delta, outcome)
+        for sig, outcomes in _ROUTE_OUTCOMES.items()
+        for (gamma, delta), outcome in zip(_ROUTE_CELLS, outcomes)
+    ],
+)
+def test_ji4_route_table_cell_by_cell(sig, gamma, delta, outcome):
+    args = Ji4Args(*sig, 0.9, 1.3, gamma, delta)
+    if outcome == "refused":
+        with pytest.raises(UnsupportedSignatureError):
+            ji4(args)
+    elif outcome == "zero":
+        assert ji4(args) == 0.0
+    else:
+        reference = ji4_numeric(args)
+        assert reference.value != 0.0
+        assert ji4(args) == pytest.approx(reference.value, abs=max(reference.error, 1e-9))
+
+
 def test_ji4_zero_band_is_routed_before_the_sign_check():
     # a lag that rounds to just below zero is inside the zero band: it
     # takes the reduced sum exactly as a lag of 0 would
@@ -234,7 +269,19 @@ def test_coincident_long_average_tail():
     assert coincident_axx(0.5, 4.0) == -1.0 / (0.5**4 * 8.0)
 
 
-@pytest.mark.parametrize("R0,dt0", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+@pytest.mark.parametrize(
+    "R0,dt0",
+    [
+        (0.0, 1.0),
+        (-1.0, 1.0),
+        (1.0, 0.0),
+        (1.0, -2.0),
+        (math.nan, 1.0),
+        (1.0, math.nan),
+        (math.inf, 1.0),
+        (1.0, math.inf),
+    ],
+)
 def test_coincident_rejects_nonpositive_inputs(R0, dt0):
     with pytest.raises(ValidationError):
         coincident_axx(R0, dt0)

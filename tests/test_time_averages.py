@@ -196,6 +196,14 @@ def test_averages_refuse_a_kind_that_is_not_an_avgkind(average):
     assert finite_avg(AvgKind.SIN, 11.0, 2.5, s) == pytest.approx(0.0653714048737, rel=1e-10)
 
 
+@pytest.mark.parametrize("r_ex", [0.0, -1.0, float("nan"), float("inf")])
+def test_finite_average_refuses_a_radius_that_is_not_finite_and_positive(r_ex):
+    # a nan or infinite radius would otherwise come back as a nan average
+    for kind in AvgKind:
+        with pytest.raises(ValidationError):
+            finite_avg(kind, 2.0, r_ex, Schedule(1.3, 0.7, 0.4))
+
+
 def test_time_average_quadrature_takes_arrays_within_its_budget():
     # f is called on arrays of lags, and a tolerance that cannot be met
     # stops at the evaluation budget
