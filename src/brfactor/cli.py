@@ -177,16 +177,18 @@ def _evaluate(
     A quadrature that misses its error budget gives its best estimate,
     flagged `converged=False` with an infinite tail estimate.
     """
-    if method is Method.CLOSED_FORM:
-        return factor_closed(kind, p)
-    if method is Method.SERIES_SIMPLE:
-        return factor_series(kind, p, series_cfg)
-    if method is Method.SERIES_GENERAL:
-        return factor_series_general(kind, p, series_cfg)
     try:
+        if method is Method.CLOSED_FORM:
+            return factor_closed(kind, p)
+        if method is Method.SERIES_SIMPLE:
+            return factor_series(kind, p, series_cfg)
+        if method is Method.SERIES_GENERAL:
+            return factor_series_general(kind, p, series_cfg)
         quad = factor_fourier_numeric(kind, p, quad_cfg)
     except QuadratureError as exc:
         return FactorResult(exc.estimate, 0, math.inf, method, converged=False)
+    except ZeroDivisionError:  # a product of lengths underflowed to zero
+        raise ValidationError(f"{method.value}: the lengths lie beyond the float range") from None
     return FactorResult(quad.value, 0, quad.error, method, converged=True)
 
 

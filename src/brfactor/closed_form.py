@@ -275,6 +275,8 @@ def ji4(args: Ji4Args) -> float:
         raise ValidationError("alpha and beta must be positive")
     sig = (args.n, args.l1, args.l2, args.l3, args.l4)
     value, cancelled = _ji4_batch(sig, *(np.array([v]) for v in (a, b, c, d)))
+    if not np.isfinite(value[0]):
+        raise ValidationError(f"ji4{sig} at {args} lies beyond the float range")
     if cancelled[0]:
         warnings.warn(
             f"ji4{sig}: permutation sum lost more than 8 digits to cancellation",
@@ -354,6 +356,8 @@ def factor_closed_batch(kind: FactorKind, p: RegionPair) -> ClosedBatch:
             value, flagged[sel] = _ji4_batch(sig, *args)
             pieces[:, :5][sel] = coeff[sel] * value
     total = 9.0 / (2.0 * math.pi**2 * r1 * r2) * _two_sum_total(pieces.reshape(-1, n))
+    if not np.isfinite(total).all():
+        raise ValidationError(f"{kind.value}: a factor of the batch lies beyond the float range")
     cancelled = flagged.any(axis=(0, 1))
     count = int(cancelled.sum())
     if count:
@@ -389,11 +393,16 @@ def coincident_axx(R0: float, dt0: float) -> float:
         raise ValidationError("R0 and dt0 must be finite and positive")
     kappa = dt0 / R0
     gate = heaviside(2.0 - kappa, max(kappa, 1.0))
-    r4 = R0**4
-    return (
-        -(1.0 / (8.0 * r4 * kappa)) * (4.0 + kappa) * (2.0 - kappa) ** 2 * gate
-        - 1.0 / (r4 * kappa)
-    )
+    try:
+        r4 = R0**4
+        value = -1.0 / (r4 * kappa)
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValidationError(f"A_xx at R0={R0!r}, dt0={dt0!r} lies beyond the float range")
+    if gate:
+        value = -(1.0 / (8.0 * r4 * kappa)) * (4.0 + kappa) * (2.0 - kappa) ** 2 * gate + value
+    return value
 
 
 def commutator_difference(kind: FactorKind, p: RegionPair) -> float:

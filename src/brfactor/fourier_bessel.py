@@ -102,7 +102,7 @@ def _root_nodes(l: int, count: int) -> tuple:
     """Read-only arrays of the first `count` roots x_n of j_l and of their
     Fourier-Bessel weights at r_ex = 1; a weight at r_ex is r_ex**3 times it."""
     roots = bessel_roots(l, count)
-    weights = fb_weight(l, roots, 1.0)
+    weights = fb_weight(l, roots)
     weights.flags.writeable = False
     return roots, weights
 

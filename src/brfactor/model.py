@@ -11,7 +11,6 @@ length**-4.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -108,14 +107,6 @@ class RegionPair:
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in FIELDS}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RegionPair":
-        return cls(**{k: float(data[k]) for k in FIELDS})
-
-    @classmethod
-    def from_json(cls, text: str) -> "RegionPair":
-        return cls.from_dict(json.loads(text))
 
 
 def normalize(params: RegionPair) -> RegionPair:

@@ -27,8 +27,7 @@ from .closed_form import CancellationWarning, ji4
 from .model import CHANNELS, FactorKind, Ji4Args, RegionPair, ValidationError, check_integer
 from .special_functions import angular_weight, sph_bessel
 from .time_averages import (
-    _TAU_SIGNS, QuadratureError, Schedule, _gauss_legendre, _panel_sums, heaviside,
-    step_coefficients,
+    _TAU_SIGNS, QuadratureError, Schedule, _panel_sums, heaviside, step_coefficients,
 )
 
 __all__ = [
@@ -123,13 +122,8 @@ def _oscillatory_integral(f, omega: float, cfg: QuadConfig) -> QuadResult:
     """
     h = math.pi / omega
     head, head_err = _head(f, h)
-    nodes, weights = _gauss_legendre()
     edges = 2 * _HEAD_PERIODS * h + h * np.arange(cfg.tail_periods + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    grid = mid[:, None] + (0.5 * h) * nodes[None, :]
-    vals = np.asarray(f(grid.ravel()), dtype=float).reshape(grid.shape)
-    chunks = (0.5 * h) * (vals @ weights)
-    tail, tail_err = _averaged_limit(chunks)
+    tail, tail_err = _averaged_limit(_panel_sums(f, edges[:-1], edges[1:])[0])
     return QuadResult(head + tail, head_err + tail_err)
 
 

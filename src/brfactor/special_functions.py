@@ -26,7 +26,7 @@ def _series_coefficients(l: int) -> tuple:
     )
 
 
-_J1_POLY, _J2_POLY = _series_coefficients(1), _series_coefficients(2)
+_POLYS = {1: _series_coefficients(1), 2: _series_coefficients(2)}
 
 
 def _horner(coeffs: tuple, u: np.ndarray) -> np.ndarray:
@@ -38,32 +38,26 @@ def _horner(coeffs: tuple, u: np.ndarray) -> np.ndarray:
 
 def _j0(x):
     x = np.asarray(x, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(x == 0.0, 1.0, np.sin(x) / np.where(x == 0.0, 1.0, x))
-    return out
+    return np.where(x == 0.0, 1.0, np.sin(x) / np.where(x == 0.0, 1.0, x))
 
 
-def _j1(x):
+def _j12(l: int, x):
+    """j_1 or j_2: the trigonometric closed form at |x| >= SMALL_X, and
+    x**l times the Maclaurin polynomial in x**2 below it.
+
+    Every division sees 1.0 in place of a small x, so finite x never
+    divides by zero.
+    """
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < SMALL_X
     xs = np.where(small, 1.0, x)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    if l == 1:
         out = np.asarray(np.sin(xs) / xs**2 - np.cos(xs) / xs)
-    if small.any():
-        xm = x[small]
-        out[small] = xm * _horner(_J1_POLY, xm * xm)
-    return out
-
-
-def _j2(x):
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < SMALL_X
-    xs = np.where(small, 1.0, x)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    else:
         out = np.asarray((3.0 / xs**3 - 1.0 / xs) * np.sin(xs) - 3.0 * np.cos(xs) / xs**2)
     if small.any():
         xm = x[small]
-        out[small] = xm * xm * _horner(_J2_POLY, xm * xm)
+        out[small] = xm**l * _horner(_POLYS[l], xm * xm)
     return out
 
 
@@ -72,7 +66,7 @@ def _jm1(x):
     return np.cos(x) / x
 
 
-_J_FUNCS = {-1: _jm1, 0: _j0, 1: _j1, 2: _j2}
+_J_FUNCS = {-1: _jm1, 0: _j0, 1: functools.partial(_j12, 1), 2: functools.partial(_j12, 2)}
 
 
 def sph_bessel(l: int, x) -> float:
@@ -149,15 +143,16 @@ def bessel_roots(l: int, count: int) -> np.ndarray:
     return _roots(l, count)
 
 
-def fb_weight(l: int, root, r_ex: float):
-    """Fourier-Bessel weight w_n for a root of j_l scaled so q = root/r_ex.
+def fb_weight(l: int, root):
+    """Fourier-Bessel weight w_n of a root of j_l at expansion radius 1.
 
     At a root of j_l the derivative reduces to j_{l-1}, so
-    w = (r_ex**3 / 2) * j_{l-1}(root)**2; for l = 0 and root = n*pi this is
-    r_ex**3 / (2 n**2 pi**2).  Elementwise over an array of roots; a float
-    in gives a float out.
+    w = j_{l-1}(root)**2 / 2; for l = 0 and root = n*pi this is
+    1 / (2 n**2 pi**2).  The weight at radius r_ex, q = root/r_ex, is
+    r_ex**3 times it.  Elementwise over an array of roots; a float in gives
+    a float out.
     """
-    w = 0.5 * r_ex**3 * _J_FUNCS[l - 1](root) ** 2
+    w = 0.5 * _J_FUNCS[l - 1](root) ** 2
     return float(w) if np.ndim(root) == 0 else w
 
 

@@ -169,59 +169,50 @@ def step_coefficients(s: Schedule, r_ex: float) -> StepCoefficients:
     return memo[r_ex]
 
 
-def _check_q(kind, q) -> np.ndarray:
+def _average(kind: AvgKind, q, s: Schedule, st: StepCoefficients, gates: tuple, r_ex=None):
+    """Double average of trig(q t) Theta(t) under the signed corner gates
+    `gates`, the one body of `finite_avg` and `infinite_avg`.
+
+    With r_ex the gates carry the radius gate Theta(r_ex - t) and the
+    boundary terms dp and dr of `st` at t = r_ex enter; without it, none do.
+    Broadcasts over q; a float for scalar q.
+    """
     if not isinstance(kind, AvgKind):
         raise ValidationError(f"kind must be an AvgKind, got {kind!r}")
     qa = np.asarray(q, dtype=float)
     if (qa <= 0.0).any() or not np.isfinite(qa).all():
         raise ValidationError("q must be positive and finite for Sin/Cos averages")
-    return qa
-
-
-def _as_input_shape(value: np.ndarray, q) -> float:
-    return float(value) if np.ndim(q) == 0 else value
+    trig = np.sin if kind is AvgKind.SIN else np.cos
+    val = sum(g * trig(qa * tau) for g, tau in zip(gates, s.taus))
+    if r_ex is not None:
+        val = val - trig(qa * r_ex) * st.dp
+    if kind is AvgKind.SIN:
+        val = val / qa
+        if r_ex is not None:
+            val = val - np.cos(qa * r_ex) * st.dr
+        val = val + st.d0
+    else:
+        val = (val + st.const_pair) / qa
+        if r_ex is not None:
+            val = val + np.sin(qa * r_ex) * st.dr
+    val = val / (qa * (s.dt1 * s.dt2))
+    return float(val) if np.ndim(q) == 0 else val
 
 
 def finite_avg(kind: AvgKind, q, r_ex: float, s: Schedule):
-    """Analytic double average of trig(q t) Theta(t) Theta(r_ex - t).
-
-    Broadcasts over `q` (the step-gated blocks are q-independent), returning
-    a float for scalar q.
-    """
+    """Analytic double average of trig(q t) Theta(t) Theta(r_ex - t);
+    broadcasts over q, the step-gated blocks being q-independent."""
     if not 0.0 < r_ex < np.inf:
         raise ValidationError(f"finite averages need a finite r_ex > 0, got {r_ex}")
-    qa = _check_q(kind, q)
-    norm = s.dt1 * s.dt2
-    d0, dr, dp, const_pair, _, gates = step_coefficients(s, r_ex)
-    if kind is AvgKind.SIN:
-        osc = sum(g * np.sin(qa * tau) for g, tau in zip(gates, s.taus))
-        val = (
-            (osc - np.sin(qa * r_ex) * dp) / qa - np.cos(qa * r_ex) * dr + d0
-        ) / (qa * norm)
-    else:
-        osc = sum(g * np.cos(qa * tau) for g, tau in zip(gates, s.taus))
-        val = (
-            (osc - np.cos(qa * r_ex) * dp + const_pair) / qa
-            + np.sin(qa * r_ex) * dr
-        ) / (qa * norm)
-    return _as_input_shape(val, q)
+    st = step_coefficients(s, r_ex)
+    return _average(kind, q, s, st, st.radius_gates, r_ex)
 
 
 def infinite_avg(kind: AvgKind, q, s: Schedule):
     """Analytic double average of trig(q t) Theta(t), the radius gate
     removed (r_ex -> infinity)."""
-    qa = _check_q(kind, q)
-    norm = s.dt1 * s.dt2
-    d0, _, _, const_pair, gates, _ = step_coefficients(s, 0.0)
-    # associate divisions exactly as in finite_avg so that the saturated
-    # r_ex limit is equal bit for bit, not merely to rounding
-    if kind is AvgKind.SIN:
-        osc = sum(g * np.sin(qa * tau) for g, tau in zip(gates, s.taus))
-        val = (osc / qa + d0) / (qa * norm)
-    else:
-        osc = sum(g * np.cos(qa * tau) for g, tau in zip(gates, s.taus))
-        val = ((osc + const_pair) / qa) / (qa * norm)
-    return _as_input_shape(val, q)
+    st = step_coefficients(s, 0.0)
+    return _average(kind, q, s, st, st.open_gates)
 
 
 def _panel_sums(f, lo, hi) -> np.ndarray:

@@ -479,3 +479,29 @@ def test_parser_program_metadata():
     with pytest.raises(SystemExit) as exc_info:
         parser.parse_args(["no-such-command"])
     assert exc_info.value.code == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "method,length",
+    [("closed", "1e-300"), ("series", "1e-200"), ("series-general", "1e-200"),
+     ("numeric", "1e-200")],
+)
+def test_factor_beyond_the_float_range_exits_2(method, length, capsys):
+    args = ["factor", "--kind", "axx", "--r1", length, "--r2", length, "--method", method]
+    assert main(args) == 2
+    assert "float range" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_beyond_the_float_range_exits_2(capsys):
+    assert main(["sweep", "--r1", "1e-300", "--r2", "1e-300"]) == 2
+    assert "float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--kind", "foo"], ["--r1", "1:2"]])
+def test_sweep_refuses_a_bad_kind_or_axis(flags, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["sweep", "--r1", "1.0", "--r2", "1.0"] + flags)
+    assert exc_info.value.code == 2
+    capsys.readouterr()

@@ -295,3 +295,37 @@ def test_commutator_difference_contract_and_antisymmetry():
         assert diff == pytest.approx(expected, rel=1e-13)
         swapped = commutator_difference(kind, reverse(p))
         assert swapped == pytest.approx(-diff, rel=1e-11, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        Ji4Args(0, 1, 1, 0, 0, 1e300, 1e300, 1e300, 1e300),
+        Ji4Args(0, 1, 1, 0, 0, 1e-300, 1e-300, 0.0, 0.0),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ji4_beyond_the_float_range_is_refused(args):
+    with pytest.raises(ValidationError):
+        ji4(args)
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-150])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_closed_factor_beyond_the_float_range_is_refused(scale):
+    # a nan or an infinity must not come back marked converged
+    p = RegionPair(scale, scale, scale, dt1=scale, dt2=scale)
+    with pytest.raises(ValidationError):
+        factor_closed(FactorKind.AXX, p)
+
+
+@pytest.mark.parametrize("R0,dt0", [(1e-300, 1.0), (1e100, 1.0)])
+def test_coincident_beyond_the_float_range_is_refused(R0, dt0):
+    with pytest.raises(ValidationError):
+        coincident_axx(R0, dt0)
+
+
+def test_coincident_long_average_at_extreme_scale():
+    # the closed gate is off for kappa = 1e120; its overflowing factor
+    # (4 + kappa)(2 - kappa)**2 must not turn the value into nan
+    assert coincident_axx(1e-60, 1e60) == pytest.approx(-1e120, rel=1e-15)

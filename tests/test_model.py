@@ -57,25 +57,12 @@ def test_dict_round_trip_is_exact():
     p = make_pair(theta=math.pi / 7, t_offset=-0.123456789012345)
     d = p.to_dict()
     assert set(d) == {"r1", "r2", "r", "theta", "phi", "dt1", "dt2", "t_offset"}
-    assert RegionPair.from_dict(d) == p
+    assert RegionPair(**d) == p
 
 
 def test_json_round_trip_is_exact():
     p = make_pair(phi=5.4321, r=2.718281828459045)
-    assert RegionPair.from_json(json.dumps(p.to_dict())) == p
-
-
-def test_from_dict_rejects_missing_and_defers_validation():
-    d = make_pair().to_dict()
-    d.pop("r2")
-    with pytest.raises(KeyError):
-        RegionPair.from_dict(d)
-    # construction is plain field assembly; validation stays explicit
-    bad = make_pair().to_dict()
-    bad["dt1"] = -1.0
-    p = RegionPair.from_dict(bad)
-    with pytest.raises(ValidationError):
-        p.validate()
+    assert RegionPair(**json.loads(json.dumps(p.to_dict()))) == p
 
 
 def test_normalize_folds_negative_theta():

@@ -237,3 +237,21 @@ def test_one_pass_tail_limit_is_bit_identical_to_two_passes():
         k = np.arange(n)
         chunks = rng.normal() * (-1.0) ** k / (k + 3.0) ** 2 + 1e-3 * rng.normal(size=n)
         assert oracle._averaged_limit(chunks) == _two_pass_limit(chunks)
+
+
+def test_utilde_direct_refuses_a_missing_channel_and_bad_q():
+    s = Schedule(1.0, 0.8, 0.3)
+    with pytest.raises(ValidationError):
+        utilde_direct(FactorKind.AXY, 0, 1.0, s)
+    for q in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            utilde_direct(FactorKind.AXX, 0, q, s)
+
+
+@pytest.mark.parametrize("kind", list(FactorKind))
+def test_factor_oracle_is_zero_when_interval_2_ends_before_interval_1(kind):
+    # t_offset + dt2 < 0: every corner lag is negative, so no echo and no
+    # flat part survive, as in the closed form
+    p = RegionPair(1.0, 1.2, 0.5, 0.4, 1.1, 1.0, 0.5, -2.0)
+    assert factor_fourier_numeric(kind, p, LOOSE).value == 0.0
+    assert factor_closed(kind, p).value == 0.0

@@ -10,6 +10,7 @@ from brfactor.fourier_bessel import _root_nodes
 from brfactor.model import FactorKind
 from brfactor.special_functions import (
     SMALL_X,
+    _refine_roots,
     angular_weight,
     bessel_roots,
     fb_weight,
@@ -120,7 +121,7 @@ def test_roots_match_high_precision_zeros(l, n):
 
 
 @pytest.mark.parametrize(
-    "l,count", [(1, 3.0), (1, 2.5), (1, True), (1, 0), (1.0, 3), (True, 3)]
+    "l,count", [(1, 3.0), (1, 2.5), (1, True), (1, 0), (1.0, 3), (True, 3), (3, 5)]
 )
 def test_root_table_arguments_must_be_integers(l, count):
     with pytest.raises(ValueError):
@@ -143,14 +144,14 @@ def test_fb_weight_matches_norm_integral(l):
     for root, unit in zip(roots, unit_weights):
         f = sph_bessel(l, root / r_ex * s) ** 2 * s**2
         w_quad = np.trapezoid(f, s)
-        assert fb_weight(l, root, r_ex) == pytest.approx(w_quad, rel=1e-6)
+        assert r_ex**3 * fb_weight(l, root) == pytest.approx(w_quad, rel=1e-6)
         assert r_ex**3 * unit == pytest.approx(w_quad, rel=1e-6)
 
 
 def test_fb_weight_l0_closed_form():
     r_ex = 2.0
     for n in (1, 2, 5):
-        got = fb_weight(0, n * math.pi, r_ex)
+        got = r_ex**3 * fb_weight(0, n * math.pi)
         assert got == pytest.approx(r_ex**3 / (2.0 * n**2 * math.pi**2), rel=1e-14)
 
 
@@ -188,3 +189,19 @@ def test_angular_weight_phi_symmetries():
         a = angular_weight(FactorKind.AXX, theta, phi)[2]
         b = angular_weight(FactorKind.AXX, theta, phi + math.pi)[2]
         assert b == pytest.approx(a, rel=1e-14)
+
+
+def test_root_refinement_bisects_where_newton_leaves_the_bracket():
+    # the midpoint 5.94 sits near an extremum of j1, so the first Newton
+    # step lands far outside (4.2, 7.68); bisection must keep the lane in it
+    lo, hi = np.array([4.2]), np.array([7.68])
+    mid = 0.5 * (lo[0] + hi[0])
+    newton = mid - sph_bessel(1, mid) / (sph_bessel(0, mid) - 2.0 / mid * sph_bessel(1, mid))
+    assert not lo[0] < newton < hi[0]
+    root = _refine_roots(1, lo, hi)
+    assert root[0] == pytest.approx(bessel_roots(1, 1)[0], rel=1e-14)
+
+
+def test_angular_weight_refuses_a_kind_that_is_not_a_factor_kind():
+    with pytest.raises(ValueError):
+        angular_weight("axx", 0.3, 0.7)

@@ -226,3 +226,12 @@ def test_time_average_quadrature_takes_arrays_within_its_budget():
     # |int_0^1 exp(2it) dt|^2 = 2 (1 - cos 2) / 2^2
     assert numeric_time_average(wave, s) == pytest.approx(0.5 * (1.0 - math.cos(2.0)), abs=1e-13)
     assert min(sizes) > 1 and sum(sizes) < 10_000
+
+
+@pytest.mark.parametrize("average", [finite_avg, infinite_avg])
+@pytest.mark.parametrize("q", [0.0, -1.0, float("nan"), np.array([1.0, 0.0])])
+def test_averages_refuse_q_that_is_not_positive_and_finite(average, q):
+    s = Schedule(1.3, 0.7, 0.4)
+    args = (q, 2.5, s) if average is finite_avg else (q, s)
+    with pytest.raises(ValidationError):
+        average(AvgKind.COS, *args)
