@@ -10,6 +10,11 @@ every route and of `validate` at seeds 0 and 7, the CSV of a 19200-point
 sweep at two offsets, the results of the benchmark's `series-random` calls
 at seeds 300 and 301, `sph_bessel` and both analytic time averages on arrays
 and scalars, and 200 small `validate` reports at the benchmark's seeds.
+
+Each `series-random` seed gives two items: `.stops` holds where every call
+stopped (`terms_used` and `converged`, or the exception it raised) and
+`.values` its `value` and `tail_estimate`.  A change that only rounds the
+sums differently leaves the `.stops` items byte-identical.
 """
 
 import argparse
@@ -113,12 +118,17 @@ def items(workloads):
         for seed in (300, 301):
             w = workloads.SeriesRandom(seed, scratch)
             w.load()
-            results = []
+            stops, values = [], []
             for i in range(w.check_calls):
                 r = w.run(i)[1]
-                results.append(repr(r) if isinstance(r, Exception) else
-                               (r.value, r.terms_used, r.tail_estimate, r.converged))
-            yield f"series-random.seed{seed}", pickle.dumps(results)
+                if isinstance(r, Exception):
+                    stops.append(f"{type(r).__name__}: {r}")
+                    values.append(None)
+                else:
+                    stops.append((r.terms_used, r.converged))
+                    values.append((r.value, r.tail_estimate))
+            yield f"series-random.seed{seed}.stops", pickle.dumps(stops)
+            yield f"series-random.seed{seed}.values", pickle.dumps(values)
         w = workloads.Validate(0, scratch)
         yield "validate.perfbench", b"".join(_stdout(main, w.inputs(i)) for i in range(200))
     yield from _bessel_items()

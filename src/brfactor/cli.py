@@ -187,8 +187,6 @@ def _evaluate(
         quad = factor_fourier_numeric(kind, p, quad_cfg)
     except QuadratureError as exc:
         return FactorResult(exc.estimate, 0, math.inf, method, converged=False)
-    except ZeroDivisionError:  # a product of lengths underflowed to zero
-        raise ValidationError(f"{method.value}: the lengths lie beyond the float range") from None
     return FactorResult(quad.value, 0, quad.error, method, converged=True)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import ji4
+from .closed_form import _two_sum, ji4
 from .model import (
     CHANNELS,
     FactorKind,
@@ -27,22 +27,34 @@ from .model import (
     RegionPair,
     SeriesConfig,
     ValidationError,
+    length_scale,
 )
 from .special_functions import angular_weight, bessel_roots, fb_weight, sph_bessel
 from .time_averages import AvgKind, Schedule, finite_avg, infinite_avg, step_coefficients
 
-#: nodes are evaluated in vectorized blocks of this size, reduced in order
+#: nodes are evaluated in vectorized blocks: the first holds BLOCK nodes and
+#: each later one twice as many as the one before
 BLOCK = 128
 
 
 @dataclass(frozen=True)
 class SeriesTermLog:
-    """One series node: term value and compensated partial sum after it."""
+    """One series node: its term and the compensated (Sum2) partial sum
+    through it, as `_accumulate` computes them."""
 
     n: int
     q_n: float
     term_value: float
     partial_sum: float
+
+
+def _spans(count: int):
+    """(lo, hi) index ranges that cover range(count) in order: BLOCK
+    indices first, then each range twice as long as the one before."""
+    lo, size = 0, BLOCK
+    while lo < count:
+        yield lo, min(lo + size, count)
+        lo, size = lo + size, 2 * size
 
 
 def _check_pair(kind: FactorKind, l: int) -> None:
@@ -119,38 +131,40 @@ def _flat_head(g00: float, a: float, b: float, r: float) -> float:
     replaced reproduces this exactly because a, b + r <= r_ex keeps the
     node sum alias-free, and at r = 0 it reduces to 2 g00 R_< / (a b R_>^2).
     """
-    return 12.0 / (math.pi * a * b) * g00 * ji4(
+    return 12.0 / length_scale(math.pi * a * b) * g00 * ji4(
         Ji4Args(n=0, l1=1, l2=1, l3=0, l4=0, alpha=a, beta=b, gamma=r, delta=0.0)
     )
 
 
 def _accumulate(blocks, cfg: SeriesConfig, start: float, term_log=None):
-    """Kahan-sum blocks of (n, q_n, term) arrays with the windowed stopping rule.
+    """Compensated prefix sums of blocks of (n, q_n, term) arrays, with the
+    windowed stopping rule.
+
+    Each partial sum is Sum2 of Ogita, Rump & Oishi (SIAM J. Sci. Comput. 26
+    (2005) 1955) over the terms so far: the left-to-right float sum plus the
+    sum of every addition's exact TwoSum error, within u|s| + gamma_n^2
+    sum|x| of the exact one.  Both running sums are carried from block to
+    block, so the result does not depend on where the blocks end.
 
     Stops at the first term after which the largest |term| across the
     trailing tail_window terms falls below tail_tol times the current
-    |partial sum| (floored away from zero).  The terms are summed one by
-    one; the stop rule is tested once per block, over every window that ends
-    in it, and a window may reach back into earlier blocks.
-    Returns (total, last_n, tail_estimate, converged).
+    |partial sum| (floored away from zero).  The rule is tested once per
+    block, over every window that ends in it, and a window may reach back
+    into earlier blocks.  Returns (total, last_n, tail_estimate, converged).
     """
     width = cfg.tail_window
-    total = start
-    comp = 0.0
+    total = run_end = start
+    err_end = 0.0
     # |term| of the last width - 1 terms before the current block
     recent = mags = np.empty(0)
     used = 0
     for n, q, terms in blocks:
-        values = terms.tolist()
-        partials = []
-        for term in values:
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            partials.append(t)
+        run = np.cumsum(np.concatenate(((run_end,), terms)))
+        errs = np.cumsum(np.concatenate(((err_end,), _two_sum(run[:-1], terms)[1])))
+        run_end, err_end = run[-1], errs[-1]
+        partials = run[1:] + errs[1:]
         mags = np.concatenate((recent, np.abs(terms)))
-        count = len(values)
+        count = len(terms)
         stop = None
         # window k covers mags[k:k + width] and ends at block index k + lead
         lead = width - 1 - len(recent)
@@ -161,14 +175,15 @@ def _accumulate(blocks, cfg: SeriesConfig, start: float, term_log=None):
             if hits.size:
                 stop = int(hits[0])
                 count = lead + stop + 1
+        total = float(partials[count - 1])
         if term_log is not None:
             term_log.extend(
                 map(SeriesTermLog, n[:count].tolist(), q[:count].tolist(),
-                    values[:count], partials[:count])
+                    terms[:count].tolist(), partials[:count].tolist())
             )
         used = int(n[count - 1])
         if stop is not None:
-            return partials[count - 1], used, float(window_max[stop]), True
+            return total, used, float(window_max[stop]), True
         recent = mags[max(len(mags) - width + 1, 0):]
     tail = float(mags[-width:].max()) if len(mags) else 0.0
     return total, used, tail, False
@@ -186,6 +201,13 @@ def _window_max(mags: np.ndarray, width: int) -> np.ndarray:
         out = np.maximum(out[:-span], out[span:])
         span *= 2
     return np.maximum(out[: len(mags) - width + 1], out[width - span :])
+
+
+def _check_finite(method: Method, *values: float) -> None:
+    """Refuse a series whose value or tail left the float range: the terms
+    scale as the inverse fourth power of the lengths."""
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"{method.value}: the value lies beyond the float range")
 
 
 def factor_series(
@@ -209,13 +231,13 @@ def factor_series(
     r1p = min(p.r1, r_ex)
     corr = (r1p / p.r1) ** 3
     weights = angular_weight(kind, p.theta, p.phi)
-    prefac = corr * 9.0 / (2.0 * math.pi * r_ex * r1p * p.r2)
+    prefac = corr * 9.0 / length_scale(2.0 * math.pi * r_ex * r1p * p.r2)
     g00 = _flat_monopole_coeff(s)
     head = corr * _flat_head(g00, r1p, p.r2, p.r) if 0 in weights else 0.0
 
     def nodes():
-        for lo in range(1, cfg.n_max + 1, BLOCK):
-            n = np.arange(lo, min(lo + BLOCK, cfg.n_max + 1))
+        for lo, hi in _spans(cfg.n_max):
+            n = np.arange(lo + 1, hi + 1)
             q = n * (math.pi / r_ex)
             acc = np.zeros_like(q)
             kernels = _saturated_kernels(kind, weights, q, s)
@@ -228,6 +250,7 @@ def factor_series(
             yield n, q, terms
 
     total, used, tail, converged = _accumulate(nodes(), cfg, head, term_log)
+    _check_finite(Method.SERIES_SIMPLE, total, tail)
     return FactorResult(
         value=total,
         terms_used=used,
@@ -254,18 +277,24 @@ def factor_series_general(
     r_ex = p.r + p.r1 + p.r2 + cfg.rex_slack
     weights = angular_weight(kind, p.theta, p.phi)
     g00 = _flat_monopole_coeff(s)
+    try:
+        r_ex3 = r_ex**3
+    except OverflowError:
+        r_ex3 = math.inf
+    # the root weights are r_ex**3 times the unit ones
+    length_scale(r_ex3)
     totals = []
     used = 0
     tail = 0.0
     channel_status = []
     for l, w in sorted(weights.items()):
         roots, unit_weights = _root_nodes(l, cfg.n_max)
-        w_n = r_ex**3 * unit_weights
-        chan_pref = (9.0 / (p.r1 * p.r2)) * (w / (4.0 * math.pi))
+        w_n = r_ex3 * unit_weights
+        chan_pref = (9.0 / length_scale(p.r1 * p.r2)) * (w / (4.0 * math.pi))
 
         def nodes():
-            for lo in range(0, cfg.n_max, BLOCK):
-                sl = slice(lo, min(lo + BLOCK, cfg.n_max))
+            for lo, hi in _spans(cfg.n_max):
+                sl = slice(lo, hi)
                 q = roots[sl] / r_ex
                 bracket = _boundary_kernel(kind, l, q, r_ex, s)
                 if l == 0:
@@ -278,7 +307,7 @@ def factor_series_general(
                     * sph_bessel(l, q * p.r)
                     / (q * q)
                 )
-                yield np.arange(lo + 1, sl.stop + 1), q, terms
+                yield np.arange(lo + 1, hi + 1), q, terms
 
         total_l, used_l, tail_l, conv_l = _accumulate(nodes(), cfg, 0.0, term_log)
         totals.append(total_l)
@@ -286,7 +315,10 @@ def factor_series_general(
         tail += tail_l
         channel_status.append((tail_l, conv_l))
     head = _flat_head(g00, p.r1, p.r2, p.r) if 0 in weights else 0.0
+    # fsum raises on an inf or a nan, so the parts are checked first
+    _check_finite(Method.SERIES_GENERAL, head, tail, *totals)
     value = head + math.fsum(totals)
+    _check_finite(Method.SERIES_GENERAL, value)
     # a channel that sums to a structural near-zero never passes its own
     # relative stop; judge such channels against the combined magnitude
     scale = max(abs(value), 1e-300)

@@ -49,6 +49,15 @@ def check_field(name: str, value) -> None:
         raise ValidationError(f"separation must be nonnegative, got r={lo!r}")
 
 
+def length_scale(value):
+    """`value`, a product of lengths that a route divides by (an array is
+    checked entry by entry), unless it underflowed to 0 or overflowed: then
+    the lengths lie beyond the float range, and ValidationError says so."""
+    if not np.all((0.0 < value) & (value < math.inf)):
+        raise ValidationError(f"a product of lengths, {value!r}, lies beyond the float range")
+    return value
+
+
 def check_integer(name: str, value) -> None:
     """Raise ValidationError unless `value` is an integer; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):

@@ -24,7 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .closed_form import CancellationWarning, ji4
-from .model import CHANNELS, FactorKind, Ji4Args, RegionPair, ValidationError, check_integer
+from .model import (
+    CHANNELS, FactorKind, Ji4Args, RegionPair, ValidationError, check_integer, length_scale,
+)
 from .special_functions import angular_weight, sph_bessel
 from .time_averages import (
     _TAU_SIGNS, QuadratureError, Schedule, _panel_sums, heaviside, step_coefficients,
@@ -128,8 +130,10 @@ def _oscillatory_integral(f, omega: float, cfg: QuadConfig) -> QuadResult:
 
 
 def _require_converged(result: QuadResult, cfg: QuadConfig, context: str) -> QuadResult:
+    if not math.isfinite(result.value):
+        raise ValidationError(f"{context}: the value lies beyond the float range")
     budget = max(cfg.abs_tol, cfg.rel_tol * abs(result.value))
-    if not math.isfinite(result.value) or result.error > budget:
+    if result.error > budget:
         raise QuadratureError(
             f"{context}: tail extrapolation stalled at error "
             f"{result.error:.3e} for value {result.value:.6e}",
@@ -212,7 +216,7 @@ def factor_fourier_numeric(
     p.validate()
     s = Schedule(p.dt1, p.dt2, p.t_offset)
     echoes = _active_echoes(s)
-    pref = 9.0 / (2.0 * math.pi**2 * p.r1 * p.r2)
+    pref = 9.0 / length_scale(2.0 * math.pi**2 * p.r1 * p.r2)
     value = error = 0.0
     for l, w in sorted(angular_weight(kind, p.theta, p.phi).items()):
         if w == 0.0 or (l >= 1 and p.r == 0.0):

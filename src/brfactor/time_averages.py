@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ValidationError, check_field
+from .model import ValidationError, check_field, length_scale
 
 #: half-band around zero (relative to a caller-supplied scale) treated as
 #: "exactly on the boundary"
@@ -93,6 +93,8 @@ class Schedule:
     def __post_init__(self):
         for name in ("dt1", "dt2", "t_offset"):
             check_field(name, getattr(self, name))
+        # every average is normalized by dt1 * dt2
+        length_scale(self.dt1 * self.dt2)
         # step_coefficients' memo, one entry per r_ex; the fields are frozen,
         # so an entry never goes stale
         object.__setattr__(self, "_step_coefficients", {})

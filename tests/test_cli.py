@@ -494,6 +494,28 @@ def test_factor_beyond_the_float_range_exits_2(method, length, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "method,length",
+    [("series", "1e-150"), ("series-general", "1e-100"), ("series-general", "1e150")],
+)
+def test_factor_series_value_beyond_the_float_range_exits_2(method, length, capsys):
+    # a nan value is no JSON, and an overflow is no traceback
+    args = ["factor", "--kind", "axx", "--r1", length, "--r2", length, "--method", method]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "float range" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_factor_durations_beyond_the_float_range_exits_2(capsys):
+    for method in ("closed", "series", "series-general", "numeric"):
+        args = ["factor", "--kind", "axx", "--r1", "1", "--r2", "1", "--dt1", "1e-200",
+                "--dt2", "1e-200", "--method", method]
+        assert main(args) == 2
+        assert "float range" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sweep_beyond_the_float_range_exits_2(capsys):
     assert main(["sweep", "--r1", "1e-300", "--r2", "1e-300"]) == 2
     assert "float range" in capsys.readouterr().err

@@ -2,15 +2,17 @@
 
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from brfactor.closed_form import factor_closed
+from brfactor.closed_form import _two_sum, factor_closed
 from brfactor.fourier_bessel import (
     BLOCK,
     SeriesTermLog,
     _accumulate,
+    _spans,
     factor_series,
     factor_series_general,
     utilde,
@@ -80,27 +82,44 @@ def test_term_log_records_the_accumulation():
 
 
 def _accumulate_per_term(terms, q, cfg, start, term_log):
-    """Reference: the stop rule tested after every term, as a deque max."""
-    total = start
-    comp = 0.0
+    """Reference: exact prefix sums, the stop rule tested after every term,
+    as a deque max."""
+    total = Fraction(start)
     window = deque(maxlen=cfg.tail_window)
     used = 0
     converged = False
     for n, (q_n, term) in enumerate(zip(q, terms), start=1):
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+        total += Fraction(term)
         window.append(abs(term))
         term_log.append(SeriesTermLog(n=n, q_n=q_n, term_value=term, partial_sum=total))
         used = n
         if len(window) == cfg.tail_window and max(window) < cfg.tail_tol * max(
-            abs(total), 1e-300
+            abs(float(total)), 1e-300
         ):
             converged = True
             break
     tail = max(window) if window else 0.0
     return total, used, tail, converged
+
+
+_U = Fraction(1, 2**53)
+
+
+def _within_sum2_bound(got: float, exact: Fraction, summands: list) -> bool:
+    """|got - exact| <= u |exact| + gamma_n^2 sum |x| (Ogita, Rump & Oishi),
+    the error bound of a compensated sum of n summands in double precision."""
+    gamma = len(summands) * _U / (1 - len(summands) * _U)
+    bound = _U * abs(exact) + gamma**2 * sum(abs(Fraction(x)) for x in summands)
+    return abs(Fraction(got) - exact) <= bound
+
+
+def _blocks(n, q, terms, spans):
+    for lo, hi in spans:
+        yield n[lo:hi], q[lo:hi], terms[lo:hi]
+
+
+def _fixed_spans(count, size=BLOCK):
+    return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
 def _terms_stopping_at(stop, width, count, seed):
@@ -136,18 +155,90 @@ def test_block_stop_rule_matches_the_per_term_rule(width, stop):
     q = 0.5 * n
 
     def blocks():
-        for lo in range(0, count, BLOCK):
-            yield n[lo:lo + BLOCK], q[lo:lo + BLOCK], terms[lo:lo + BLOCK]
+        return _blocks(n, q, terms, _fixed_spans(count))
 
     log, ref_log = [], []
     got = _accumulate(blocks(), cfg, 5.0, log)
     expected = _accumulate_per_term(terms.tolist(), q.tolist(), cfg, 5.0, ref_log)
-    assert got == expected
-    assert log == ref_log
+    assert got[1:] == expected[1:]
+    assert [(e.n, e.q_n, e.term_value) for e in log] == [
+        (e.n, e.q_n, e.term_value) for e in ref_log
+    ]
+    # every partial sum, returned or logged, is a compensated sum of its prefix
+    summands = [5.0] + terms.tolist()
+    assert _within_sum2_bound(got[0], expected[0], summands[: got[1] + 1])
+    for k, (entry, ref) in enumerate(zip(log, ref_log), start=2):
+        assert _within_sum2_bound(entry.partial_sum, ref.partial_sum, summands[:k])
+    assert got[0] == log[-1].partial_sum
     assert got[1] == (stop if stop is not None else count)
     assert got[3] is (stop is not None)
     # without a log the same result comes back
-    assert _accumulate(blocks(), cfg, 5.0) == expected
+    assert _accumulate(blocks(), cfg, 5.0) == got
+
+
+@pytest.mark.parametrize("stop", [20, 127, 129, 700, None])
+def test_result_does_not_depend_on_where_blocks_end(stop):
+    count = 1000
+    cfg = SeriesConfig(n_max=count, tail_window=20)
+    terms = _terms_stopping_at(stop, 20, count, seed=7 + (stop or 0))
+    n = np.arange(1, count + 1)
+    q = 0.25 * n
+    results = []
+    for spans in ([(0, count)], _fixed_spans(count), list(_spans(count))):
+        log = []
+        results.append((_accumulate(_blocks(n, q, terms, spans), cfg, -2.0, log), log))
+    assert results[0] == results[1] == results[2]
+    assert results[0][0][1] == (stop if stop is not None else count)
+
+
+def test_spans_double_from_one_block():
+    assert list(_spans(2000)) == [(0, 128), (128, 384), (384, 896), (896, 1920), (1920, 2000)]
+    assert list(_spans(BLOCK)) == [(0, BLOCK)]
+    assert list(_spans(5)) == [(0, 5)]
+
+
+def _kahan(start, terms):
+    total, comp = start, 0.0
+    for term in terms:
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cancelling_series_is_no_farther_from_exact_than_kahan(seed):
+    # large terms that cancel to about 1e-12 of their magnitude sum
+    rng = np.random.default_rng(seed)
+    half = rng.uniform(0.1, 10.0, 600) * rng.choice([-1.0, 1.0], 600)
+    terms = np.concatenate((half, -half[::-1] * (1.0 + rng.uniform(-1e-15, 1e-15, 600))))
+    terms[-1] += 1e-12 * np.abs(terms).sum()
+    count = len(terms)
+    exact = sum(map(Fraction, terms.tolist()), Fraction(0))
+    assert abs(exact) < 1e-11 * float(np.abs(terms).sum())
+    cfg = SeriesConfig(n_max=count, tail_window=count)
+    n = np.arange(1, count + 1)
+    total = _accumulate(_blocks(n, 1.0 * n, terms, _spans(count)), cfg, 0.0)[0]
+    ours = abs(Fraction(total) - exact)
+    assert ours <= abs(Fraction(_kahan(0.0, terms.tolist())) - exact)
+    assert _within_sum2_bound(total, exact, terms.tolist())
+
+
+def test_cumsum_adds_left_to_right():
+    # the accumulator relies on np.cumsum being the sequential float sum,
+    # so that TwoSum of consecutive prefixes recovers each rounding error
+    rng = np.random.default_rng(3)
+    for scale in (1.0, 1e-8, 1e12):
+        x = rng.normal(0.0, scale, 4001) * rng.uniform(0.0, 1.0, 4001) ** 8
+        run = np.cumsum(x)
+        total, expected = 0.0, []
+        for v in x.tolist():
+            total += v
+            expected.append(total)
+        assert run.tolist() == expected
+        s, _ = _two_sum(run[:-1], x[1:])
+        assert np.array_equal(s, run[1:])
 
 
 def test_small_budget_reports_nonconvergence():
@@ -206,3 +297,23 @@ def test_utilde_broadcasts_and_matches_its_averages():
     got = utilde(FactorKind.BXY, 1, q, s)
     expected = q * infinite_avg(AvgKind.COS, q, s)
     assert np.allclose(got, expected, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("route", [factor_series, factor_series_general])
+def test_series_lengths_beyond_the_float_range_are_refused(route):
+    # r1 * r2 underflows to 0, and the prefactors divide by it
+    with pytest.raises(ValidationError, match="float range"):
+        route(FactorKind.AXX, RegionPair(1e-200, 1e-200))
+
+
+@pytest.mark.parametrize(
+    "route,length",
+    [(factor_series, 1e-150), (factor_series_general, 1e-100),
+     (factor_series_general, 1e150)],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_series_value_beyond_the_float_range_is_refused(route, length):
+    # the terms overflow to a nan, or (at 1e150) r_ex**3 of the general
+    # route's root weights does; neither may come back as a value
+    with pytest.raises(ValidationError, match="float range"):
+        route(FactorKind.AXX, RegionPair(length, length))

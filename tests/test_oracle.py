@@ -255,3 +255,16 @@ def test_factor_oracle_is_zero_when_interval_2_ends_before_interval_1(kind):
     p = RegionPair(1.0, 1.2, 0.5, 0.4, 1.1, 1.0, 0.5, -2.0)
     assert factor_fourier_numeric(kind, p, LOOSE).value == 0.0
     assert factor_closed(kind, p).value == 0.0
+
+
+def test_factor_oracle_lengths_beyond_the_float_range_are_refused():
+    # r1 * r2 underflows to 0, and the prefactor divides by it
+    with pytest.raises(ValidationError, match="float range"):
+        factor_fourier_numeric(FactorKind.AXX, RegionPair(1e-200, 1e-200))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_factor_oracle_value_beyond_the_float_range_is_refused():
+    # the value overflows to -inf; that is no quadrature error with an estimate
+    with pytest.raises(ValidationError, match="float range"):
+        factor_fourier_numeric(FactorKind.AXX, RegionPair(1e-150, 1e-150))

@@ -235,3 +235,10 @@ def test_averages_refuse_q_that_is_not_positive_and_finite(average, q):
     args = (q, 2.5, s) if average is finite_avg else (q, s)
     with pytest.raises(ValidationError):
         average(AvgKind.COS, *args)
+
+
+@pytest.mark.parametrize("dt", [1e-200, 1e200])
+def test_schedule_refuses_durations_whose_product_leaves_the_float_range(dt):
+    # every average is normalized by dt1 * dt2, which is 0 or inf here
+    with pytest.raises(ValidationError, match="float range"):
+        Schedule(dt, dt, 0.0)
