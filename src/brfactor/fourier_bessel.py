@@ -159,10 +159,13 @@ def _accumulate(blocks, cfg: SeriesConfig, start: float, term_log=None):
     recent = mags = np.empty(0)
     used = 0
     for n, q, terms in blocks:
-        run = np.cumsum(np.concatenate(((run_end,), terms)))
-        errs = np.cumsum(np.concatenate(((err_end,), _two_sum(run[:-1], terms)[1])))
+        run = np.add.accumulate(np.concatenate(((run_end,), terms)))
+        errs = _two_sum(run[:-1], terms)[1]
+        # the carried error comes first, as in one sequential sum
+        errs[0] += err_end
+        np.add.accumulate(errs, out=errs)
         run_end, err_end = run[-1], errs[-1]
-        partials = run[1:] + errs[1:]
+        partials = run[1:] + errs
         mags = np.concatenate((recent, np.abs(terms)))
         count = len(terms)
         stop = None
@@ -277,12 +280,10 @@ def factor_series_general(
     r_ex = p.r + p.r1 + p.r2 + cfg.rex_slack
     weights = angular_weight(kind, p.theta, p.phi)
     g00 = _flat_monopole_coeff(s)
-    try:
-        r_ex3 = r_ex**3
+    try:  # the root weights are r_ex**3 times the unit ones
+        r_ex3 = length_scale(r_ex**3)
     except OverflowError:
-        r_ex3 = math.inf
-    # the root weights are r_ex**3 times the unit ones
-    length_scale(r_ex3)
+        r_ex3 = length_scale(math.inf)
     totals = []
     used = 0
     tail = 0.0

@@ -53,7 +53,8 @@ def length_scale(value):
     """`value`, a product of lengths that a route divides by (an array is
     checked entry by entry), unless it underflowed to 0 or overflowed: then
     the lengths lie beyond the float range, and ValidationError says so."""
-    if not np.all((0.0 < value) & (value < math.inf)):
+    lo, hi = (value.min(), value.max()) if isinstance(value, np.ndarray) else (value, value)
+    if not (0.0 < lo and hi < math.inf):
         raise ValidationError(f"a product of lengths, {value!r}, lies beyond the float range")
     return value
 

@@ -226,8 +226,9 @@ def test_cancelling_series_is_no_farther_from_exact_than_kahan(seed):
 
 
 def test_cumsum_adds_left_to_right():
-    # the accumulator relies on np.cumsum being the sequential float sum,
-    # so that TwoSum of consecutive prefixes recovers each rounding error
+    # the accumulator relies on np.cumsum (np.add.accumulate) being the
+    # sequential float sum, so that TwoSum of consecutive prefixes recovers
+    # each rounding error
     rng = np.random.default_rng(3)
     for scale in (1.0, 1e-8, 1e12):
         x = rng.normal(0.0, scale, 4001) * rng.uniform(0.0, 1.0, 4001) ** 8
@@ -237,6 +238,7 @@ def test_cumsum_adds_left_to_right():
             total += v
             expected.append(total)
         assert run.tolist() == expected
+        assert np.add.accumulate(x).tolist() == expected
         s, _ = _two_sum(run[:-1], x[1:])
         assert np.array_equal(s, run[1:])
 
