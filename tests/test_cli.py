@@ -496,9 +496,10 @@ def test_factor_beyond_the_float_range_exits_2(method, length, capsys):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "method,length",
-    [("series", "1e-150"), ("series-general", "1e-100"), ("series-general", "1e150")],
+    [("series", "1e-150"), ("series-general", "1e-100"), ("series-general", "1e150"),
+     ("numeric", "1e-150")],
 )
-def test_factor_series_value_beyond_the_float_range_exits_2(method, length, capsys):
+def test_factor_value_beyond_the_float_range_exits_2(method, length, capsys):
     # a nan value is no JSON, and an overflow is no traceback
     args = ["factor", "--kind", "axx", "--r1", length, "--r2", length, "--method", method]
     assert main(args) == 2

@@ -118,8 +118,8 @@ def _blocks(n, q, terms, spans):
         yield n[lo:hi], q[lo:hi], terms[lo:hi]
 
 
-def _fixed_spans(count, size=BLOCK):
-    return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
+def _fixed_spans(count):
+    return [(lo, min(lo + BLOCK, count)) for lo in range(0, count, BLOCK)]
 
 
 def _terms_stopping_at(stop, width, count, seed):
