@@ -9,7 +9,9 @@ SRC is the `src` directory of the tree to fingerprint.  Each output line is
 every route and of `validate` at seeds 0 and 7, the CSV of a 19200-point
 sweep at two offsets, the results of the benchmark's `series-random` calls
 at seeds 300 and 301, `sph_bessel` and both analytic time averages on arrays
-and scalars, and 200 small `validate` reports at the benchmark's seeds.
+and scalars, 200 small `validate` reports at the benchmark's seeds, and
+scalar `factor_closed` and `ji4` calls that reach every cell of the closed
+form's route table.
 
 Each `series-random` seed gives two items: `.stops` holds where every call
 stopped (`terms_used` and `converged`, or the exception it raised) and
@@ -27,6 +29,7 @@ import pickle
 import random
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -101,6 +104,43 @@ def _average_items():
         yield f"averages.{kind.value}.scalar", pickle.dumps(scalars)
 
 
+def _closed_points(count: int):
+    """Seeded points whose corner lags land on every zero band: in the band
+    of the times or of the radii, at +-1e-13, with r = 0 or a dead window."""
+    rng = random.Random(29)
+    for _ in range(count):
+        r1, r2, dt1, dt2 = (rng.uniform(0.3, 3.0) for _ in range(4))
+        t = rng.choice((rng.uniform(-4.0, 4.0), 0.0, dt1, -dt2, dt1 - dt2, 1e-10, dt1 + 5e-10,
+                        1e-13, -1e-13, dt1 - dt2 + 1e-13, -dt2 - rng.uniform(0.1, 2.0)))
+        r = rng.choice((rng.uniform(0.0, 3.0), 0.0, 1e-13, abs(t)))
+        yield r1, r2, r, rng.uniform(0.0, 3.2), rng.uniform(0.0, 6.3), dt1, dt2, t
+
+
+def _scalar_closed_items():
+    from brfactor import FactorKind, Ji4Args, RegionPair, factor_closed, ji4
+
+    def call(f, *args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = _outcome(lambda: f(*args))
+        return out, [str(w.message) for w in caught]
+
+    points = list(_closed_points(400))
+    for kind in FactorKind:
+        yield f"closed.scalar.{kind.value}", pickle.dumps(
+            [call(factor_closed, kind, RegionPair(*fields)) for fields in points])
+    rng = random.Random(31)
+    for sig in ((0, 1, 1, 0, 0), (0, 1, 1, 0, 2), (0, 1, 1, -1, 1), (1, 1, 1, 0, 1)):
+        results = []
+        for _ in range(100):
+            a, b = rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)
+            # gamma and delta: positive, zero, or 1e-13 either side of zero
+            for gamma in (rng.uniform(0.0, 5.0), 0.0, 1e-13, -1e-13, a + b):
+                for delta in (rng.uniform(0.0, 5.0), 0.0, 1e-13, abs(a - b)):
+                    results.append(call(ji4, Ji4Args(*sig, a, b, gamma, delta)))
+        yield "ji4.scalar." + "_".join(map(str, sig)), pickle.dumps(results)
+
+
 def items(workloads):
     """(name, bytes) of every item, in print order."""
     from brfactor.cli import main
@@ -133,6 +173,7 @@ def items(workloads):
         yield "validate.perfbench", b"".join(_stdout(main, w.inputs(i)) for i in range(200))
     yield from _bessel_items()
     yield from _average_items()
+    yield from _scalar_closed_items()
 
 
 def run(argv=None) -> int:

@@ -12,8 +12,8 @@ Which sum applies depends only on the signature and on which of gamma and
 delta vanish: one table, `_ROUTES`, holds a kernel, an exact zero or a
 refusal for each case.  The sign permutations are a leading axis of 2, 4 or
 8 terms, a factor stacks the gates of all its (l, i) lanes into one grid per
-call, and each signature runs once over the open lanes that take it.  A
-single factor or integral is a batch of one.
+call, and each kernel runs once over the open lanes that take it.  A single
+factor or integral is a batch of one.
 """
 
 from __future__ import annotations
@@ -92,39 +92,35 @@ def _two_sum_total(x: np.ndarray) -> np.ndarray:
     return x[0] + err[0]
 
 
-def _sign_sum(signs: tuple, args: tuple, term) -> tuple:
-    """(total, cancelled) of term(*signed args) summed over the sign rows."""
-    terms = term(*(col * x for col, x in zip(signs, args)))
+def _signed(signs: tuple, *args) -> tuple:
+    """The arguments with one sign pattern applied, one row per term."""
+    return (col * x for col, x in zip(signs, args))
+
+
+def _sign_total(terms: np.ndarray) -> tuple:
+    """(total, cancelled) of the terms summed over their sign rows."""
     total = _two_sum_total(terms)
     # an all-zero sum (peak 0) is exact and fails the strict test
     return total, abs(total) < CANCELLATION_RTOL * abs(terms).max(axis=0)
 
 
-# Each kernel maps the argument arrays (a, b, c, d) to (values, cancelled).
+# Each kernel maps the argument arrays (a, b, c, d) to (terms, prefactor):
+# one row of terms per sign pattern, and the factor of their sum.
 
 
 def _ji4_1100_pair(a, b, c, d):
     # both remaining arguments zero: two-term sum, equals (pi/6) R_< / R_>^2
-    def term(an, bn):
-        return abs(an + bn) / (an * bn) * (an * an - an * bn + bn * bn)
-
-    total, cancelled = _sign_sum(_SIGNS2, (a, b), term)
-    return math.pi / (12.0 * a * b) * total, cancelled
+    an, bn = _signed(_SIGNS2, a, b)
+    ab = an * bn
+    return abs(an + bn) / ab * (an * an - ab + bn * bn), math.pi / (12.0 * a * b)
 
 
 def _ji4_1100_three(a, b, c, d):
     # delta zero: four-term sum with a signed-square kernel
-    def term(an, bn, cn):
-        s = an + bn + cn
-        return (
-            s
-            * abs(s)
-            / (an * bn * cn)
-            * (3.0 * _pow(an - bn, 2) + 2.0 * (an + bn) * cn - cn * cn)
-        )
-
-    total, cancelled = _sign_sum(_SIGNS4, (a, b, c), term)
-    return math.pi / (192.0 * a * b) * total, cancelled
+    an, bn, cn = _signed(_SIGNS4, a, b, c)
+    s = an + bn + cn
+    poly = 3.0 * _pow(an - bn, 2) + 2.0 * (an + bn) * cn - cn * cn
+    return s * abs(s) / (an * bn * cn) * poly, math.pi / (192.0 * a * b)
 
 
 def _ji4_1100_three_swapped(a, b, c, d):
@@ -133,85 +129,56 @@ def _ji4_1100_three_swapped(a, b, c, d):
 
 
 def _ji4_1100_full(a, b, c, d):
-    def term(an, bn, cn, dn):
-        s = an + bn + cn + dn
-        return (
-            _pow(abs(s), 3)
-            / (an * bn * cn * dn)
-            * (4.0 * an * an + (4.0 * bn - cn - dn) * (-3.0 * an + bn + cn + dn))
-        )
-
-    total, cancelled = _sign_sum(_SIGNS8, (a, b, c, d), term)
-    return math.pi / (1920.0 * a * b) * total, cancelled
+    an, bn, cn, dn = _signed(_SIGNS8, a, b, c, d)
+    s = an + bn + cn + dn
+    poly = 4.0 * an * an + (4.0 * bn - cn - dn) * (-3.0 * an + bn + cn + dn)
+    return _pow(abs(s), 3) / (an * bn * cn * dn) * poly, math.pi / (1920.0 * a * b)
 
 
 def _ji4_1102_quad(a, b, c, d):
     # gamma zero; delta flips sign every two terms here
-    def term(an, bn, dn):
-        s = an + bn + dn
-        return (
-            s
-            * abs(s)
-            / (an * bn * dn)
-            * _pow(an + bn - dn, 2)
-            * (an * an - 4.0 * an * bn + bn * bn - dn * dn)
-        )
-
-    total, cancelled = _sign_sum(_SIGNS4, (a, b, d), term)
-    return -math.pi / (384.0 * a * b * d * d) * total, cancelled
+    an, bn, dn = _signed(_SIGNS4, a, b, d)
+    ab = an + bn
+    s = ab + dn
+    poly = an * an - 4.0 * an * bn + bn * bn - dn * dn
+    terms = s * abs(s) / (an * bn * dn) * _pow(ab - dn, 2) * poly
+    return terms, -math.pi / (384.0 * a * b * d * d)
 
 
 def _ji4_1102_full(a, b, c, d):
-    def term(an, bn, cn, dn):
-        s = an + bn + cn + dn
-        abc = an + bn + cn
-        poly = (
-            abc
-            * (abc - 3.0 * dn)
-            * (6.0 * an * an + (6.0 * bn - cn) * (-5.0 * an + bn + cn))
-            + (
-                8.0 * (an * an - 12.0 * an * bn + bn * bn)
-                + 9.0 * (an + bn) * cn
-                + cn * cn
-            )
-            * _pow(dn, 2)
-            + (24.0 * (an + bn) - 11.0 * cn) * _pow(dn, 3)
-            - 8.0 * _pow(dn, 4)
-        )
-        return _pow(abs(s), 3) / (an * bn * cn * dn) * poly
-
-    total, cancelled = _sign_sum(_SIGNS8, (a, b, c, d), term)
-    return -math.pi / (26880.0 * a * b * d * d) * total, cancelled
+    an, bn, cn, dn = _signed(_SIGNS8, a, b, c, d)
+    ab = an + bn
+    abc = ab + cn
+    s = abc + dn
+    poly = (
+        abc * (abc - 3.0 * dn) * (6.0 * an * an + (6.0 * bn - cn) * (-5.0 * an + bn + cn))
+        + (8.0 * (an * an - 12.0 * an * bn + bn * bn) + 9.0 * ab * cn + cn * cn) * _pow(dn, 2)
+        + (24.0 * ab - 11.0 * cn) * _pow(dn, 3)
+        - 8.0 * _pow(dn, 4)
+    )
+    terms = _pow(abs(s), 3) / (an * bn * cn * dn) * poly
+    return terms, -math.pi / (26880.0 * a * b * d * d)
 
 
 def _ji4_11m11_full(a, b, c, d):
     # the third (cosine-kernel) argument drops out of the denominators
-    def term(an, bn, cn, dn):
-        s = an + bn + cn + dn
-        poly = (
-            5.0 * _pow(an, 3)
-            - 3.0 * an * an * (5.0 * bn - 3.0 * cn + 5.0 * dn)
-            + (-3.0 * an + bn + cn + dn)
-            * (5.0 * bn * bn + (cn - 5.0 * dn) * (4.0 * bn - cn - dn))
-        )
-        return _pow(abs(s), 3) / (an * bn * dn) * poly
-
-    total, cancelled = _sign_sum(_SIGNS8, (a, b, c, d), term)
-    return -math.pi / (11520.0 * a * b * c * d) * total, cancelled
+    an, bn, cn, dn = _signed(_SIGNS8, a, b, c, d)
+    s = an + bn + cn + dn
+    d5 = 5.0 * dn
+    poly = (
+        5.0 * _pow(an, 3)
+        - 3.0 * an * an * (5.0 * bn - 3.0 * cn + d5)
+        + (-3.0 * an + bn + cn + dn) * (5.0 * bn * bn + (cn - d5) * (4.0 * bn - cn - dn))
+    )
+    return _pow(abs(s), 3) / (an * bn * dn) * poly, -math.pi / (11520.0 * a * b * c * d)
 
 
 def _ji4_n1_1101_quad(a, b, c, d):
-    def term(an, bn, dn):
-        s = an + bn + dn
-        poly = (
-            _pow(an, 3)
-            - 3.0 * an * (bn * bn - 4.0 * bn * dn + dn * dn)
-            + (bn + dn) * (-3.0 * an * an + bn * bn - 4.0 * bn * dn + dn * dn)
-        )
-        return _pow(abs(s), 3) / (an * bn * dn) * poly
-
-    total, cancelled = _sign_sum(_SIGNS4, (a, b, d), term)
-    return -math.pi / (1152.0 * a * b * d) * total, cancelled
+    an, bn, dn = _signed(_SIGNS4, a, b, d)
+    s = an + bn + dn
+    bb, bd, dd = bn * bn, 4.0 * bn * dn, dn * dn
+    poly = _pow(an, 3) - 3.0 * an * (bb - bd + dd) + (bn + dn) * (-3.0 * an * an + bb - bd + dd)
+    return _pow(abs(s), 3) / (an * bn * dn) * poly, -math.pi / (1152.0 * a * b * d)
 
 
 _GAMMA_POSITIVE = (
@@ -230,9 +197,46 @@ _ROUTES = {
     (1, 1, 1, 0, 1): (_GAMMA_ZERO, _ji4_n1_1101_quad, _GAMMA_ZERO, None),
 }
 
+# the cells of `_ROUTES` in one run: cell 4 * row + zero-band code
+_CELLS = tuple(cell for row in _ROUTES.values() for cell in row)
+_ROW = {sig: row for row, sig in enumerate(_ROUTES)}
+
+
+def _evaluate(cells, a, b, c, d) -> tuple:
+    """(values, cancelled) of ji4 lanes, lane j taking `_ROUTES` cell
+    cells[j]; each kernel runs once over its lanes."""
+    counts = np.bincount(np.ravel(cells), minlength=len(_CELLS)).tolist()
+    for count, cell in zip(counts, _CELLS):
+        if count and isinstance(cell, str):
+            raise UnsupportedSignatureError(cell)
+    size = np.size(a)
+    if size in counts and _CELLS[counts.index(size)] is not None:  # one kernel takes all
+        terms, prefactor = _CELLS[counts.index(size)](a, b, c, d)
+        total, cancelled = _sign_total(terms)
+        return prefactor * total, cancelled
+    # sorted by cell, the lanes of each kernel are one run; kernels with as
+    # many sign rows share one TwoSum pass
+    order = np.argsort(np.ravel(cells).astype(np.uint8), kind="stable")  # a radix sort
+    a, b, c, d = (np.ravel(x)[order] for x in (a, b, c, d))
+    groups, stop = {}, 0
+    for count, cell in zip(counts, _CELLS):
+        start, stop = stop, stop + count
+        if count and cell is not None:  # j_l(0) = 0 for a trailing l > 0
+            terms, prefactor = cell(a[start:stop], b[start:stop], c[start:stop], d[start:stop])
+            groups.setdefault(len(terms), []).append((order[start:stop], terms, prefactor))
+    value, cancelled = np.zeros(size), np.zeros(size, dtype=bool)
+    for group in groups.values():
+        lanes, terms, prefactor = (
+            np.concatenate(part, axis=-1) if len(group) > 1 else part[0] for part in zip(*group)
+        )
+        total, cancelled[lanes] = _sign_total(terms)
+        value[lanes] = prefactor * total
+    return value, cancelled
+
 
 def _ji4_batch(sig: tuple, a, b, c, d) -> tuple:
-    """(values, cancelled) of one signature's ji4 over equal-length arrays.
+    """(values, cancelled) of one signature's ji4 over equal-length arrays,
+    or over scalars as one lane.
 
     Zero detection of gamma and delta uses the band of `heaviside` with
     scale = max(alpha, beta, |gamma|, |delta|, 1).  Each entry takes the
@@ -243,20 +247,8 @@ def _ji4_batch(sig: tuple, a, b, c, d) -> tuple:
     if sig not in _ROUTES:
         raise UnsupportedSignatureError(f"no closed form for signature {sig}")
     scale = np.maximum(np.maximum(a, b), np.maximum(np.maximum(abs(c), abs(d)), 1.0))
-    code = _in_band(c, scale) + 2 * _in_band(d, scale)
-    counts = np.bincount(code, minlength=4).tolist()
-    value = np.zeros_like(a)
-    cancelled = np.zeros(a.shape, dtype=bool)
-    for k, route in enumerate(_ROUTES[sig]):
-        if not counts[k] or route is None:  # j_l(0) = 0 for a trailing l > 0
-            continue
-        if isinstance(route, str):
-            raise UnsupportedSignatureError(route)
-        if counts[k] == len(a):  # every entry takes this formula
-            return route(a, b, c, d)
-        mask = code == k
-        value[mask], cancelled[mask] = route(a[mask], b[mask], c[mask], d[mask])
-    return value, cancelled
+    cells = 4 * _ROW[sig] + _in_band(c, scale) + 2 * _in_band(d, scale)
+    return _evaluate(cells, a, b, c, d)
 
 
 def ji4(args: Ji4Args) -> float:
@@ -274,7 +266,7 @@ def ji4(args: Ji4Args) -> float:
     if a == 0.0 or b == 0.0:
         raise ValidationError("alpha and beta must be positive")
     sig = (args.n, args.l1, args.l2, args.l3, args.l4)
-    value, cancelled = _ji4_batch(sig, *(np.array([v]) for v in (a, b, c, d)))
+    value, cancelled = _ji4_batch(sig, *(np.float64(v) for v in (a, b, c, d)))
     if not np.isfinite(value[0]):
         raise ValidationError(f"ji4{sig} at {args} lies beyond the float range")
     if cancelled[0]:
@@ -284,22 +276,6 @@ def ji4(args: Ji4Args) -> float:
             stacklevel=2,
         )
     return float(value[0])
-
-
-def _g_coefficients(s: Schedule, l: int, zeros: np.ndarray) -> tuple:
-    """Step-gated coefficients (g_0^(l), ..., g_4^(l)) of the closed-form sum.
-
-    g_0 is a step coefficient at lag 0: -<delta(t)>/2 for l = 0, the
-    endpoint-crossing count <delta'(t)> for l = 1, and the lag-0 overlap
-    <delta(t)> for l = 2.  For i >= 1 the coefficient is (-1)^(i+1)
-    Theta(tau_i) tau_i, augmented for l = 1 by 1 where `zeros[i]` puts tau_i
-    in the zero band.
-    """
-    norm = s.dt1 * s.dt2
-    st = step_coefficients(s, 0.0)
-    lags = [tau + z for tau, z in zip(s.taus, zeros[1:])] if l == 1 else s.taus
-    g0 = (-0.5 * st.d0, st.dp, st.d0)[l] / norm
-    return (g0,) + tuple(gate * lag / norm for gate, lag in zip(st.open_gates, lags))
 
 
 @dataclass(frozen=True)
@@ -319,47 +295,70 @@ def factor_closed_batch(kind: FactorKind, p: RegionPair) -> ClosedBatch:
     """Geometric factors of many points of one kind in one vectorised pass.
 
     The fields of `p` are equal-length arrays (floats broadcast).  The
-    gates of all (l, i) lanes form one grid; each open lane picks its ji4
-    signature there, each signature runs once over the lanes that picked
+    gates of all (l, i) lanes form one grid; each open lane picks its
+    `_ROUTES` cell there, each kernel runs once over the lanes that picked
     it, and one CancellationWarning names how many points lost digits.
     """
     p.validate()
-    r1, r2, r, theta, phi, dt1, dt2, t = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(getattr(p, name), dtype=float)) for name in FIELDS)
-    )
-    n = len(r1)
+    fields = [getattr(p, name) for name in FIELDS]
+    if any(isinstance(v, np.ndarray) for v in fields):
+        fields = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in fields))
+        n = len(fields[0])
+    else:
+        # a single point stays in floats, so that its schedule takes the
+        # float path of step_coefficients; its lanes form one column
+        fields, n = [float(v) for v in fields], 1
+    r1, r2, r, theta, phi, dt1, dt2, t = fields
     s = Schedule(dt1, dt2, t)
-    taus = np.array((np.zeros(n),) + s.taus)
+    st = step_coefficients(s, 0.0)
+    # lane i of a point has lag 0 for i = 0 and lag tau_i after it
+    lags = np.zeros((5, n))
+    lags[1:] = np.array(s.taus).reshape(4, -1)
     # A lag is zero where it lies in the band of the times, where its gate
     # reads Theta(0) = 1/2, or in the band of the radii, where ji4 cannot
     # tell gamma from zero.  That one decision routes ji4 and augments the
     # l = 1 lags, so a lag gated as zero is never summed as a tiny gamma.
-    scale = np.maximum(s.scale(0.0), np.maximum(np.maximum(r1, r2), r))
-    zeros = _in_band(taus, scale)
-    gammas = np.where(zeros, 0.0, taus)
+    point = np.array((r1, r2, r)).reshape(3, -1)
+    radii = np.maximum(point.max(axis=0), 1.0)
+    zeros = _in_band(lags, np.maximum(s.scale(0.0), radii))
+    gammas = np.where(zeros, 0.0, lags)
     weights = sorted(angular_weight(kind, theta, phi).items())
     ls = np.array([l for l, _ in weights])[:, None, None]
     # gates[k, i] is lane (l, i) of the k-th multipole l, coeff[k, i] its
-    # weighted gate
-    gates = np.array([_g_coefficients(s, l, zeros) for l, _ in weights])
-    coeff = np.array([np.broadcast_to(w, n) for _, w in weights])[:, None] * gates
-    # each open lane's row of `_ROUTES`: l, or 3 for a dipole lag in the band
-    routes = np.where(gates != 0.0, ls + 2 * ((ls == 1) & zeros), -1)
+    # weighted gate.  Lane 0 holds the lag-0 step coefficient g_0^(l): -D0/2
+    # for l = 0, the endpoint-crossing count for l = 1 and the overlap D0
+    # for l = 2.  Lane i >= 1 holds (-1)^(i+1) Theta(tau_i) tau_i, its lag
+    # augmented for l = 1 by 1 where the lag is zero.
+    gates = np.empty((len(weights), 5, n))
+    open_gates = np.array(st.open_gates).reshape(4, -1)
+    for k, (l, _) in enumerate(weights):
+        gates[k, 0] = (-0.5 * st.d0, st.dp, st.d0)[l]
+        gates[k, 1:] = open_gates * (lags[1:] + zeros[1:] if l == 1 else lags[1:])
+    gates /= dt1 * dt2
+    coeff = np.array([w * g for (_, w), g in zip(weights, gates)])
+    # each lane's `_ROUTES` row is its l, or 3 for a dipole lag in the band.
+    # ji4's band at its scale max(r1, r2, |gamma|, r, 1) holds gamma exactly
+    # where `zeros` does: that scale is |gamma| or at most the one above.
+    delta_zero = _in_band(r, np.maximum(radii, abs(gammas)))
+    cells = 4 * (ls + 2 * ((ls == 1) & zeros)) + zeros + 2 * delta_zero
+    opened = gates != 0.0
+    # open lanes: flat indices into the grid and into one multipole's (i, point)
+    live = np.flatnonzero(opened)
+    lane = live % (5 * n)
+    a, b, d = np.take(point, lane % n, axis=1)
+    values, flags = np.zeros(gates.size), np.zeros(gates.size, dtype=bool)
+    values[live], flags[live] = _evaluate(cells.ravel()[live], a, b, gammas.ravel()[lane], d)
     # pieces[k, i] holds lane (l, i); eight rows per multipole keep the
     # summation tree free of padding
     pieces = np.zeros((len(weights), 8, n))
-    flagged = np.zeros(gates.shape, dtype=bool)
-    for j, sig in enumerate(_ROUTES):
-        sel = routes == j
-        if sel.any():
-            args = (np.broadcast_to(x, gates.shape)[sel] for x in (r1, r2, gammas, r))
-            value, flagged[sel] = _ji4_batch(sig, *args)
-            pieces[:, :5][sel] = coeff[sel] * value
-    total = 9.0 / (2.0 * math.pi**2 * r1 * r2) * _two_sum_total(pieces.reshape(-1, n))
+    pieces[:, :5] = coeff * values.reshape(gates.shape)
+    # numpy's division: radii whose product underflows give inf, refused
+    # below, where float division would raise
+    total = np.divide(9.0, 2.0 * math.pi**2 * r1 * r2) * _two_sum_total(pieces.reshape(-1, n))
     if not np.isfinite(total).all():
         raise ValidationError(f"{kind.value}: a factor of the batch lies beyond the float range")
-    cancelled = flagged.any(axis=(0, 1))
-    count = int(cancelled.sum())
+    cancelled = flags.reshape(-1, n).any(axis=0)
+    count = np.count_nonzero(cancelled)
     if count:
         warnings.warn(
             f"{kind.value}: a ji4 permutation sum lost more than 8 digits to "
@@ -367,7 +366,7 @@ def factor_closed_batch(kind: FactorKind, p: RegionPair) -> ClosedBatch:
             CancellationWarning,
             stacklevel=2,
         )
-    return ClosedBatch(total, np.count_nonzero(gates, axis=(0, 1)), cancelled)
+    return ClosedBatch(total, opened.reshape(-1, n).sum(axis=0), cancelled)
 
 
 def factor_closed(kind: FactorKind, p: RegionPair) -> FactorResult:

@@ -28,9 +28,7 @@ from .model import (
     CHANNELS, FactorKind, Ji4Args, RegionPair, ValidationError, check_integer, length_scale,
 )
 from .special_functions import angular_weight, sph_bessel
-from .time_averages import (
-    _TAU_SIGNS, QuadratureError, Schedule, _panel_sums, heaviside, step_coefficients,
-)
+from .time_averages import QuadratureError, Schedule, _panel_sums, step_coefficients
 
 __all__ = [
     "QuadConfig",
@@ -94,13 +92,23 @@ def _averaged_limit(chunks: np.ndarray) -> tuple:
     """
     m = max(chunks.size // 2, 8)
     row = np.cumsum(chunks)
+    # Level L holds 2^k times its averaged row, k growing by one a level: a
+    # level is one add, the halvings exact while the values stay normal.  The
+    # ends are scaled back by exact powers of two, and every `room` levels,
+    # before 2^k times the largest partial sum could overflow, the row too.
+    room = max(1020 - int(np.frexp(np.max(np.abs(row)))[1]), 1)
     full, half = np.empty(row.size), np.empty(m)
     full[0], half[0] = row[-1], row[m - 1]
     for level in range(1, row.size):
-        row = 0.5 * (row[1:] + row[:-1])
+        if level > 1 and (level - 1) % room == 0:
+            row = np.ldexp(row, -room)
+        row = row[1:] + row[:-1]
         full[level] = row[-1]
         if level < m:
             half[level] = row[m - 1 - level]
+    levels = np.arange(chunks.size)
+    shift = levels - room * (np.maximum(levels - 1, 0) // room)
+    full, half = np.ldexp(full, -shift), np.ldexp(half, -shift[:m])
     (value, move), (half_value, _) = _settled(full), _settled(half)
     return value, float(max(move, abs(value - half_value), _rounding_floor(chunks)))
 
@@ -157,13 +165,8 @@ def _flat_part(l: int, s: Schedule) -> float:
 
 def _active_echoes(s: Schedule) -> list:
     """(signed gate, tau) pairs whose trig echo survives the step functions."""
-    sc = s.scale(0.0)
-    out = []
-    for sign, tau in zip(_TAU_SIGNS, s.taus):
-        gate = sign * heaviside(tau, sc)
-        if gate != 0.0 and tau != 0.0:
-            out.append((gate, tau))
-    return out
+    gates = step_coefficients(s, 0.0).open_gates
+    return [(gate, tau) for gate, tau in zip(gates, s.taus) if gate != 0.0 and tau != 0.0]
 
 
 def _echo_kernel(l: int, qa: np.ndarray, s: Schedule, echoes: list):

@@ -147,26 +147,22 @@ def step_coefficients(s: Schedule, r_ex: float) -> StepCoefficients:
     if r_ex not in memo:
         tau1, tau2, tau3, tau4 = taus = s.taus
         sc = s.scale(r_ex)
-        d0 = (
-            heaviside(-tau4, sc)
-            * heaviside(tau2, sc)
-            * (_lesser(s.dt1, tau2) - _greater(tau3, 0.0))
-        )
-        dr = (
-            heaviside(r_ex - tau4, sc)
-            * heaviside(tau2 - r_ex, sc)
-            * (_lesser(s.dt1, tau2 - r_ex) - _greater(tau3 - r_ex, 0.0))
-        )
-        dp = heaviside(tau2 - r_ex, sc) * heaviside(r_ex - tau1, sc) - heaviside(
-            tau3 - r_ex, sc
-        ) * heaviside(r_ex - tau4, sc)
-        const_pair = heaviside(tau2, sc) * heaviside(-tau1, sc) - heaviside(
-            tau3, sc
-        ) * heaviside(-tau4, sc)
-        open_gates = tuple(sign * heaviside(tau, sc) for sign, tau in zip(_TAU_SIGNS, taus))
-        radius_gates = tuple(
-            gate * heaviside(r_ex - tau, sc) for gate, tau in zip(open_gates, taus)
-        )
+        # Theta(tau_i) and Theta(r_ex - tau_i) are every step needed:
+        # Theta(-x) = 1 - Theta(x) holds exactly, band included.  A batch of
+        # schedules steps its (4, n) stack of lags in one pass per set.
+        if isinstance(sc, np.ndarray):
+            lags = np.array(np.broadcast_arrays(*taus))
+            up, down = heaviside(lags, sc), heaviside(r_ex - lags, sc)
+        else:
+            up = [heaviside(tau, sc) for tau in taus]
+            down = [heaviside(r_ex - tau, sc) for tau in taus]
+        (u1, u2, u3, u4), (w1, w2, w3, w4) = up, down
+        d0 = (1.0 - u4) * u2 * (_lesser(s.dt1, tau2) - _greater(tau3, 0.0))
+        dr = w4 * (1.0 - w2) * (_lesser(s.dt1, tau2 - r_ex) - _greater(tau3 - r_ex, 0.0))
+        dp = (1.0 - w2) * w1 - (1.0 - w3) * w4
+        const_pair = u2 * (1.0 - u1) - u3 * (1.0 - u4)
+        open_gates = tuple(sign * u for sign, u in zip(_TAU_SIGNS, up))
+        radius_gates = tuple(gate * w for gate, w in zip(open_gates, down))
         memo[r_ex] = StepCoefficients(d0, dr, dp, const_pair, open_gates, radius_gates)
     return memo[r_ex]
 

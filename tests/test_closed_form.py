@@ -1,16 +1,21 @@
 """Closed-form factors, the four-function integral table, and exact zeros."""
 
 import math
+import random
 import warnings
 
+import numpy as np
 import pytest
 
 from brfactor.closed_form import (
+    _ROUTES,
     CancellationWarning,
     UnsupportedSignatureError,
+    _ji4_batch,
     coincident_axx,
     commutator_difference,
     factor_closed,
+    factor_closed_batch,
     ji4,
 )
 from brfactor.fourier_bessel import factor_series
@@ -329,3 +334,76 @@ def test_coincident_long_average_at_extreme_scale():
     # the closed gate is off for kappa = 1e120; its overflowing factor
     # (4 + kappa)(2 - kappa)**2 must not turn the value into nan
     assert coincident_axx(1e-60, 1e60) == pytest.approx(-1e120, rel=1e-15)
+
+
+def _seeded_points(seed: int, count: int) -> list:
+    """Points of the tested box, most with a corner lag on a boundary: in the
+    band of the times, in the band of the radii, or at +-1e-13; some at
+    r = 0 or with a dead window (t_offset < -dt2)."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(count):
+        r1, r2, dt1, dt2 = (rng.uniform(0.3, 3.0) for _ in range(4))
+        t = rng.choice((
+            rng.uniform(-4.0, 4.0), 0.0, dt1, -dt2, dt1 - dt2,  # a lag on zero
+            1e-10, dt1 + 5e-10,  # in the band of the times (scale dt1 * 1e-12 or more)
+            1e-13, -1e-13, dt1 - dt2 + 1e-13, -dt2 - 1e-13,  # at +-1e-13
+            -dt2 - rng.uniform(0.1, 2.0),  # a dead window
+        ))
+        r = rng.choice((rng.uniform(0.0, 3.0), 0.0, 1e-13, abs(t)))
+        points.append((r1, r2, r, rng.uniform(0.0, math.pi), rng.uniform(0.0, 6.3), dt1, dt2, t))
+    return points
+
+
+@pytest.mark.parametrize("kind", list(FactorKind))
+def test_scalar_call_is_a_batch_of_one_bit_for_bit(kind):
+    points = _seeded_points(23, 200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CancellationWarning)
+        batch = factor_closed_batch(kind, RegionPair(*(np.array(col) for col in zip(*points))))
+    for i, fields in enumerate(points):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            single = factor_closed(kind, RegionPair(*fields))
+        assert np.float64(single.value).tobytes() == batch.value[i].tobytes(), fields
+        assert single.terms_used == batch.terms_used[i]
+        warned = any(issubclass(w.category, CancellationWarning) for w in caught)
+        assert warned == batch.cancelled[i], fields
+    assert batch.terms_used.min() == 0 and batch.cancelled.any()
+
+
+# (gamma, delta) of each zero-band code: neither zero, gamma zero, delta
+# zero, both; the zeros once exact and once 1e-13 off, on either side
+_BAND_LANES = (
+    ((0.6, 0.7), (1.9, 0.2)),
+    ((0.0, 0.7), (1e-13, 1.1), (-1e-13, 0.4)),
+    ((0.6, 0.0), (1.4, 1e-13)),
+    ((0.0, 0.0), (-1e-13, 1e-13)),
+)
+
+
+@pytest.mark.parametrize("sig", list(_ROUTES))
+def test_ji4_is_a_batch_of_one_for_every_route_cell(sig):
+    # a batch of all lanes a signature can route, each cell beside the
+    # others, gives every lane the value and the flag of its batch of one
+    lanes = [
+        (a, b, gamma, delta)
+        for code, route in enumerate(_ROUTES[sig])
+        if not isinstance(route, str)
+        for gamma, delta in _BAND_LANES[code]
+        for a, b in ((0.9, 1.3), (2.1, 0.4))
+    ]
+    values, cancelled = _ji4_batch(sig, *(np.array(col) for col in zip(*lanes)))
+    for i, lane in enumerate(lanes):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            single = ji4(Ji4Args(*sig, *lane))
+        assert np.float64(single).tobytes() == values[i].tobytes(), lane
+        assert bool(caught) == cancelled[i]
+    for code, route in enumerate(_ROUTES[sig]):
+        if isinstance(route, str):
+            gamma, delta = _BAND_LANES[code][0]
+            with pytest.raises(UnsupportedSignatureError):
+                _ji4_batch(sig, *(np.array([v]) for v in (0.9, 1.3, gamma, delta)))
+            with pytest.raises(UnsupportedSignatureError):
+                ji4(Ji4Args(*sig, 0.9, 1.3, gamma, delta))

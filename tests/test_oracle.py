@@ -239,6 +239,18 @@ def test_one_pass_tail_limit_is_bit_identical_to_two_passes():
         assert oracle._averaged_limit(chunks) == _two_pass_limit(chunks)
 
 
+@pytest.mark.parametrize("magnitude", [1e150, 1e-150])
+def test_tail_limit_is_bit_identical_at_extreme_magnitudes(magnitude):
+    # 800 averaging levels of doubled sums pass 2^800; at 1e150 the row must
+    # be scaled down on the way, at 1e-150 the ends scaled far back up
+    rng = np.random.default_rng(13)
+    k = np.arange(800)
+    for _ in range(5):
+        chunks = magnitude * (rng.normal() * (-1.0) ** k / (k + 3.0) ** 2 + 1e-3 * rng.normal(size=800))
+        got, want = oracle._averaged_limit(chunks), _two_pass_limit(chunks)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_utilde_direct_refuses_a_missing_channel_and_bad_q():
     s = Schedule(1.0, 0.8, 0.3)
     with pytest.raises(ValidationError):

@@ -242,3 +242,22 @@ def test_schedule_refuses_durations_whose_product_leaves_the_float_range(dt):
     # every average is normalized by dt1 * dt2, which is 0 or inf here
     with pytest.raises(ValidationError, match="float range"):
         Schedule(dt, dt, 0.0)
+
+
+def test_step_coefficients_take_one_body_for_floats_and_arrays():
+    # the float path (series routes) and the path of a batch of schedules
+    # (closed form) give the same bits, field by field, also where a lag
+    # lands on zero or on r_ex, or within 1e-13 of them
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        dt1, dt2 = rng.uniform(0.05, 3.0, size=2)
+        r_ex = float(rng.choice([0.0, rng.uniform(0.1, 8.0), dt1 + dt2]))
+        t = float(rng.choice([
+            rng.uniform(-4.0, 4.0), 0.0, dt1, -dt2, dt1 - dt2, r_ex, r_ex - dt2, r_ex + dt1,
+            1e-13, -1e-13, r_ex + 1e-13, -dt2 - 1e-13,
+        ]))
+        floats = step_coefficients(Schedule(float(dt1), float(dt2), t), r_ex)
+        arrays = step_coefficients(Schedule(np.array([dt1]), np.array([dt2]), np.array([t])), r_ex)
+        assert isinstance(floats.d0, float)
+        for name, value in floats._asdict().items():
+            assert np.array(value).tobytes() == np.ravel(getattr(arrays, name)).tobytes(), name
