@@ -202,6 +202,18 @@ _CELLS = tuple(cell for row in _ROUTES.values() for cell in row)
 _ROW = {sig: row for row, sig in enumerate(_ROUTES)}
 
 
+def _cells(row, a, b, c, d):
+    """The `_ROUTES` cell, 4 * row + zero-band code, of each ji4 lane.
+
+    Zero detection of gamma and delta uses the band of `heaviside` with
+    scale = max(alpha, beta, |gamma|, |delta|, 1), so boundary parameter
+    sets (corner lags landing on zero, from either side) evaluate without
+    indeterminate forms.
+    """
+    scale = np.maximum(np.maximum(a, b), np.maximum(np.maximum(abs(c), abs(d)), 1.0))
+    return 4 * row + _in_band(c, scale) + 2 * _in_band(d, scale)
+
+
 def _evaluate(cells, a, b, c, d) -> tuple:
     """(values, cancelled) of ji4 lanes, lane j taking `_ROUTES` cell
     cells[j]; each kernel runs once over its lanes."""
@@ -210,27 +222,21 @@ def _evaluate(cells, a, b, c, d) -> tuple:
         if count and isinstance(cell, str):
             raise UnsupportedSignatureError(cell)
     size = np.size(a)
-    if size in counts and _CELLS[counts.index(size)] is not None:  # one kernel takes all
+    if size and size in counts and _CELLS[counts.index(size)] is not None:  # one kernel takes all
         terms, prefactor = _CELLS[counts.index(size)](a, b, c, d)
         total, cancelled = _sign_total(terms)
         return prefactor * total, cancelled
-    # sorted by cell, the lanes of each kernel are one run; kernels with as
-    # many sign rows share one TwoSum pass
+    # sorted by cell, the lanes of each kernel are one run of `order`
     order = np.argsort(np.ravel(cells).astype(np.uint8), kind="stable")  # a radix sort
-    a, b, c, d = (np.ravel(x)[order] for x in (a, b, c, d))
-    groups, stop = {}, 0
+    value, cancelled = np.zeros(size), np.zeros(size, dtype=bool)
+    stop = 0
     for count, cell in zip(counts, _CELLS):
         start, stop = stop, stop + count
         if count and cell is not None:  # j_l(0) = 0 for a trailing l > 0
-            terms, prefactor = cell(a[start:stop], b[start:stop], c[start:stop], d[start:stop])
-            groups.setdefault(len(terms), []).append((order[start:stop], terms, prefactor))
-    value, cancelled = np.zeros(size), np.zeros(size, dtype=bool)
-    for group in groups.values():
-        lanes, terms, prefactor = (
-            np.concatenate(part, axis=-1) if len(group) > 1 else part[0] for part in zip(*group)
-        )
-        total, cancelled[lanes] = _sign_total(terms)
-        value[lanes] = prefactor * total
+            run = order[start:stop]
+            terms, prefactor = cell(*(np.ravel(x)[run] for x in (a, b, c, d)))
+            total, cancelled[run] = _sign_total(terms)
+            value[run] = prefactor * total
     return value, cancelled
 
 
@@ -238,17 +244,12 @@ def _ji4_batch(sig: tuple, a, b, c, d) -> tuple:
     """(values, cancelled) of one signature's ji4 over equal-length arrays,
     or over scalars as one lane.
 
-    Zero detection of gamma and delta uses the band of `heaviside` with
-    scale = max(alpha, beta, |gamma|, |delta|, 1).  Each entry takes the
-    `_ROUTES` cell of its zero-band code, so boundary parameter sets (corner
-    lags landing on zero, from either side) evaluate without indeterminate
-    forms.  Each formula runs only on the entries that select it.
+    Each entry takes the `_ROUTES` cell of its zero-band code (`_cells`),
+    and each formula runs only on the entries that select it.
     """
     if sig not in _ROUTES:
         raise UnsupportedSignatureError(f"no closed form for signature {sig}")
-    scale = np.maximum(np.maximum(a, b), np.maximum(np.maximum(abs(c), abs(d)), 1.0))
-    cells = 4 * _ROW[sig] + _in_band(c, scale) + 2 * _in_band(d, scale)
-    return _evaluate(cells, a, b, c, d)
+    return _evaluate(_cells(_ROW[sig], a, b, c, d), a, b, c, d)
 
 
 def ji4(args: Ji4Args) -> float:
@@ -305,8 +306,8 @@ def factor_closed_batch(kind: FactorKind, p: RegionPair) -> ClosedBatch:
         fields = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in fields))
         n = len(fields[0])
     else:
-        # a single point stays in floats, so that its schedule takes the
-        # float path of step_coefficients; its lanes form one column
+        # a single point stays in floats, so that step_coefficients steps
+        # scalars; its lanes form one column
         fields, n = [float(v) for v in fields], 1
     r1, r2, r, theta, phi, dt1, dt2, t = fields
     s = Schedule(dt1, dt2, t)
@@ -319,8 +320,7 @@ def factor_closed_batch(kind: FactorKind, p: RegionPair) -> ClosedBatch:
     # tell gamma from zero.  That one decision routes ji4 and augments the
     # l = 1 lags, so a lag gated as zero is never summed as a tiny gamma.
     point = np.array((r1, r2, r)).reshape(3, -1)
-    radii = np.maximum(point.max(axis=0), 1.0)
-    zeros = _in_band(lags, np.maximum(s.scale(0.0), radii))
+    zeros = _in_band(lags, np.maximum(s.scale(0.0), point.max(axis=0)))
     gammas = np.where(zeros, 0.0, lags)
     weights = sorted(angular_weight(kind, theta, phi).items())
     ls = np.array([l for l, _ in weights])[:, None, None]
@@ -336,18 +336,16 @@ def factor_closed_batch(kind: FactorKind, p: RegionPair) -> ClosedBatch:
         gates[k, 1:] = open_gates * (lags[1:] + zeros[1:] if l == 1 else lags[1:])
     gates /= dt1 * dt2
     coeff = np.array([w * g for (_, w), g in zip(weights, gates)])
-    # each lane's `_ROUTES` row is its l, or 3 for a dipole lag in the band.
-    # ji4's band at its scale max(r1, r2, |gamma|, r, 1) holds gamma exactly
-    # where `zeros` does: that scale is |gamma| or at most the one above.
-    delta_zero = _in_band(r, np.maximum(radii, abs(gammas)))
-    cells = 4 * (ls + 2 * ((ls == 1) & zeros)) + zeros + 2 * delta_zero
+    # each lane's `_ROUTES` row is its l, or 3 for a dipole lag in the band
+    rows = ls + 2 * ((ls == 1) & zeros)
     opened = gates != 0.0
     # open lanes: flat indices into the grid and into one multipole's (i, point)
     live = np.flatnonzero(opened)
     lane = live % (5 * n)
     a, b, d = np.take(point, lane % n, axis=1)
+    c = gammas.ravel()[lane]
     values, flags = np.zeros(gates.size), np.zeros(gates.size, dtype=bool)
-    values[live], flags[live] = _evaluate(cells.ravel()[live], a, b, gammas.ravel()[lane], d)
+    values[live], flags[live] = _evaluate(_cells(rows.ravel()[live], a, b, c, d), a, b, c, d)
     # pieces[k, i] holds lane (l, i); eight rows per multipole keep the
     # summation tree free of padding
     pieces = np.zeros((len(weights), 8, n))

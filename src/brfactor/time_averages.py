@@ -148,14 +148,9 @@ def step_coefficients(s: Schedule, r_ex: float) -> StepCoefficients:
         tau1, tau2, tau3, tau4 = taus = s.taus
         sc = s.scale(r_ex)
         # Theta(tau_i) and Theta(r_ex - tau_i) are every step needed:
-        # Theta(-x) = 1 - Theta(x) holds exactly, band included.  A batch of
-        # schedules steps its (4, n) stack of lags in one pass per set.
-        if isinstance(sc, np.ndarray):
-            lags = np.array(np.broadcast_arrays(*taus))
-            up, down = heaviside(lags, sc), heaviside(r_ex - lags, sc)
-        else:
-            up = [heaviside(tau, sc) for tau in taus]
-            down = [heaviside(r_ex - tau, sc) for tau in taus]
+        # Theta(-x) = 1 - Theta(x) holds exactly, band included
+        up = [heaviside(tau, sc) for tau in taus]
+        down = [heaviside(r_ex - tau, sc) for tau in taus]
         (u1, u2, u3, u4), (w1, w2, w3, w4) = up, down
         d0 = (1.0 - u4) * u2 * (_lesser(s.dt1, tau2) - _greater(tau3, 0.0))
         dr = w4 * (1.0 - w2) * (_lesser(s.dt1, tau2 - r_ex) - _greater(tau3 - r_ex, 0.0))

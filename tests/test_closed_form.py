@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from brfactor import closed_form
 from brfactor.closed_form import (
     _ROUTES,
     CancellationWarning,
@@ -407,3 +408,11 @@ def test_ji4_is_a_batch_of_one_for_every_route_cell(sig):
                 _ji4_batch(sig, *(np.array([v]) for v in (0.9, 1.3, gamma, delta)))
             with pytest.raises(UnsupportedSignatureError):
                 ji4(Ji4Args(*sig, 0.9, 1.3, gamma, delta))
+
+
+def test_no_open_lane_runs_no_kernel(monkeypatch):
+    # with no lanes every cell counts zero: none may be taken as the one
+    # kernel of all lanes, whatever the route table holds first
+    monkeypatch.setattr(closed_form, "_CELLS", ("a refusal",) + closed_form._CELLS[1:])
+    values, cancelled = closed_form._evaluate(np.zeros(0, dtype=int), *[np.zeros(0)] * 4)
+    assert values.shape == cancelled.shape == (0,)

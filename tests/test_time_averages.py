@@ -245,9 +245,9 @@ def test_schedule_refuses_durations_whose_product_leaves_the_float_range(dt):
 
 
 def test_step_coefficients_take_one_body_for_floats_and_arrays():
-    # the float path (series routes) and the path of a batch of schedules
-    # (closed form) give the same bits, field by field, also where a lag
-    # lands on zero or on r_ex, or within 1e-13 of them
+    # float schedules (series routes) and array schedules (closed-form
+    # batches) run one body and give the same bits, field by field, also
+    # where a lag lands on zero or on r_ex, or within 1e-13 of them
     rng = np.random.default_rng(5)
     for _ in range(300):
         dt1, dt2 = rng.uniform(0.05, 3.0, size=2)
