@@ -11,12 +11,14 @@ sweep at two offsets, the results of the benchmark's `series-random` calls
 at seeds 300 and 301, `sph_bessel` and both analytic time averages on arrays
 and scalars, 200 small `validate` reports at the benchmark's seeds, and
 scalar `factor_closed` and `ji4` calls that reach every cell of the closed
-form's route table.
+form's route table, and every term both series routes log at fixed points.
 
 Each `series-random` seed gives two items: `.stops` holds where every call
 stopped (`terms_used` and `converged`, or the exception it raised) and
 `.values` its `value` and `tail_estimate`.  A change that only rounds the
-sums differently leaves the `.stops` items byte-identical.
+sums differently leaves the `.stops` items byte-identical.  The
+`series.terms.<route>` items hold each call's result and its whole
+`term_log`, so byte identity covers every term, not only totals and stops.
 """
 
 import argparse
@@ -141,6 +143,39 @@ def _scalar_closed_items():
         yield "ji4.scalar." + "_".join(map(str, sig)), pickle.dumps(results)
 
 
+def _term_logs(route, kinds_points):
+    """Every term and partial sum of `route` at each (kind, point), or the
+    refusal, as plain tuples."""
+    from brfactor import FactorKind, RegionPair
+
+    logs = []
+    for kind, params in kinds_points:
+        log = []
+        outcome = _outcome(lambda: route(FactorKind(kind), RegionPair(**params), term_log=log))
+        if not isinstance(outcome, str):
+            outcome = (outcome.value, outcome.terms_used, outcome.tail_estimate, outcome.converged)
+        logs.append((outcome, [(t.n, t.q_n, t.term_value, t.partial_sum) for t in log]))
+    return pickle.dumps(logs)
+
+
+def _series_term_items(workloads, scratch):
+    """The term logs of both series routes at the first 60 `series-random`
+    inputs of seed 300 and one r = 0 point, every kind at the second; and at
+    a dead window whose lags overflow when multiplied by q."""
+    import brfactor
+
+    w = workloads.SeriesRandom(300, scratch)
+    points = [w.inputs(i)[::2] for i in range(60)]
+    kinds = ("axx", "axy", "bxy")
+    at_zero = dict(r1=1.3, r2=0.7, r=0.0, theta=0.4, phi=1.1, dt1=0.6, dt2=0.9, t_offset=0.2)
+    points += [(kind, at_zero) for kind in kinds]
+    dead = dict(r1=1e-100, r2=1e-100, dt1=1.0, dt2=1.0, t_offset=-1e250)
+    for name in ("factor_series", "factor_series_general"):
+        route = getattr(brfactor, name)
+        yield f"series.terms.{name}", _term_logs(route, points)
+        yield f"series.terms.{name}.dead_window", _term_logs(route, [(k, dead) for k in kinds])
+
+
 def items(workloads):
     """(name, bytes) of every item, in print order."""
     from brfactor.cli import main
@@ -171,6 +206,7 @@ def items(workloads):
             yield f"series-random.seed{seed}.values", pickle.dumps(values)
         w = workloads.Validate(0, scratch)
         yield "validate.perfbench", b"".join(_stdout(main, w.inputs(i)) for i in range(200))
+        yield from _series_term_items(workloads, scratch)
     yield from _bessel_items()
     yield from _average_items()
     yield from _scalar_closed_items()

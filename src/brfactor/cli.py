@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import decimal
+import functools
 import itertools
 import json
 import math
@@ -595,9 +596,15 @@ def _attach_negative_values(argv: Sequence[str]) -> list:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process; parsing leaves it as
+    it was, since every parse fills a namespace of its own."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except (ValidationError, UnsupportedSignatureError) as exc:

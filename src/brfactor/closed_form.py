@@ -391,14 +391,19 @@ def coincident_axx(R0: float, dt0: float) -> float:
     kappa = dt0 / R0
     gate = heaviside(2.0 - kappa, max(kappa, 1.0))
     try:
-        r4 = R0**4
-        value = -1.0 / (r4 * kappa)
+        try:
+            r4 = R0**4
+            value, inv8 = -1.0 / (r4 * kappa), 1.0 / (8.0 * r4 * kappa)
+        except OverflowError:
+            # R0**4 overflows where R0**4 kappa = R0**3 dt0 need not
+            scale = R0**3 * dt0
+            value, inv8 = -1.0 / scale, 0.125 / scale
     except (OverflowError, ZeroDivisionError):
         value = math.nan
     if not math.isfinite(value):
         raise ValidationError(f"A_xx at R0={R0!r}, dt0={dt0!r} lies beyond the float range")
     if gate:
-        value = -(1.0 / (8.0 * r4 * kappa)) * (4.0 + kappa) * (2.0 - kappa) ** 2 * gate + value
+        value = -inv8 * (4.0 + kappa) * (2.0 - kappa) ** 2 * gate + value
     return value
 
 

@@ -29,8 +29,16 @@ from .model import (
     ValidationError,
     length_scale,
 )
-from .special_functions import angular_weight, bessel_roots, fb_weight, sph_bessel
-from .time_averages import AvgKind, Schedule, finite_avg, infinite_avg, step_coefficients
+from .special_functions import angular_weight, bessel_roots, fb_weight, sph_bessels
+from .time_averages import (
+    AvgKind,
+    Schedule,
+    _average,
+    check_wavenumbers,
+    open_lags,
+    step_coefficients,
+    wavenumbers,
+)
 
 #: nodes are evaluated in vectorized blocks: the first holds BLOCK nodes and
 #: each later one twice as many as the one before
@@ -69,44 +77,62 @@ def utilde(kind: FactorKind, l: int, q, s: Schedule):
     average for l = 0 and 2 (the monopole also carries the -(3/2)<delta(t)>
     flat term), q times the cosine average for l = 1.  Broadcasts over q.
     """
-    return _saturated_kernels(kind, (l,), q, s)[l]
+    _check_pair(kind, l)
+    qa = wavenumbers(q)
+    out = _saturated_kernels((l,), s, qa.ndim)(qa)[l]
+    return float(out) if np.ndim(q) == 0 else out
 
 
-def _saturated_kernels(kind: FactorKind, ls, q, s: Schedule) -> dict:
-    """`utilde` of every channel l in `ls`; l = 0 and 2 share one sine average."""
-    for l in ls:
-        _check_pair(kind, l)
-    out = {}
-    if 1 in ls:
-        out[1] = q * infinite_avg(AvgKind.COS, q, s)
-    if 0 in ls or 2 in ls:
-        out[2] = q * infinite_avg(AvgKind.SIN, q, s)
-    if 0 in ls:
-        out[0] = out[2] - 1.5 * (step_coefficients(s, 0.0).d0 / (s.dt1 * s.dt2))
-    return out
+def _saturated_kernels(ls, s: Schedule, ndim: int):
+    """The function that maps checked wavenumbers q of `ndim` dimensions to
+    the `utilde` of every channel l in `ls`, with the schedule's constants
+    taken once; l = 0 and 2 share one sine average."""
+    st = step_coefficients(s, 0.0)
+    lags = open_lags(s, st.open_gates, ndim)
+    norm = s.dt1 * s.dt2
+
+    def kernels(q) -> dict:
+        out = {}
+        if 1 in ls:
+            out[1] = q * _average(AvgKind.COS, q, st, lags, norm)
+        if 0 in ls or 2 in ls:
+            out[2] = q * _average(AvgKind.SIN, q, st, lags, norm)
+        if 0 in ls:
+            out[0] = out[2] - 1.5 * (st.d0 / norm)
+        return out
+
+    return kernels
 
 
-def _boundary_kernel(kind: FactorKind, l: int, q, r_ex: float, s: Schedule):
-    """Radial kernel with the expansion-boundary terms kept at finite r_ex.
+def _boundary_kernel(l: int, r_ex: float, s: Schedule):
+    """The radial kernel of channel l with the expansion-boundary terms kept
+    at finite r_ex, as a function of the roots' wavenumbers q and of q r_ex,
+    sin(q r_ex) and cos(q r_ex); the schedule's constants are taken once.
 
     Combines the radius-gated averages with the delta-type boundary terms at
     t = r_ex; at the roots of j_l the non-decaying pieces cancel against the
     gated averages.  Evaluated only at those roots, q r_ex = x_n, where every
     term carrying j_l(q r_ex) vanishes and is left out.  Broadcasts over q.
     """
-    _check_pair(kind, l)
+    st = step_coefficients(s, r_ex)
+    lags = open_lags(s, st.radius_gates, 1)
     norm = s.dt1 * s.dt2
-    delta_r = step_coefficients(s, r_ex).dr / norm
-    if l == 1:
-        cos_avg = finite_avg(AvgKind.COS, q, r_ex, s)
-        return q * cos_avg - np.sin(q * r_ex) * delta_r
-    sin_avg = finite_avg(AvgKind.SIN, q, r_ex, s)
-    if l == 0:
-        d0 = step_coefficients(s, 0.0).d0
-        boundary = d0 / norm - np.cos(q * r_ex) * delta_r
-        return q * sin_avg - boundary - 0.5 * d0 / norm
-    combo = np.cos(q * r_ex) - sph_bessel(0, q * r_ex)
-    return q * sin_avg + combo * delta_r
+    delta_r = st.dr / norm
+    d0 = step_coefficients(s, 0.0).d0
+
+    def kernel(q, x_rex, sin_rex, cos_rex):
+        rex_trig = (sin_rex, cos_rex)
+        if l == 1:
+            cos_avg = _average(AvgKind.COS, q, st, lags, norm, rex_trig)
+            return q * cos_avg - sin_rex * delta_r
+        sin_avg = _average(AvgKind.SIN, q, st, lags, norm, rex_trig)
+        if l == 0:
+            boundary = d0 / norm - cos_rex * delta_r
+            return q * sin_avg - boundary - 0.5 * d0 / norm
+        combo = cos_rex - sph_bessels((0,), x_rex, rex_trig)[0]
+        return q * sin_avg + combo * delta_r
+
+    return kernel
 
 
 @functools.lru_cache(maxsize=None)
@@ -238,18 +264,27 @@ def factor_series(
     g00 = _flat_monopole_coeff(s)
     head = corr * _flat_head(g00, r1p, p.r2, p.r) if 0 in weights else 0.0
 
+    ls = sorted(weights)
+    kernels = _saturated_kernels(ls, s, 1)
+    radii = np.array([[r1p], [p.r2], [p.r]])
+    # rows that take j_1 alone: q r1' and q r2, and q r too for the dipole
+    j1_rows = 3 if ls == [1] else 2
+
     def nodes():
         for lo, hi in _spans(cfg.n_max):
             n = np.arange(lo + 1, hi + 1)
             q = n * (math.pi / r_ex)
-            acc = np.zeros_like(q)
-            kernels = _saturated_kernels(kind, weights, q, s)
-            for l, w in sorted(weights.items()):
-                rad = kernels[l]
-                if l == 0:
-                    rad = rad - g00
-                acc = acc + w * rad * sph_bessel(l, q * p.r)
-            terms = prefac * sph_bessel(1, q * r1p) * sph_bessel(1, q * p.r2) * acc
+            check_wavenumbers(q[0], q[-1])  # q increases
+            radial = kernels(q)
+            x = q * radii
+            sin_x, cos_x = np.sin(x), np.cos(x)
+            (j1,) = sph_bessels((1,), x[:j1_rows], (sin_x[:j1_rows], cos_x[:j1_rows]))
+            j_r = j1[2:] if j1_rows == 3 else sph_bessels(ls, x[2], (sin_x[2], cos_x[2]))
+            acc = 0.0
+            for l, j in zip(ls, j_r):
+                rad = radial[l] - g00 if l == 0 else radial[l]
+                acc = acc + weights[l] * rad * j
+            terms = prefac * j1[0] * j1[1] * acc
             yield n, q, terms
 
     total, used, tail, converged = _accumulate(nodes(), cfg, head, term_log)
@@ -288,24 +323,31 @@ def factor_series_general(
     used = 0
     tail = 0.0
     channel_status = []
+    radii = np.array([[p.r1], [p.r2], [p.r], [r_ex]])
     for l, w in sorted(weights.items()):
         roots, unit_weights = _root_nodes(l, cfg.n_max)
-        w_n = r_ex3 * unit_weights
         chan_pref = (9.0 / length_scale(p.r1 * p.r2)) * (w / (4.0 * math.pi))
+        kernel = _boundary_kernel(l, r_ex, s)
+        # rows that take j_1 alone: q r1 and q r2, and q r too for l = 1
+        j1_rows = 3 if l == 1 else 2
 
         def nodes():
             for lo, hi in _spans(cfg.n_max):
-                sl = slice(lo, hi)
-                q = roots[sl] / r_ex
-                bracket = _boundary_kernel(kind, l, q, r_ex, s)
+                q = roots[lo:hi] / r_ex
+                check_wavenumbers(q[0], q[-1])  # q increases
+                x = q * radii
+                sin_x, cos_x = np.sin(x), np.cos(x)
+                (j1,) = sph_bessels((1,), x[:j1_rows], (sin_x[:j1_rows], cos_x[:j1_rows]))
+                jl_r = j1[2] if l == 1 else sph_bessels((l,), x[2], (sin_x[2], cos_x[2]))[0]
+                bracket = kernel(q, x[3], sin_x[3], cos_x[3])
                 if l == 0:
                     bracket = bracket - g00
                 terms = (
                     chan_pref
-                    * (bracket / w_n[sl])
-                    * sph_bessel(1, q * p.r1)
-                    * sph_bessel(1, q * p.r2)
-                    * sph_bessel(l, q * p.r)
+                    * (bracket / (r_ex3 * unit_weights[lo:hi]))
+                    * j1[0]
+                    * j1[1]
+                    * jl_r
                     / (q * q)
                 )
                 yield np.arange(lo + 1, hi + 1), q, terms

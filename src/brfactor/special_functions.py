@@ -30,59 +30,81 @@ _POLYS = {1: _series_coefficients(1), 2: _series_coefficients(2)}
 
 
 def _horner(coeffs: tuple, u: np.ndarray) -> np.ndarray:
-    acc = np.full_like(u, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc * u + c
+    acc = coeffs[-1] * u + coeffs[-2]
+    for c in coeffs[-3::-1]:
+        acc *= u
+        acc += c
     return acc
 
 
-def _j0(x):
-    x = np.asarray(x, dtype=float)
-    return np.where(x == 0.0, 1.0, np.sin(x) / np.where(x == 0.0, 1.0, x))
+_ORDERS = (-1, 0, 1, 2)
 
 
-def _j12(l: int, x):
-    """j_1 or j_2: the trigonometric closed form at |x| >= SMALL_X, and
-    x**l times the Maclaurin polynomial in x**2 below it.
+def sph_bessels(ls, x, trig=None) -> tuple:
+    """(j_l(x) for l in ls), each l in {-1, 0, 1, 2}, from one sin and one
+    cos of x; `trig` is (sin x, cos x) when the caller holds them already.
 
-    Every division sees 1.0 in place of a small x, so finite x never
-    divides by zero.
+    j_0 is sin(x)/x with j_0(0) = 1.  j_1 and j_2 take the trigonometric
+    closed form at |x| >= SMALL_X and x**l times the Maclaurin polynomial in
+    x**2 below it; every division sees 1.0 in place of a small x, so finite
+    x never divides by zero.  j_{-1} is cos(x)/x and requires x > 0; the
+    limits j_l(0) = delta_{0l} hold for l >= 0.  Elementwise, so a row of a
+    stacked x gets the bits it gets alone.  A float in gives floats out;
+    arrays pass through.
     """
+    for l in ls:
+        if l not in _ORDERS:
+            raise ValueError(f"unsupported order l={l}, expected -1, 0, 1 or 2")
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < SMALL_X
-    xs = np.where(small, 1.0, x)
-    if l == 1:
-        out = np.asarray(np.sin(xs) / xs**2 - np.cos(xs) / xs)
-    else:
-        out = np.asarray((3.0 / xs**3 - 1.0 / xs) * np.sin(xs) - 3.0 * np.cos(xs) / xs**2)
-    if small.any():
+    if -1 in ls and (x == 0.0).any():
+        raise ValueError("j_{-1} is singular at x = 0")
+    if trig is None and len(ls) > 1:
+        trig = (np.sin(x), np.cos(x))
+
+    # A lone order takes its sin and cos where it uses them, so that each
+    # dies with its use: on long arrays a lower peak of live arrays spares
+    # the allocator fresh pages.  Arithmetic on this call's own temporaries
+    # is done in place for the same reason; it is the same arithmetic.
+    def sin_x():
+        return np.sin(x) if trig is None else trig[0]
+
+    def cos_x():
+        return np.cos(x) if trig is None else trig[1]
+
+    out = {}
+    if -1 in ls:
+        out[-1] = cos_x() / x
+    if 0 in ls:
+        zero = x == 0.0
+        out[0] = np.where(zero, 1.0, sin_x() / np.where(zero, 1.0, x))
+    if 1 in ls or 2 in ls:
+        small = np.abs(x) < SMALL_X
+        xs = np.where(small, 1.0, x)
+        if 1 in ls:
+            j = out[1] = np.asarray(sin_x() / xs**2)
+            j -= cos_x() / xs
+        if 2 in ls:
+            j = out[2] = np.asarray(3.0 / xs**3)
+            j -= 1.0 / xs
+            j *= sin_x()
+            j -= 3.0 * cos_x() / xs**2
         xm = x[small]
-        out[small] = xm**l * _horner(_POLYS[l], xm * xm)
-    return out
-
-
-def _jm1(x):
-    x = np.asarray(x, dtype=float)
-    return np.cos(x) / x
-
-
-_J_FUNCS = {-1: _jm1, 0: _j0, 1: functools.partial(_j12, 1), 2: functools.partial(_j12, 2)}
+        if xm.size:
+            u = xm * xm
+            for l in (1, 2):
+                if l in ls:
+                    out[l][small] = xm**l * _horner(_POLYS[l], u)
+    if x.ndim == 0:
+        return tuple(float(out[l]) for l in ls)
+    return tuple(out[l] for l in ls)
 
 
 def sph_bessel(l: int, x) -> float:
-    """j_l(x) for l in {-1, 0, 1, 2}; scalars in, scalar out; arrays pass through.
+    """j_l(x) for l in {-1, 0, 1, 2}: the one-order call of `sph_bessels`.
 
-    j_{-1}(x) = cos(x)/x requires x > 0.  The limits j_l(0) = delta_{0l}
-    hold for l >= 0.
+    Scalars in, scalar out; arrays pass through.
     """
-    if l not in _J_FUNCS:
-        raise ValueError(f"unsupported order l={l}, expected -1, 0, 1 or 2")
-    if l == -1 and np.any(np.asarray(x) == 0.0):
-        raise ValueError("j_{-1} is singular at x = 0")
-    out = _J_FUNCS[l](x)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return sph_bessels((l,), x)[0]
 
 
 def _refine_roots(l: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -100,13 +122,13 @@ def _refine_roots(l: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             if not len(lane):
                 break
             xa, a, b = x[lane], lo[lane], hi[lane]
-            f = _J_FUNCS[l](xa)
+            below, f = sph_bessels((l - 1, l), xa)
             # j_l'(x) = j_{l-1}(x) - (l+1)/x * j_l(x)
-            df = _J_FUNCS[l - 1](xa) - (l + 1) / xa * f
+            df = below - (l + 1) / xa * f
             x_new = xa - np.where(df != 0.0, f / df, 0.0)
             out = np.flatnonzero(~((a < x_new) & (x_new < b)))
             if len(out):
-                same = (f[out] < 0.0) == (_J_FUNCS[l](a[out]) < 0.0)
+                same = (f[out] < 0.0) == (sph_bessel(l, a[out]) < 0.0)
                 lo[lane[out[same]]] = xa[out[same]]
                 hi[lane[out[~same]]] = xa[out[~same]]
                 x_new[out] = 0.5 * (lo[lane[out]] + hi[lane[out]])
@@ -152,7 +174,7 @@ def fb_weight(l: int, root):
     r_ex**3 times it.  Elementwise over an array of roots; a float in gives
     a float out.
     """
-    w = 0.5 * _J_FUNCS[l - 1](root) ** 2
+    w = 0.5 * sph_bessel(l - 1, root) ** 2
     return float(w) if np.ndim(root) == 0 else w
 
 

@@ -162,34 +162,63 @@ def step_coefficients(s: Schedule, r_ex: float) -> StepCoefficients:
     return memo[r_ex]
 
 
-def _average(kind: AvgKind, q, s: Schedule, st: StepCoefficients, gates: tuple, r_ex=None):
-    """Double average of trig(q t) Theta(t) under the signed corner gates
-    `gates`, the one body of `finite_avg` and `infinite_avg`.
+def check_wavenumbers(lo, hi) -> None:
+    """Refuse wavenumbers outside (0, inf), given the least and the greatest
+    of them; a nan fails both tests."""
+    if not (lo > 0.0 and hi < np.inf):
+        raise ValidationError("q must be positive and finite for Sin/Cos averages")
 
-    With r_ex the gates carry the radius gate Theta(r_ex - t) and the
-    boundary terms dp and dr of `st` at t = r_ex enter; without it, none do.
-    Broadcasts over q; a float for scalar q.
-    """
+
+def wavenumbers(q) -> np.ndarray:
+    """q as an array of floats, once every entry has passed
+    `check_wavenumbers`."""
+    qa = np.asarray(q, dtype=float)
+    if qa.size:
+        check_wavenumbers(qa.min(), qa.max())
+    return qa
+
+
+def _checked(kind: AvgKind, q) -> np.ndarray:
     if not isinstance(kind, AvgKind):
         raise ValidationError(f"kind must be an AvgKind, got {kind!r}")
-    qa = np.asarray(q, dtype=float)
-    if (qa <= 0.0).any() or not np.isfinite(qa).all():
-        raise ValidationError("q must be positive and finite for Sin/Cos averages")
+    return wavenumbers(q)
+
+
+def open_lags(s: Schedule, gates: tuple, ndim: int) -> tuple:
+    """The gates that are not exactly 0 and their corner lags, in tau1..tau4
+    order, as columns that broadcast against q of `ndim` dimensions.
+
+    A closed corner's term g trig(q tau) is +-0, and adding +-0 never
+    changes a sum started at +0 whose rows are added in order; its q tau may
+    overflow, where 0 trig(inf) would be a nan.
+    """
+    kept = [(g, tau) for g, tau in zip(gates, s.taus) if g != 0.0]
+    cols = np.reshape(np.array(kept, dtype=float).T, (2, -1) + (1,) * ndim)
+    return cols[0], cols[1]
+
+
+def _average(kind: AvgKind, qa, st: StepCoefficients, lags: tuple, norm: float, rex_trig=None):
+    """Double average of trig(q t) Theta(t) under the signed corner gates of
+    `lags` (from `open_lags`), the one body of `finite_avg`, `infinite_avg`
+    and the series blocks; q is checked already and norm is dt1*dt2.
+
+    With rex_trig = (sin(q r_ex), cos(q r_ex)) the gates carry the radius
+    gate Theta(r_ex - t) and the boundary terms dp and dr of `st` at
+    t = r_ex enter; without it, none do.  Broadcasts over q.
+    """
+    gates, taus = lags
     trig = np.sin if kind is AvgKind.SIN else np.cos
-    val = sum(g * trig(qa * tau) for g, tau in zip(gates, s.taus))
-    if r_ex is not None:
-        val = val - trig(qa * r_ex) * st.dp
-    if kind is AvgKind.SIN:
-        val = val / qa
-        if r_ex is not None:
-            val = val - np.cos(qa * r_ex) * st.dr
-        val = val + st.d0
+    # Python's sum adds the rows in tau1..tau4 order, starting from +0
+    val = sum(gates * trig(taus * qa))
+    if rex_trig is None:
+        val = val / qa + st.d0 if kind is AvgKind.SIN else (val + st.const_pair) / qa
     else:
-        val = (val + st.const_pair) / qa
-        if r_ex is not None:
-            val = val + np.sin(qa * r_ex) * st.dr
-    val = val / (qa * (s.dt1 * s.dt2))
-    return float(val) if np.ndim(q) == 0 else val
+        sin_rex, cos_rex = rex_trig
+        if kind is AvgKind.SIN:
+            val = (val - sin_rex * st.dp) / qa - cos_rex * st.dr + st.d0
+        else:
+            val = (val - cos_rex * st.dp + st.const_pair) / qa + sin_rex * st.dr
+    return val / (qa * norm)
 
 
 def finite_avg(kind: AvgKind, q, r_ex: float, s: Schedule):
@@ -197,15 +226,21 @@ def finite_avg(kind: AvgKind, q, r_ex: float, s: Schedule):
     broadcasts over q, the step-gated blocks being q-independent."""
     if not 0.0 < r_ex < np.inf:
         raise ValidationError(f"finite averages need a finite r_ex > 0, got {r_ex}")
+    qa = _checked(kind, q)
     st = step_coefficients(s, r_ex)
-    return _average(kind, q, s, st, st.radius_gates, r_ex)
+    x = qa * r_ex
+    lags = open_lags(s, st.radius_gates, qa.ndim)
+    val = _average(kind, qa, st, lags, s.dt1 * s.dt2, (np.sin(x), np.cos(x)))
+    return float(val) if np.ndim(q) == 0 else val
 
 
 def infinite_avg(kind: AvgKind, q, s: Schedule):
     """Analytic double average of trig(q t) Theta(t), the radius gate
     removed (r_ex -> infinity)."""
+    qa = _checked(kind, q)
     st = step_coefficients(s, 0.0)
-    return _average(kind, q, s, st, st.open_gates)
+    val = _average(kind, qa, st, open_lags(s, st.open_gates, qa.ndim), s.dt1 * s.dt2)
+    return float(val) if np.ndim(q) == 0 else val
 
 
 def _panel_sums(f, lo, hi) -> np.ndarray:

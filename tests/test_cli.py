@@ -473,6 +473,41 @@ def test_validate_negative_samples_exits_2(capsys):
     assert "count >= 0" in capsys.readouterr().err
 
 
+def test_back_to_back_main_calls_print_what_separate_calls_print(capsys):
+    # main keeps one parser per process; no call may leave a flag or a
+    # default behind for the next one
+    from brfactor import cli
+
+    argvs = [
+        FACTOR_ARGS + ["--method", "series", "--n-max", "300", "--tail-tol", "1e-5"],
+        ["factor", "--kind", "bxy", "--r1", "1.2", "--r2", "0.9", "--r", "0.4",
+         "--theta", "pi/3", "--dt1", "0.5", "--dt2", "0.7", "--t", "-0.2"],
+        FACTOR_ARGS + ["--method", "series-general"],
+        ["validate", "--seed", "3", "--samples", "1"],
+        FACTOR_ARGS,
+        ["factor", "--kind", "axy", "--r1", "1"],
+    ]
+
+    def outputs(fresh: bool) -> list:
+        out = []
+        for argv in argvs:
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse refuses a usage error
+                code = exc.code
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    separate = outputs(fresh=True)
+    assert outputs(fresh=False) == separate
+    assert [code for code, _, _ in separate] == [0, 0, 0, 0, 0, 2]
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+
+
 def test_parser_program_metadata():
     parser = build_parser()
     assert parser.prog == "brfactor"

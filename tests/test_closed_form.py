@@ -3,6 +3,7 @@
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -325,10 +326,24 @@ def test_closed_factor_beyond_the_float_range_is_refused(scale):
         factor_closed(FactorKind.AXX, p)
 
 
-@pytest.mark.parametrize("R0,dt0", [(1e-300, 1.0), (1e100, 1.0)])
+@pytest.mark.parametrize("R0,dt0", [(1e-300, 1.0), (1e110, 1.0)])
 def test_coincident_beyond_the_float_range_is_refused(R0, dt0):
     with pytest.raises(ValidationError):
         coincident_axx(R0, dt0)
+
+
+@pytest.mark.parametrize(
+    "R0,dt0", [(1e100, 1.0), (1e100, 1.5e100), (3e80, 1e-200), (4e102, 1e-10), (1e78, 3e78)]
+)
+def test_coincident_past_the_fourth_power_overflow(R0, dt0):
+    # R0**4 overflows, but the value is R0**4 kappa = R0**3 dt0 in a
+    # denominator and is representable: exact rationals give the reference
+    lead = Fraction(R0) ** 3 * Fraction(dt0)
+    kappa = Fraction(dt0) / Fraction(R0)
+    exact = -1 / lead
+    if kappa < 2:
+        exact -= (4 + kappa) * (2 - kappa) ** 2 / (8 * lead)
+    assert coincident_axx(R0, dt0) == pytest.approx(float(exact), rel=1e-15)
 
 
 def test_coincident_long_average_at_extreme_scale():

@@ -319,3 +319,15 @@ def test_series_value_beyond_the_float_range_is_refused(route, length):
     # route's root weights does; neither may come back as a value
     with pytest.raises(ValidationError, match="float range"):
         route(FactorKind.AXX, RegionPair(length, length))
+
+
+@pytest.mark.parametrize("kind", list(FactorKind))
+@pytest.mark.parametrize("route", [factor_series, factor_series_general])
+def test_dead_window_with_overflowing_lags_is_exactly_zero(route, kind):
+    # every corner lag is negative, so every gate is exactly 0 and the
+    # factor is 0; q tau overflows there, and 0 * sin(inf) would be a nan
+    p = RegionPair(r1=1e-100, r2=1e-100, dt1=1.0, dt2=1.0, t_offset=-1e250)
+    assert factor_closed(kind, p).value == 0.0
+    result = route(kind, p)
+    assert result.value == 0.0
+    assert result.converged

@@ -10,11 +10,13 @@ from brfactor.fourier_bessel import _root_nodes
 from brfactor.model import FactorKind
 from brfactor.special_functions import (
     SMALL_X,
+    _POLYS,
     _refine_roots,
     angular_weight,
     bessel_roots,
     fb_weight,
     sph_bessel,
+    sph_bessels,
 )
 
 GRID = np.concatenate(
@@ -205,3 +207,75 @@ def test_root_refinement_bisects_where_newton_leaves_the_bracket():
 def test_angular_weight_refuses_a_kind_that_is_not_a_factor_kind():
     with pytest.raises(ValueError):
         angular_weight("axx", 0.3, 0.7)
+
+
+def _bessel_arguments() -> np.ndarray:
+    # both signs, 0 and -0, 1.0 and its float neighbours (the branch seam),
+    # tiny and huge magnitudes
+    seam = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+    x = np.concatenate([
+        np.linspace(-40.0, 40.0, 161), seam, np.negative(seam), [0.0, -0.0, 1e-300, 1e300, -1e300],
+        np.geomspace(1e-8, 0.999, 40), np.random.default_rng(3).uniform(-60.0, 60.0, 200),
+    ])
+    return x
+
+
+def _one_order(l: int, x: np.ndarray) -> np.ndarray:
+    # each order by its own formula and its own sin and cos of x
+    if l == -1:
+        return np.cos(x) / x
+    if l == 0:
+        return np.where(x == 0.0, 1.0, np.sin(x) / np.where(x == 0.0, 1.0, x))
+    small = np.abs(x) < SMALL_X
+    xs = np.where(small, 1.0, x)
+    if l == 1:
+        out = np.sin(xs) / xs**2 - np.cos(xs) / xs
+    else:
+        out = (3.0 / xs**3 - 1.0 / xs) * np.sin(xs) - 3.0 * np.cos(xs) / xs**2
+    xm = x[small]
+    poly = np.full_like(xm, _POLYS[l][-1])
+    for c in _POLYS[l][-2::-1]:
+        poly = poly * (xm * xm) + c
+    out[small] = xm**l * poly
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("ls", [(0,), (1,), (2,), (0, 2), (1, 2), (2, 0, 1), (-1, 0, 1, 2)])
+def test_bessel_orders_from_one_pass_equal_each_order_bit_for_bit(ls):
+    x = _bessel_arguments()
+    if -1 in ls:
+        x = np.abs(x[x != 0.0])
+    got = sph_bessels(ls, x)
+    assert len(got) == len(ls)
+    for l, values in zip(ls, got):
+        assert values.tobytes() == sph_bessel(l, x).tobytes(), l
+        assert values.tobytes() == _one_order(l, x).tobytes(), l
+    # a row of a stacked argument array gets the bits it gets alone
+    stacked = np.stack([x, x[::-1], 2.5 * x])
+    for row, ys in zip(stacked, zip(*sph_bessels(ls, stacked))):
+        for l, y, alone in zip(ls, ys, sph_bessels(ls, row)):
+            assert y.tobytes() == alone.tobytes(), l
+    # the caller's own sin and cos give the same bits
+    trig = (np.sin(stacked), np.cos(stacked))
+    for a, b in zip(sph_bessels(ls, stacked, trig), sph_bessels(ls, stacked)):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bessel_orders_take_floats_to_floats():
+    for v in [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), -2.5, 1e300, 7.0]:
+        got = sph_bessels((0, 1, 2), v)
+        assert all(type(y) is float for y in got)
+        for l, y in zip((0, 1, 2), got):
+            assert math.copysign(1.0, y) == math.copysign(1.0, sph_bessel(l, v))
+            assert y == sph_bessel(l, v) or (math.isnan(y) and math.isnan(sph_bessel(l, v)))
+            # and equal to the entry of a one-element array
+            assert np.float64(y).tobytes() == sph_bessel(l, np.array([v])).tobytes()
+
+
+def test_bessel_orders_refuse_what_sph_bessel_refuses():
+    with pytest.raises(ValueError, match="unsupported order"):
+        sph_bessels((0, 3), 1.0)
+    with pytest.raises(ValueError, match="singular"):
+        sph_bessels((-1, 1), np.array([0.5, 0.0]))

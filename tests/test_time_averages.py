@@ -7,6 +7,7 @@ import pytest
 
 from brfactor.model import ValidationError
 from brfactor.time_averages import (
+    BOUNDARY_RTOL,
     AvgKind,
     QuadratureError,
     Schedule,
@@ -261,3 +262,54 @@ def test_step_coefficients_take_one_body_for_floats_and_arrays():
         assert isinstance(floats.d0, float)
         for name, value in floats._asdict().items():
             assert np.array(value).tobytes() == np.ravel(getattr(arrays, name)).tobytes(), name
+
+
+def _four_term_average(kind: AvgKind, q, s: Schedule, r_ex=None):
+    # every corner lag's term, closed gates included, added in tau1..tau4 order
+    st = step_coefficients(s, 0.0 if r_ex is None else r_ex)
+    gates = st.open_gates if r_ex is None else st.radius_gates
+    trig = np.sin if kind is AvgKind.SIN else np.cos
+    val = sum(g * trig(q * tau) for g, tau in zip(gates, s.taus))
+    if r_ex is not None:
+        val = val - trig(q * r_ex) * st.dp
+    if kind is AvgKind.SIN:
+        val = val / q
+        if r_ex is not None:
+            val = val - np.cos(q * r_ex) * st.dr
+        val = val + st.d0
+    else:
+        val = (val + st.const_pair) / q
+        if r_ex is not None:
+            val = val + np.sin(q * r_ex) * st.dr
+    return val / (q * (s.dt1 * s.dt2))
+
+
+@pytest.mark.parametrize("kind", list(AvgKind))
+def test_averages_skip_closed_gates_bit_for_bit(kind):
+    # leaving out the corners whose gate is exactly 0 keeps every bit of the
+    # four-term sum, on dead windows and on lags at the band edge too
+    rng = np.random.default_rng(12)
+    q = np.geomspace(1e-3, 300.0, 97)
+    closed = 0
+    for _ in range(300):
+        dt1, dt2 = (float(v) for v in rng.uniform(0.02, 3.0, size=2))
+        r_ex = float(rng.choice([rng.uniform(0.1, 8.0), dt1 + dt2, 30.0]))
+        band = BOUNDARY_RTOL * max(dt1, dt2, r_ex, 1.0)
+        t = float(rng.choice([
+            rng.uniform(-4.0, 4.0), 0.0, dt1, -dt2, dt1 - dt2, r_ex, r_ex - dt2,
+            -dt2 - rng.uniform(0.01, 5.0), -dt2 - 1.5 * band, band, -band, dt1 - 1.5 * band,
+            r_ex + 1.5 * band, 1.5 * band,
+        ]))
+        s = Schedule(dt1, dt2, t)
+        closed += step_coefficients(s, 0.0).open_gates.count(0.0)
+        for got, want in [
+            (infinite_avg(kind, q, s), _four_term_average(kind, q, s)),
+            (finite_avg(kind, q, r_ex, s), _four_term_average(kind, q, s, r_ex)),
+        ]:
+            assert got.tobytes() == want.tobytes()
+        for v in q[::12].tolist():
+            assert np.float64(infinite_avg(kind, v, s)).tobytes() == np.float64(
+                _four_term_average(kind, v, s)).tobytes()
+            assert np.float64(finite_avg(kind, v, r_ex, s)).tobytes() == np.float64(
+                _four_term_average(kind, v, s, r_ex)).tobytes()
+    assert closed > 300  # the seeded schedules close many corners
