@@ -11,10 +11,9 @@ import csv
 import sys
 import warnings
 
-from brfactor.cli import round4, table1_rows
 from brfactor.closed_form import CancellationWarning, factor_closed
 from brfactor.fourier_bessel import factor_series, factor_series_general
-from brfactor.model import SeriesConfig
+from brfactor.model import SeriesConfig, round4, table1_rows
 
 ROUTES = (("series", factor_series), ("series-general", factor_series_general))
 
@@ -58,7 +57,7 @@ def run(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--rows", default="1,5,9,11",
                     help="comma-separated 1-based table row numbers")
-    ap.add_argument("--n-max", type=int, default=2000)
+    ap.add_argument("--n-max", type=int, default=SeriesConfig.n_max)
     ap.add_argument("--out", default="convergence.csv")
     args = ap.parse_args(argv)
 

@@ -11,7 +11,8 @@ sweep at two offsets, the results of the benchmark's `series-random` calls
 at seeds 300 and 301, `sph_bessel` and both analytic time averages on arrays
 and scalars, 200 small `validate` reports at the benchmark's seeds, and
 scalar `factor_closed` and `ji4` calls that reach every cell of the closed
-form's route table, and every term both series routes log at fixed points.
+form's route table, every term both series routes log at fixed points, and
+the help text of the parser and of each subcommand at 100 columns.
 
 Each `series-random` seed gives two items: `.stops` holds where every call
 stopped (`terms_used` and `converged`, or the exception it raised) and
@@ -32,6 +33,7 @@ import random
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 
@@ -176,6 +178,23 @@ def _series_term_items(workloads, scratch):
         yield f"series.terms.{name}.dead_window", _term_logs(route, [(k, dead) for k in kinds])
 
 
+def _help_items():
+    """`cli.help.<command>`: the `--help` text of the parser (`brfactor`) and
+    of each subcommand, formatted at COLUMNS=100."""
+    from brfactor.cli import build_parser
+
+    for command in ("brfactor", "factor", "table1", "sweep", "validate"):
+        argv = ["--help"] if command == "brfactor" else [command, "--help"]
+        out = io.StringIO()
+        with (
+            mock.patch.dict(os.environ, COLUMNS="100"),
+            contextlib.redirect_stdout(out),
+            contextlib.suppress(SystemExit),
+        ):
+            build_parser().parse_args(argv)
+        yield f"cli.help.{command}", out.getvalue().encode()
+
+
 def items(workloads):
     """(name, bytes) of every item, in print order."""
     from brfactor.cli import main
@@ -210,6 +229,7 @@ def items(workloads):
     yield from _bessel_items()
     yield from _average_items()
     yield from _scalar_closed_items()
+    yield from _help_items()
 
 
 def run(argv=None) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import decimal
 import functools
 import itertools
 import json
@@ -43,7 +42,8 @@ from .model import (
     SeriesConfig,
     ValidationError,
     check_field,
-    reverse,
+    round4,
+    table1_rows,
 )
 from .oracle import QuadConfig, factor_fourier_numeric, ji4_numeric
 from .time_averages import (
@@ -57,29 +57,10 @@ from .time_averages import (
 )
 
 __all__ = [
-    "Table1Row",
     "build_parser",
     "main",
     "parse_angle",
-    "round4",
-    "table1_rows",
 ]
-
-_CTX4 = decimal.Context(prec=4, rounding=decimal.ROUND_HALF_EVEN)
-
-
-def round4(x: float) -> str:
-    """Render x to four significant digits (half-even) as `d.ddde±k`."""
-    d = _CTX4.create_decimal(repr(float(x)))
-    if not d.is_finite():
-        return str(d)
-    if d == 0:
-        return "0.000e+0"
-    sign, digits, exp = d.as_tuple()
-    e = exp + len(digits) - 1
-    digits = (digits + (0, 0, 0))[:4]
-    mant = f"{digits[0]}.{digits[1]}{digits[2]}{digits[3]}"
-    return f"{'-' if sign else ''}{mant}e{e:+d}"
 
 
 def parse_angle(text: str) -> float:
@@ -109,86 +90,47 @@ def parse_angle(text: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# built-in reference table
-
-
-@dataclasses.dataclass(frozen=True)
-class Table1Row:
-    """One reference row: inputs, printed 4-digit value, reverse marker."""
-
-    kind: FactorKind
-    params: RegionPair
-    expected: str
-    is_reverse_of_previous: bool
-
-
-_P5 = RegionPair(1.0, 1.0, 1.0, math.pi / 6.0, math.pi / 3.0, 1.0, 1.0, 0.5)
-_P11 = RegionPair(1.0, 2.0, 1.0, math.pi / 6.0, math.pi / 3.0, 1.0, 2.0, 0.5)
-
-# forward rows; a non-None second value adds the reverse row after it
-_BASE_ROWS = (
-    (FactorKind.AXX, RegionPair(1.0, 1.0), "-1.625e+0", None),
-    (FactorKind.AXX, RegionPair(10.0, 10.0), "-2.850e-3", None),
-    (FactorKind.AXX, RegionPair(1.0, 1.0, dt2=2.0, t_offset=0.5), "1.953e-1", "-5.664e-1"),
-    (FactorKind.AXX, _P5, "-6.407e-2", "-4.530e-1"),
-    (FactorKind.AXY, _P5, "6.636e-2", "5.901e-3"),
-    (FactorKind.BXY, _P5, "-2.730e-1", "1.675e-1"),
-    (FactorKind.AXX, _P11, "7.454e-2", "-8.914e-2"),
-    (FactorKind.AXY, _P11, "3.493e-3", "-3.884e-4"),
-    (FactorKind.BXY, _P11, "-2.560e-2", "4.126e-3"),
-)
-
-
-def table1_rows() -> tuple:
-    """The sixteen built-in reference rows, reverse rows generated in place."""
-    rows = []
-    for kind, params, expected, expected_rev in _BASE_ROWS:
-        rows.append(Table1Row(kind, params, expected, False))
-        if expected_rev is not None:
-            rows.append(Table1Row(kind, reverse(params), expected_rev, True))
-    return tuple(rows)
-
-
-# ---------------------------------------------------------------------------
 # shared evaluation core
 
 
-def _series_config(args: argparse.Namespace) -> SeriesConfig:
-    return SeriesConfig(
-        rex_slack=args.rex_slack, n_max=args.n_max, tail_tol=args.tail_tol
-    )
+# (config, field, help) of each route flag; the flag's dest is the field name
+_ROUTE_FLAGS = (
+    (SeriesConfig, "n_max", "series truncation depth (default %(default)s)"),
+    (SeriesConfig, "tail_tol", "relative tail tolerance for series convergence"),
+    (SeriesConfig, "rex_slack", "extra expansion radius beyond the causal minimum"),
+    (QuadConfig, "abs_tol", "absolute error budget for the numeric method"),
+    (QuadConfig, "rel_tol", "relative error budget for the numeric method"),
+    (QuadConfig, "tail_periods", "oscillatory tail chunks for the numeric method"),
+)
 
 
-def _quad_config(args: argparse.Namespace) -> QuadConfig:
-    return QuadConfig(
-        abs_tol=args.abs_tol, rel_tol=args.rel_tol, tail_periods=args.tail_periods
-    )
-
-
-def _evaluate(
-    kind: FactorKind,
-    p: RegionPair,
-    method: Method,
-    series_cfg: SeriesConfig,
-    quad_cfg: QuadConfig,
-) -> FactorResult:
-    """Dispatch to one computation route; the one place where a route's
-    output becomes a FactorResult.
+def _router(args: argparse.Namespace):
+    """`evaluate(kind, p)` by the route and tuning that the flags in `args`
+    choose; the one place where a route's output becomes a FactorResult.
 
     A quadrature that misses its error budget gives its best estimate,
     flagged `converged=False` with an infinite tail estimate.
     """
-    try:
-        if method is Method.CLOSED_FORM:
-            return factor_closed(kind, p)
-        if method is Method.SERIES_SIMPLE:
-            return factor_series(kind, p, series_cfg)
-        if method is Method.SERIES_GENERAL:
-            return factor_series_general(kind, p, series_cfg)
-        quad = factor_fourier_numeric(kind, p, quad_cfg)
-    except QuadratureError as exc:
-        return FactorResult(exc.estimate, 0, math.inf, method, converged=False)
-    return FactorResult(quad.value, 0, quad.error, method, converged=True)
+    method = Method(args.method)
+    tuning = {SeriesConfig: {}, QuadConfig: {}}
+    for owner, name, _ in _ROUTE_FLAGS:
+        tuning[owner][name] = getattr(args, name)
+    series_cfg, quad_cfg = (owner(**fields) for owner, fields in tuning.items())
+
+    def evaluate(kind: FactorKind, p: RegionPair) -> FactorResult:
+        try:
+            if method is Method.CLOSED_FORM:
+                return factor_closed(kind, p)
+            if method is Method.SERIES_SIMPLE:
+                return factor_series(kind, p, series_cfg)
+            if method is Method.SERIES_GENERAL:
+                return factor_series_general(kind, p, series_cfg)
+            quad = factor_fourier_numeric(kind, p, quad_cfg)
+        except QuadratureError as exc:
+            return FactorResult(exc.estimate, 0, math.inf, method, converged=False)
+        return FactorResult(quad.value, 0, quad.error, method, converged=True)
+
+    return evaluate
 
 
 def _record(kind: FactorKind, p: RegionPair, result: FactorResult) -> dict:
@@ -240,7 +182,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
     """Evaluate one factor and print a JSON record."""
     kind = FactorKind(args.kind)
     p = RegionPair(**{name: getattr(args, name) for name in FIELDS})
-    result = _evaluate(kind, p, Method(args.method), _series_config(args), _quad_config(args))
+    result = _router(args)(kind, p)
     print(json.dumps(_record(kind, p, result)))
     return 0 if result.converged else 3
 
@@ -257,18 +199,16 @@ def cmd_table1(args: argparse.Namespace) -> int:
     A row passes when its result converged and rounds to the printed value.
     Exit 3 if any row did not converge, else 1 if any row failed.
     """
-    method = Method(args.method)
-    series_cfg = _series_config(args)
-    quad_cfg = _quad_config(args)
+    evaluate = _router(args)
     rows = table1_rows()
     passed = 0
     all_converged = True
     csv_rows = []
     print(_TABLE_HEADER)
     for index, row in enumerate(rows, start=1):
-        result = _evaluate(row.kind, row.params, method, series_cfg, quad_cfg)
+        result = evaluate(row.kind, row.params)
         rounded = round4(result.value)
-        ok = result.converged and rounded == round4(float(row.expected))
+        ok = result.converged and rounded == row.expected
         passed += ok
         all_converged = all_converged and result.converged
         print(
@@ -319,8 +259,7 @@ def _parse_kinds(text: str):
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Write one CSV row per grid point; exit 3 if any row did not converge."""
     method = Method(args.method)
-    series_cfg = _series_config(args)
-    quad_cfg = _quad_config(args)
+    evaluate = _router(args)
     axes = tuple(getattr(args, name) for name in FIELDS)
     total = len(args.kind) * math.prod(len(a) for a in axes)
     if total > args.max_points:
@@ -355,7 +294,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         for kind, point in itertools.product(args.kind, itertools.product(*axes)):
             p = RegionPair(*point)
-            result = _evaluate(kind, p, method, series_cfg, quad_cfg)
+            result = evaluate(kind, p)
             all_converged = all_converged and result.converged
             rows.append(_csv_row(kind, p, result))
     _write_csv(args.out, _CSV_COLUMNS, rows)
@@ -478,19 +417,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_series_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--n-max", type=int, default=2000,
-                    help="series truncation depth (default 2000)")
-    sp.add_argument("--tail-tol", type=float, default=1e-6,
-                    help="relative tail tolerance for series convergence")
-    sp.add_argument("--rex-slack", type=float, default=0.0,
-                    help="extra expansion radius beyond the causal minimum")
-    sp.add_argument("--abs-tol", type=float, default=1e-7,
-                    help="absolute error budget for the numeric method")
-    sp.add_argument("--rel-tol", type=float, default=1e-4,
-                    help="relative error budget for the numeric method")
-    sp.add_argument("--tail-periods", type=int, default=400,
-                    help="oscillatory tail chunks for the numeric method")
+def _add_route_flags(sp: argparse.ArgumentParser) -> None:
+    for owner, name, text in _ROUTE_FLAGS:
+        default = getattr(owner, name)
+        sp.add_argument("--" + name.replace("_", "-"), type=type(default), default=default,
+                        help=text)
 
 
 _FIELD_HELP = {
@@ -546,13 +477,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", required=True, choices=[k.value for k in FactorKind])
     _add_geometry_flags(sp, axes=False)
     sp.add_argument("--method", default="closed", choices=_METHODS)
-    _add_series_flags(sp)
+    _add_route_flags(sp)
     sp.set_defaults(handler=cmd_factor)
 
     sp = sub.add_parser("table1", help="recompute the built-in reference table")
     sp.add_argument("--method", default="closed", choices=_METHODS)
     sp.add_argument("--csv", default=None, help="also write the rows to this CSV file")
-    _add_series_flags(sp)
+    _add_route_flags(sp)
     sp.set_defaults(handler=cmd_table1)
 
     sp = sub.add_parser("sweep", help="evaluate a parameter grid, write CSV")
@@ -563,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None, help="CSV output path (default stdout)")
     sp.add_argument("--max-points", type=int, default=20000,
                     help="refuse grids larger than this")
-    _add_series_flags(sp)
+    _add_route_flags(sp)
     sp.set_defaults(handler=cmd_sweep)
 
     sp = sub.add_parser("validate", help="seeded cross-method comparison report")

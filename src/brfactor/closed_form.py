@@ -393,7 +393,8 @@ def coincident_axx(R0: float, dt0: float) -> float:
     try:
         try:
             r4 = R0**4
-            value, inv8 = -1.0 / (r4 * kappa), 1.0 / (8.0 * r4 * kappa)
+            # 8 kappa < 16 wherever the gate is open: 8 r4 alone may overflow
+            value, inv8 = -1.0 / (r4 * kappa), 1.0 / (r4 * (8.0 * kappa))
         except OverflowError:
             # R0**4 overflows where R0**4 kappa = R0**3 dt0 need not
             scale = R0**3 * dt0

@@ -5,22 +5,21 @@ radii R1 and R2 whose centres are separated by a displacement vector with
 spherical coordinates (R, theta, phi), observed over the time intervals
 (0, dt1) and (T, T + dt2).  Units are such that c = 1 and all lengths and
 times share one common unit; factor values then carry dimension
-length**-4.
+length**-4.  The module also holds the built-in reference table, whose
+rows are compared with a value at four significant digits (`round4`).
 """
 
 from __future__ import annotations
 
+import decimal
 import enum
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-#: RegionPair fields in declaration order
-FIELDS = ("r1", "r2", "r", "theta", "phi", "dt1", "dt2", "t_offset")
 
 #: fields that must be positive; r must be nonnegative, the rest only finite
 _POSITIVE = ("r1", "r2", "dt1", "dt2")
@@ -119,6 +118,10 @@ class RegionPair:
         return {name: getattr(self, name) for name in FIELDS}
 
 
+#: RegionPair fields in declaration order
+FIELDS = tuple(field.name for field in fields(RegionPair))
+
+
 def normalize(params: RegionPair) -> RegionPair:
     """Fold angles into theta in [0, pi], phi in [0, 2*pi); validate the rest.
 
@@ -160,6 +163,67 @@ def reverse(params: RegionPair) -> RegionPair:
         dt2=params.dt1,
         t_offset=-params.t_offset,
     ))
+
+
+# ---------------------------------------------------------------------------
+# built-in reference table
+
+_CTX4 = decimal.Context(prec=4, rounding=decimal.ROUND_HALF_EVEN)
+
+
+def round4(x: float) -> str:
+    """Render x to four significant digits (half-even) as `d.ddde±k`."""
+    d = _CTX4.create_decimal(repr(float(x)))
+    if not d.is_finite():
+        return str(d)
+    if d == 0:
+        return "0.000e+0"
+    sign, digits, exp = d.as_tuple()
+    e = exp + len(digits) - 1
+    digits = (digits + (0, 0, 0))[:4]
+    mant = f"{digits[0]}.{digits[1]}{digits[2]}{digits[3]}"
+    return f"{'-' if sign else ''}{mant}e{e:+d}"
+
+
+@dataclass(frozen=True)
+class Table1Row:
+    """One reference row: inputs, printed 4-digit value, reverse marker.
+
+    `expected` is in `round4`'s form, so a value matches the row exactly
+    when `round4(value) == expected`.
+    """
+
+    kind: FactorKind
+    params: RegionPair
+    expected: str
+    is_reverse_of_previous: bool
+
+
+_P5 = RegionPair(1.0, 1.0, 1.0, math.pi / 6.0, math.pi / 3.0, 1.0, 1.0, 0.5)
+_P11 = RegionPair(1.0, 2.0, 1.0, math.pi / 6.0, math.pi / 3.0, 1.0, 2.0, 0.5)
+
+# forward rows; a non-None second value adds the reverse row after it
+_BASE_ROWS = (
+    (FactorKind.AXX, RegionPair(1.0, 1.0), "-1.625e+0", None),
+    (FactorKind.AXX, RegionPair(10.0, 10.0), "-2.850e-3", None),
+    (FactorKind.AXX, RegionPair(1.0, 1.0, dt2=2.0, t_offset=0.5), "1.953e-1", "-5.664e-1"),
+    (FactorKind.AXX, _P5, "-6.407e-2", "-4.530e-1"),
+    (FactorKind.AXY, _P5, "6.636e-2", "5.901e-3"),
+    (FactorKind.BXY, _P5, "-2.730e-1", "1.675e-1"),
+    (FactorKind.AXX, _P11, "7.454e-2", "-8.914e-2"),
+    (FactorKind.AXY, _P11, "3.493e-3", "-3.884e-4"),
+    (FactorKind.BXY, _P11, "-2.560e-2", "4.126e-3"),
+)
+
+
+def table1_rows() -> tuple:
+    """The sixteen built-in reference rows, reverse rows generated in place."""
+    rows = []
+    for kind, params, expected, expected_rev in _BASE_ROWS:
+        rows.append(Table1Row(kind, params, expected, False))
+        if expected_rev is not None:
+            rows.append(Table1Row(kind, reverse(params), expected_rev, True))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,8 @@ from brfactor import (
 )
 # the random draws are the CLI's own, so `validate` and these criteria
 # sample the same geometries
-from brfactor.cli import _JI4_SIGS, _draw_ji4, _draw_pair, table1_rows
+from brfactor.cli import _JI4_SIGS, _draw_ji4, _draw_pair
+from brfactor.model import table1_rows
 from brfactor.time_averages import heaviside, numeric_time_average
 
 _CTX4 = decimal.Context(prec=4, rounding=decimal.ROUND_HALF_EVEN)
@@ -58,7 +59,7 @@ def _round4(x: float) -> str:
     return f"{'-' if sign else ''}{mant}e{e:+d}"
 
 
-# the sixteen reference values, pinned here independently of the CLI's copy
+# the sixteen reference values, pinned here independently of `model`'s table
 _EXPECTED = (
     "-1.625e+0",
     "-2.850e-3",

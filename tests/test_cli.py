@@ -16,9 +16,11 @@ import numpy as np
 import pytest
 
 import brfactor
-from brfactor.cli import build_parser, main, parse_angle, round4, table1_rows
+from brfactor.cli import build_parser, main, parse_angle
 from brfactor.closed_form import CancellationWarning, factor_closed, factor_closed_batch
-from brfactor.model import FIELDS, FactorKind, RegionPair
+from brfactor.fourier_bessel import factor_series, factor_series_general
+from brfactor.model import FIELDS, FactorKind, RegionPair, SeriesConfig, round4, table1_rows
+from brfactor.oracle import QuadConfig, factor_fourier_numeric
 
 # coincident-region rows cancel structurally on some probes; benign here
 pytestmark = pytest.mark.filterwarnings(
@@ -74,6 +76,9 @@ def test_table_rows_expand_reverse_pairs():
     assert len(rows) == 16
     flags = [row.is_reverse_of_previous for row in rows]
     assert flags == [False, False, False, True] + [False, True] * 6
+    # table1 compares round4(value) with the printed string itself
+    for row in rows:
+        assert round4(float(row.expected)) == row.expected
 
 
 FACTOR_ARGS = [
@@ -186,12 +191,6 @@ def test_convergence_study_logs_every_node(tmp_path):
             assert len(runs) == 1
 
 
-def test_reproduce_table1_closed_route_passes():
-    proc = _fresh_python(str(SCRIPTS / "reproduce_table1.py"), "--method", "closed")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "16/16 rows pass" in proc.stdout
-
-
 def test_factor_angle_expressions(capsys):
     args = [
         "factor", "--kind", "axy", "--r1", "1", "--r2", "1", "--r", "1",
@@ -274,7 +273,7 @@ def test_series_depth_starves_and_exits_3(capsys):
     assert record["terms_used"] == 25
 
 
-@pytest.mark.parametrize("method", ["closed", "series"])
+@pytest.mark.parametrize("method", ["closed", "series", "series-general", "numeric"])
 def test_table1_passes(method, capsys):
     assert main(["table1", "--method", method]) == 0
     out = capsys.readouterr().out
@@ -506,6 +505,45 @@ def test_back_to_back_main_calls_print_what_separate_calls_print(capsys):
     assert [code for code, _, _ in separate] == [0, 0, 0, 0, 0, 2]
     assert cli._parser() is cli._parser()
     assert build_parser() is not build_parser()
+
+
+# each route flag and the config field that owns its default
+ROUTE_FLAGS = {
+    "n_max": SeriesConfig, "tail_tol": SeriesConfig, "rex_slack": SeriesConfig,
+    "abs_tol": QuadConfig, "rel_tol": QuadConfig, "tail_periods": QuadConfig,
+}
+
+
+def test_route_flag_defaults_are_their_configs():
+    parser = build_parser()
+    for argv in (FACTOR_ARGS, ["table1"], ["sweep", "--r1", "1", "--r2", "1"]):
+        args = parser.parse_args(argv)
+        for name, owner in ROUTE_FLAGS.items():
+            default = getattr(owner(), name)
+            assert getattr(args, name) == default and type(getattr(args, name)) is type(default)
+
+
+def test_factor_without_tuning_flags_is_the_route_at_its_default_config(capsys):
+    routes = {
+        "closed": lambda kind, p: factor_closed(kind, p),
+        "series": lambda kind, p: factor_series(kind, p, SeriesConfig()),
+        "series-general": lambda kind, p: factor_series_general(kind, p, SeriesConfig()),
+        "numeric": lambda kind, p: factor_fourier_numeric(kind, p, QuadConfig()),
+    }
+    p = RegionPair(1.0, 1.2, 0.5, 0.3, 0.2, 1.0, 1.0, 0.5)
+    for method, route in routes.items():
+        for kind in FactorKind:
+            argv = DISPLACED_ARGS + ["--method", method]
+            argv[argv.index("--kind") + 1] = kind.value
+            assert main(argv) == 0
+            record = json.loads(capsys.readouterr().out)
+            result = route(kind, p)
+            assert record["value"] == result.value
+            if method != "numeric":  # the oracle reports no terms or stop
+                assert record["terms_used"] == result.terms_used
+                assert record["converged"] is result.converged
+            else:
+                assert (record["terms_used"], record["converged"]) == (0, True)
 
 
 def test_parser_program_metadata():

@@ -346,6 +346,23 @@ def test_coincident_past_the_fourth_power_overflow(R0, dt0):
     assert coincident_axx(R0, dt0) == pytest.approx(float(exact), rel=1e-15)
 
 
+def test_coincident_keeps_the_gated_term_where_eight_r0_to_the_fourth_overflows():
+    # for R0 in about 6.9e76-1.16e77, R0**4 is finite but 8 R0**4 is not;
+    # kappa in 1e-300-1e-3 keeps R0**4 kappa normal and 8 R0**4 kappa finite
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(14)
+    points = [(1.1413e77, 1.1383e-204)]
+    for _ in range(200):
+        R0 = math.exp(rng.uniform(math.log(1e76), math.log(1.2e77)))
+        points.append((R0, R0 * math.exp(rng.uniform(math.log(1e-300), math.log(1e-3)))))
+    with mpmath.workdps(40):
+        for R0, dt0 in points:
+            kappa = mpmath.mpf(dt0) / mpmath.mpf(R0)
+            lead = mpmath.mpf(R0) ** 4 * kappa
+            exact = -(1 + (4 + kappa) * (2 - kappa) ** 2 / 8) / lead
+            assert coincident_axx(R0, dt0) == pytest.approx(float(exact), rel=1e-14), (R0, dt0)
+
+
 def test_coincident_long_average_at_extreme_scale():
     # the closed gate is off for kappa = 1e120; its overflowing factor
     # (4 + kappa)(2 - kappa)**2 must not turn the value into nan
