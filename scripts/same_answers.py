@@ -19,7 +19,9 @@ stopped (`terms_used` and `converged`, or the exception it raised) and
 `.values` its `value` and `tail_estimate`.  A change that only rounds the
 sums differently leaves the `.stops` items byte-identical.  The
 `series.terms.<route>` items hold each call's result and its whole
-`term_log`, so byte identity covers every term, not only totals and stops.
+`term_log`, so byte identity covers every term, not only totals and stops;
+their `.budgets` items do so under budgets that end a block early, so the
+block cut short by the budget is fingerprinted too.
 """
 
 import argparse
@@ -40,6 +42,8 @@ import numpy as np
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
 SWEEP = ["sweep", "--kind", "axx,axy,bxy", "--r1", "0.5:2:40", "--r", "0:2:10",
          "--phi", "0:6.28:16", "--r2", "1.1", "--theta", "1.0"]
+#: series budgets that end at, just before or just after a block's end
+BUDGETS = (20, 127, 128, 129, 384, 385)
 
 
 def _workloads():
@@ -145,15 +149,16 @@ def _scalar_closed_items():
         yield "ji4.scalar." + "_".join(map(str, sig)), pickle.dumps(results)
 
 
-def _term_logs(route, kinds_points):
-    """Every term and partial sum of `route` at each (kind, point), or the
-    refusal, as plain tuples."""
+def _term_logs(route, kinds_points, cfg):
+    """Every term and partial sum of `route` under `cfg` at each (kind,
+    point), or the refusal, as plain tuples."""
     from brfactor import FactorKind, RegionPair
 
     logs = []
     for kind, params in kinds_points:
         log = []
-        outcome = _outcome(lambda: route(FactorKind(kind), RegionPair(**params), term_log=log))
+        outcome = _outcome(
+            lambda: route(FactorKind(kind), RegionPair(**params), cfg, term_log=log))
         if not isinstance(outcome, str):
             outcome = (outcome.value, outcome.terms_used, outcome.tail_estimate, outcome.converged)
         logs.append((outcome, [(t.n, t.q_n, t.term_value, t.partial_sum) for t in log]))
@@ -162,9 +167,11 @@ def _term_logs(route, kinds_points):
 
 def _series_term_items(workloads, scratch):
     """The term logs of both series routes at the first 60 `series-random`
-    inputs of seed 300 and one r = 0 point, every kind at the second; and at
-    a dead window whose lags overflow when multiplied by q."""
+    inputs of seed 300 and one r = 0 point, every kind at the second; at a
+    dead window whose lags overflow when multiplied by q; and, as the
+    `.budgets` items, at the same 63 points under each n_max of BUDGETS."""
     import brfactor
+    from brfactor import SeriesConfig
 
     w = workloads.SeriesRandom(300, scratch)
     points = [w.inputs(i)[::2] for i in range(60)]
@@ -174,8 +181,11 @@ def _series_term_items(workloads, scratch):
     dead = dict(r1=1e-100, r2=1e-100, dt1=1.0, dt2=1.0, t_offset=-1e250)
     for name in ("factor_series", "factor_series_general"):
         route = getattr(brfactor, name)
-        yield f"series.terms.{name}", _term_logs(route, points)
-        yield f"series.terms.{name}.dead_window", _term_logs(route, [(k, dead) for k in kinds])
+        yield f"series.terms.{name}", _term_logs(route, points, SeriesConfig())
+        yield f"series.terms.{name}.dead_window", _term_logs(
+            route, [(k, dead) for k in kinds], SeriesConfig())
+        yield f"series.terms.{name}.budgets", b"".join(
+            _term_logs(route, points, SeriesConfig(n_max=k)) for k in BUDGETS)
 
 
 def _help_items():

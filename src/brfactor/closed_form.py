@@ -389,22 +389,20 @@ def coincident_axx(R0: float, dt0: float) -> float:
     if not (0.0 < R0 < math.inf and 0.0 < dt0 < math.inf):
         raise ValidationError("R0 and dt0 must be finite and positive")
     kappa = dt0 / R0
-    gate = heaviside(2.0 - kappa, max(kappa, 1.0))
+    # kappa = inf lies far past the gate's edge, where the band would be inf
+    gate = heaviside(2.0 - kappa, max(kappa, 1.0)) if kappa < math.inf else 0.0
+    gated = 0.125 * (4.0 + kappa) * (2.0 - kappa) ** 2 * gate if gate else 0.0
+    # both terms scale as 1/(R0**4 kappa) = 1/(R0**3 dt0), taken apart into
+    # mantissas and powers of two so that only the value is rounded into the
+    # float range, where it may underflow gradually
+    (m_r, e_r), (m_t, e_t) = math.frexp(R0), math.frexp(dt0)
     try:
-        try:
-            r4 = R0**4
-            # 8 kappa < 16 wherever the gate is open: 8 r4 alone may overflow
-            value, inv8 = -1.0 / (r4 * kappa), 1.0 / (r4 * (8.0 * kappa))
-        except OverflowError:
-            # R0**4 overflows where R0**4 kappa = R0**3 dt0 need not
-            scale = R0**3 * dt0
-            value, inv8 = -1.0 / scale, 0.125 / scale
-    except (OverflowError, ZeroDivisionError):
+        R0**3  # an R0 whose cube overflows is refused
+        value = -math.ldexp((1.0 + gated) / (m_r**3 * m_t), -3 * e_r - e_t)
+    except OverflowError:
         value = math.nan
     if not math.isfinite(value):
         raise ValidationError(f"A_xx at R0={R0!r}, dt0={dt0!r} lies beyond the float range")
-    if gate:
-        value = -inv8 * (4.0 + kappa) * (2.0 - kappa) ** 2 * gate + value
     return value
 
 

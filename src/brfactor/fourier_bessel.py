@@ -19,7 +19,6 @@ import numpy as np
 
 from .closed_form import _two_sum, ji4
 from .model import (
-    CHANNELS,
     FactorKind,
     FactorResult,
     Ji4Args,
@@ -27,6 +26,7 @@ from .model import (
     RegionPair,
     SeriesConfig,
     ValidationError,
+    check_channel,
     length_scale,
 )
 from .special_functions import angular_weight, bessel_roots, fb_weight, sph_bessels
@@ -65,11 +65,6 @@ def _spans(count: int):
         lo, size = lo + size, 2 * size
 
 
-def _check_pair(kind: FactorKind, l: int) -> None:
-    if (kind, l) not in CHANNELS:
-        raise ValidationError(f"no radial kernel for (kind={kind.value}, l={l})")
-
-
 def utilde(kind: FactorKind, l: int, q, s: Schedule):
     """Radial multipole kernel at wavenumber q, angular constants excluded.
 
@@ -77,7 +72,7 @@ def utilde(kind: FactorKind, l: int, q, s: Schedule):
     average for l = 0 and 2 (the monopole also carries the -(3/2)<delta(t)>
     flat term), q times the cosine average for l = 1.  Broadcasts over q.
     """
-    _check_pair(kind, l)
+    check_channel(kind, l)
     qa = wavenumbers(q)
     out = _saturated_kernels((l,), s, qa.ndim)(qa)[l]
     return float(out) if np.ndim(q) == 0 else out
@@ -162,60 +157,54 @@ def _flat_head(g00: float, a: float, b: float, r: float) -> float:
     )
 
 
-def _accumulate(blocks, cfg: SeriesConfig, start: float, term_log=None):
-    """Compensated prefix sums of blocks of (n, q_n, term) arrays, with the
-    windowed stopping rule.
+def _accumulate(block, cfg: SeriesConfig, start: float, term_log=None):
+    """The series engine: sums start and the terms that `block(lo, hi)`
+    returns, as the (q, terms) arrays of nodes lo + 1..hi, over the spans of
+    `_spans(cfg.n_max)`, with compensated prefix sums and the windowed
+    stopping rule.
 
     Each partial sum is Sum2 of Ogita, Rump & Oishi (SIAM J. Sci. Comput. 26
     (2005) 1955) over the terms so far: the left-to-right float sum plus the
     sum of every addition's exact TwoSum error, within u|s| + gamma_n^2
-    sum|x| of the exact one.  Both running sums are carried from block to
-    block, so the result does not depend on where the blocks end.
+    sum|x| of the exact one.  After each block both sums and the windows are
+    recomputed over every term so far; np.add.accumulate adds left to right,
+    so the result does not depend on where the blocks end.
 
     Stops at the first term after which the largest |term| across the
     trailing tail_window terms falls below tail_tol times the current
-    |partial sum| (floored away from zero).  The rule is tested once per
-    block, over every window that ends in it, and a window may reach back
-    into earlier blocks.  Returns (total, last_n, tail_estimate, converged).
+    |partial sum| (floored away from zero).  Windows that end in earlier
+    blocks saw the same floats and failed, so the first window that passes
+    is the stop, and no later block is asked for.  Returns (total, last_n,
+    tail_estimate, converged).
     """
     width = cfg.tail_window
-    total = run_end = start
-    err_end = 0.0
-    # |term| of the last width - 1 terms before the current block
-    recent = mags = np.empty(0)
-    used = 0
-    for n, q, terms in blocks:
-        run = np.add.accumulate(np.concatenate(((run_end,), terms)))
-        errs = _two_sum(run[:-1], terms)[1]
-        # the carried error comes first, as in one sequential sum
-        errs[0] += err_end
-        np.add.accumulate(errs, out=errs)
-        run_end, err_end = run[-1], errs[-1]
-        partials = run[1:] + errs
-        mags = np.concatenate((recent, np.abs(terms)))
+    qs, terms = [], np.empty(0)
+    for lo, hi in _spans(cfg.n_max):
+        q, block_terms = block(lo, hi)
+        qs.append(q)
+        terms = np.concatenate((terms, block_terms))
+        run = np.add.accumulate(np.concatenate(((start,), terms)))
+        partials = run[1:] + np.add.accumulate(_two_sum(run[:-1], terms)[1])
+        mags = np.abs(terms)
+        if len(terms) < width:
+            continue
+        # window k covers mags[k:k + width] and ends at term k + width
+        window_max = _window_max(mags, width)
+        bound = cfg.tail_tol * np.maximum(np.abs(partials[width - 1 :]), 1e-300)
+        hits = np.flatnonzero(window_max < bound)
+        if hits.size:
+            count = width + int(hits[0])
+            tail, converged = float(window_max[hits[0]]), True
+            break
+    else:
         count = len(terms)
-        stop = None
-        # window k covers mags[k:k + width] and ends at block index k + lead
-        lead = width - 1 - len(recent)
-        if lead < count:
-            window_max = _window_max(mags, width)
-            bound = cfg.tail_tol * np.maximum(np.abs(partials[lead:]), 1e-300)
-            hits = np.flatnonzero(window_max < bound)
-            if hits.size:
-                stop = int(hits[0])
-                count = lead + stop + 1
-        total = float(partials[count - 1])
-        if term_log is not None:
-            term_log.extend(
-                map(SeriesTermLog, n[:count].tolist(), q[:count].tolist(),
-                    terms[:count].tolist(), partials[:count].tolist())
-            )
-        used = int(n[count - 1])
-        if stop is not None:
-            return total, used, float(window_max[stop]), True
-        recent = mags[max(len(mags) - width + 1, 0):]
-    tail = float(mags[-width:].max()) if len(mags) else 0.0
-    return total, used, tail, False
+        tail, converged = float(mags[-width:].max()), False
+    if term_log is not None:
+        term_log.extend(
+            map(SeriesTermLog, range(1, count + 1), np.concatenate(qs)[:count].tolist(),
+                terms[:count].tolist(), partials[:count].tolist())
+        )
+    return float(partials[count - 1]), count, tail, converged
 
 
 def _window_max(mags: np.ndarray, width: int) -> np.ndarray:
@@ -270,24 +259,21 @@ def factor_series(
     # rows that take j_1 alone: q r1' and q r2, and q r too for the dipole
     j1_rows = 3 if ls == [1] else 2
 
-    def nodes():
-        for lo, hi in _spans(cfg.n_max):
-            n = np.arange(lo + 1, hi + 1)
-            q = n * (math.pi / r_ex)
-            check_wavenumbers(q[0], q[-1])  # q increases
-            radial = kernels(q)
-            x = q * radii
-            sin_x, cos_x = np.sin(x), np.cos(x)
-            (j1,) = sph_bessels((1,), x[:j1_rows], (sin_x[:j1_rows], cos_x[:j1_rows]))
-            j_r = j1[2:] if j1_rows == 3 else sph_bessels(ls, x[2], (sin_x[2], cos_x[2]))
-            acc = 0.0
-            for l, j in zip(ls, j_r):
-                rad = radial[l] - g00 if l == 0 else radial[l]
-                acc = acc + weights[l] * rad * j
-            terms = prefac * j1[0] * j1[1] * acc
-            yield n, q, terms
+    def block(lo, hi):
+        q = np.arange(lo + 1, hi + 1) * (math.pi / r_ex)
+        check_wavenumbers(q[0], q[-1])  # q increases
+        radial = kernels(q)
+        x = q * radii
+        sin_x, cos_x = np.sin(x), np.cos(x)
+        (j1,) = sph_bessels((1,), x[:j1_rows], (sin_x[:j1_rows], cos_x[:j1_rows]))
+        j_r = j1[2:] if j1_rows == 3 else sph_bessels(ls, x[2], (sin_x[2], cos_x[2]))
+        acc = 0.0
+        for l, j in zip(ls, j_r):
+            rad = radial[l] - g00 if l == 0 else radial[l]
+            acc = acc + weights[l] * rad * j
+        return q, prefac * j1[0] * j1[1] * acc
 
-    total, used, tail, converged = _accumulate(nodes(), cfg, head, term_log)
+    total, used, tail, converged = _accumulate(block, cfg, head, term_log)
     _check_finite(Method.SERIES_SIMPLE, total, tail)
     return FactorResult(
         value=total,
@@ -319,11 +305,8 @@ def factor_series_general(
         r_ex3 = length_scale(r_ex**3)
     except OverflowError:
         r_ex3 = length_scale(math.inf)
-    totals = []
-    used = 0
-    tail = 0.0
-    channel_status = []
     radii = np.array([[p.r1], [p.r2], [p.r], [r_ex]])
+    channels = []
     for l, w in sorted(weights.items()):
         roots, unit_weights = _root_nodes(l, cfg.n_max)
         chan_pref = (9.0 / length_scale(p.r1 * p.r2)) * (w / (4.0 * math.pi))
@@ -331,32 +314,23 @@ def factor_series_general(
         # rows that take j_1 alone: q r1 and q r2, and q r too for l = 1
         j1_rows = 3 if l == 1 else 2
 
-        def nodes():
-            for lo, hi in _spans(cfg.n_max):
-                q = roots[lo:hi] / r_ex
-                check_wavenumbers(q[0], q[-1])  # q increases
-                x = q * radii
-                sin_x, cos_x = np.sin(x), np.cos(x)
-                (j1,) = sph_bessels((1,), x[:j1_rows], (sin_x[:j1_rows], cos_x[:j1_rows]))
-                jl_r = j1[2] if l == 1 else sph_bessels((l,), x[2], (sin_x[2], cos_x[2]))[0]
-                bracket = kernel(q, x[3], sin_x[3], cos_x[3])
-                if l == 0:
-                    bracket = bracket - g00
-                terms = (
-                    chan_pref
-                    * (bracket / (r_ex3 * unit_weights[lo:hi]))
-                    * j1[0]
-                    * j1[1]
-                    * jl_r
-                    / (q * q)
-                )
-                yield np.arange(lo + 1, hi + 1), q, terms
+        def block(lo, hi):
+            q = roots[lo:hi] / r_ex
+            check_wavenumbers(q[0], q[-1])  # q increases
+            x = q * radii
+            sin_x, cos_x = np.sin(x), np.cos(x)
+            (j1,) = sph_bessels((1,), x[:j1_rows], (sin_x[:j1_rows], cos_x[:j1_rows]))
+            jl_r = j1[2] if l == 1 else sph_bessels((l,), x[2], (sin_x[2], cos_x[2]))[0]
+            bracket = kernel(q, x[3], sin_x[3], cos_x[3])
+            if l == 0:
+                bracket = bracket - g00
+            terms = chan_pref * (bracket / (r_ex3 * unit_weights[lo:hi])) * j1[0] * j1[1] * jl_r
+            return q, terms / (q * q)
 
-        total_l, used_l, tail_l, conv_l = _accumulate(nodes(), cfg, 0.0, term_log)
-        totals.append(total_l)
-        used = max(used, used_l)
-        tail += tail_l
-        channel_status.append((tail_l, conv_l))
+        channels.append(_accumulate(block, cfg, 0.0, term_log))
+    totals, used, tails, convs = zip(*channels)
+    # the channels' tails add in channel order
+    tail = sum(tails)
     head = _flat_head(g00, p.r1, p.r2, p.r) if 0 in weights else 0.0
     # fsum raises on an inf or a nan, so the parts are checked first
     _check_finite(Method.SERIES_GENERAL, head, tail, *totals)
@@ -365,12 +339,10 @@ def factor_series_general(
     # a channel that sums to a structural near-zero never passes its own
     # relative stop; judge such channels against the combined magnitude
     scale = max(abs(value), 1e-300)
-    converged = all(
-        conv_l or tail_l <= cfg.tail_tol * scale for tail_l, conv_l in channel_status
-    )
+    converged = all(ok or t <= cfg.tail_tol * scale for t, ok in zip(tails, convs))
     return FactorResult(
         value=value,
-        terms_used=used,
+        terms_used=max(used),
         tail_estimate=tail,
         method=Method.SERIES_GENERAL,
         converged=converged,

@@ -82,6 +82,12 @@ CHANNELS = frozenset({
 })
 
 
+def check_channel(kind: FactorKind, l: int) -> None:
+    """Refuse a (kind, l) pair that is not one of the CHANNELS."""
+    if (kind, l) not in CHANNELS:
+        raise ValidationError(f"no radial kernel for (kind={kind.value}, l={l})")
+
+
 class Method(enum.Enum):
     """Computation route used to produce a FactorResult."""
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .closed_form import CancellationWarning, ji4
 from .model import (
-    CHANNELS, FactorKind, Ji4Args, RegionPair, ValidationError, check_integer, length_scale,
+    FactorKind, Ji4Args, RegionPair, ValidationError, check_channel, check_integer, length_scale,
 )
 from .special_functions import angular_weight, sph_bessel
 from .time_averages import QuadratureError, Schedule, _panel_sums, step_coefficients
@@ -197,8 +197,7 @@ def utilde_direct(kind: FactorKind, l: int, q, s: Schedule):
     compared; broadcasts over q (q >= 0 allowed, the q -> 0 limits are
     built in).
     """
-    if (kind, l) not in CHANNELS:
-        raise ValidationError(f"no radial kernel for (kind={kind.value}, l={l})")
+    check_channel(kind, l)
     qa = np.asarray(q, dtype=float)
     if np.any(qa < 0.0) or not np.all(np.isfinite(qa)):
         raise ValidationError("q must be >= 0 and finite")

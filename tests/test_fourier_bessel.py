@@ -1,12 +1,14 @@
 """Series routes against the closed form and each other; stopping honesty."""
 
 import math
+import pickle
 from collections import deque
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from brfactor import fourier_bessel
 from brfactor.closed_form import _two_sum, factor_closed
 from brfactor.fourier_bessel import (
     BLOCK,
@@ -105,36 +107,44 @@ def _accumulate_per_term(terms, q, cfg, start, term_log):
 _U = Fraction(1, 2**53)
 
 
-def _within_sum2_bound(got: float, exact: Fraction, summands: list) -> bool:
-    """|got - exact| <= u |exact| + gamma_n^2 sum |x| (Ogita, Rump & Oishi),
-    the error bound of a compensated sum of n summands in double precision."""
-    gamma = len(summands) * _U / (1 - len(summands) * _U)
-    bound = _U * abs(exact) + gamma**2 * sum(abs(Fraction(x)) for x in summands)
-    return abs(Fraction(got) - exact) <= bound
+def _sum2_bound(exact: Fraction, count: int, abs_sum: Fraction) -> Fraction:
+    """u |exact| + gamma_n^2 sum |x| (Ogita, Rump & Oishi): the error bound
+    of a compensated sum of n summands in double precision."""
+    gamma = count * _U / (1 - count * _U)
+    return _U * abs(exact) + gamma**2 * abs_sum
 
 
-def _blocks(n, q, terms, spans):
-    for lo, hi in spans:
-        yield n[lo:hi], q[lo:hi], terms[lo:hi]
+def _block_of(q, terms, calls):
+    """A `block` callable over fixed arrays; it records each span asked for."""
 
+    def block(lo, hi):
+        calls.append((lo, hi))
+        return q[lo:hi], terms[lo:hi]
 
-def _fixed_spans(count):
-    return [(lo, min(lo + BLOCK, count)) for lo in range(0, count, BLOCK)]
+    return block
 
 
 def _terms_stopping_at(stop, width, count, seed):
-    """Signed terms of mixed size that fall below the stop threshold from
-    node stop - width + 1 on, so the window rule first holds at `stop`."""
+    """Signed terms of size 0.5/n to 1/n, and below 1e-9 from node
+    stop - width + 1 on: summed from 20, the window rule first holds at
+    `stop`, since every earlier window holds a term above 5e-4."""
     rng = np.random.default_rng(seed)
-    terms = rng.choice([-1.0, 1.0], count) * rng.uniform(1e-3, 1.0, count)
+    terms = rng.choice([-1.0, 1.0], count) * rng.uniform(0.5, 1.0, count)
     terms /= np.arange(1, count + 1)
     if stop is not None:
-        first_small = stop - width
-        terms[first_small:] = rng.uniform(-1e-9, 1e-9, count - first_small)
-        # a term just above the threshold right before the quiet run
-        if first_small > 0:
-            terms[first_small - 1] = 1e-5
+        terms[stop - width :] = rng.uniform(-1e-9, 1e-9, count - stop + width)
     return terms
+
+
+#: the last node of each span, and the nodes either side of it
+BOUNDARY_STOPS = (127, 128, 129, 383, 384, 385, 895, 896, 897)
+#: the series budget; it ends inside the span of nodes 897 to 1920
+COUNT = 1000
+
+
+def _spans_through(used):
+    """The spans of `_spans(COUNT)` up to the one that holds node `used`."""
+    return [(lo, hi) for lo, hi in _spans(COUNT) if lo < used]
 
 
 @pytest.mark.parametrize(
@@ -142,53 +152,51 @@ def _terms_stopping_at(stop, width, count, seed):
     [
         (width, stop)
         for width in (1, 20, 200)
-        for stop in (20, 127, 128, 129, 200, 256, None)
+        for stop in (20, 200, 256) + BOUNDARY_STOPS + (None,)
         if stop is None or stop >= width  # a stop needs a full window
     ],
 )
 def test_block_stop_rule_matches_the_per_term_rule(width, stop):
-    # windows that end at n = 129 or 256 reach back across a block boundary
-    count = 300
-    cfg = SeriesConfig(n_max=count, tail_window=width)
-    terms = _terms_stopping_at(stop, width, count, seed=width * 1000 + (stop or 0))
-    n = np.arange(1, count + 1)
-    q = 0.5 * n
-
-    def blocks():
-        return _blocks(n, q, terms, _fixed_spans(count))
-
-    log, ref_log = [], []
-    got = _accumulate(blocks(), cfg, 5.0, log)
-    expected = _accumulate_per_term(terms.tolist(), q.tolist(), cfg, 5.0, ref_log)
+    # a window that ends just past a span boundary reaches back across it
+    cfg = SeriesConfig(n_max=COUNT, tail_window=width)
+    terms = _terms_stopping_at(stop, width, COUNT, seed=width * 1000 + (stop or 0))
+    q = 0.5 * np.arange(1, COUNT + 1)
+    log, ref_log, calls = [], [], []
+    got = _accumulate(_block_of(q, terms, calls), cfg, 20.0, log)
+    expected = _accumulate_per_term(terms.tolist(), q.tolist(), cfg, 20.0, ref_log)
     assert got[1:] == expected[1:]
+    assert got[1] == (stop if stop is not None else COUNT)
+    assert got[3] is (stop is not None)
+    # no block past the one that holds the stop is asked for
+    assert calls == _spans_through(got[1])
     assert [(e.n, e.q_n, e.term_value) for e in log] == [
         (e.n, e.q_n, e.term_value) for e in ref_log
     ]
     # every partial sum, returned or logged, is a compensated sum of its prefix
-    summands = [5.0] + terms.tolist()
-    assert _within_sum2_bound(got[0], expected[0], summands[: got[1] + 1])
-    for k, (entry, ref) in enumerate(zip(log, ref_log), start=2):
-        assert _within_sum2_bound(entry.partial_sum, ref.partial_sum, summands[:k])
     assert got[0] == log[-1].partial_sum
-    assert got[1] == (stop if stop is not None else count)
-    assert got[3] is (stop is not None)
+    abs_sum = Fraction(20)
+    for count, (entry, ref) in enumerate(zip(log, ref_log), start=2):
+        abs_sum += abs(Fraction(entry.term_value))
+        error = abs(Fraction(entry.partial_sum) - ref.partial_sum)
+        assert error <= _sum2_bound(ref.partial_sum, count, abs_sum)
     # without a log the same result comes back
-    assert _accumulate(blocks(), cfg, 5.0) == got
+    assert _accumulate(_block_of(q, terms, []), cfg, 20.0) == got
 
 
-@pytest.mark.parametrize("stop", [20, 127, 129, 700, None])
-def test_result_does_not_depend_on_where_blocks_end(stop):
-    count = 1000
-    cfg = SeriesConfig(n_max=count, tail_window=20)
-    terms = _terms_stopping_at(stop, 20, count, seed=7 + (stop or 0))
-    n = np.arange(1, count + 1)
-    q = 0.25 * n
+@pytest.mark.parametrize("stop", (20, 700) + BOUNDARY_STOPS + (None,))
+def test_result_does_not_depend_on_where_blocks_end(stop, monkeypatch):
+    cfg = SeriesConfig(n_max=COUNT, tail_window=20)
+    terms = -_terms_stopping_at(stop, 20, COUNT, seed=7 + (stop or 0))
+    q = 0.25 * np.arange(1, COUNT + 1)
     results = []
-    for spans in ([(0, count)], _fixed_spans(count), list(_spans(count))):
-        log = []
-        results.append((_accumulate(_blocks(n, q, terms, spans), cfg, -2.0, log), log))
-    assert results[0] == results[1] == results[2]
-    assert results[0][0][1] == (stop if stop is not None else count)
+    for first in (1, 7, BLOCK, COUNT):
+        monkeypatch.setattr(fourier_bessel, "BLOCK", first)
+        log, calls = [], []
+        results.append((_accumulate(_block_of(q, terms, calls), cfg, -20.0, log), log))
+        assert calls == _spans_through(results[-1][0][1])
+    # bit for bit: value, stop, tail and every logged term and partial sum
+    assert len({pickle.dumps(result) for result in results}) == 1
+    assert results[0][0][1] == (stop if stop is not None else COUNT)
 
 
 def test_spans_double_from_one_block():
@@ -218,11 +226,10 @@ def test_cancelling_series_is_no_farther_from_exact_than_kahan(seed):
     exact = sum(map(Fraction, terms.tolist()), Fraction(0))
     assert abs(exact) < 1e-11 * float(np.abs(terms).sum())
     cfg = SeriesConfig(n_max=count, tail_window=count)
-    n = np.arange(1, count + 1)
-    total = _accumulate(_blocks(n, 1.0 * n, terms, _spans(count)), cfg, 0.0)[0]
+    total = _accumulate(_block_of(np.arange(1.0, count + 1), terms, []), cfg, 0.0)[0]
     ours = abs(Fraction(total) - exact)
     assert ours <= abs(Fraction(_kahan(0.0, terms.tolist())) - exact)
-    assert _within_sum2_bound(total, exact, terms.tolist())
+    assert ours <= _sum2_bound(exact, count, sum(abs(Fraction(x)) for x in terms.tolist()))
 
 
 def test_cumsum_adds_left_to_right():
