@@ -175,7 +175,8 @@ def _accumulate(block, cfg: SeriesConfig, start: float, term_log=None):
     |partial sum| (floored away from zero).  Windows that end in earlier
     blocks saw the same floats and failed, so the first window that passes
     is the stop, and no later block is asked for.  Returns (total, last_n,
-    tail_estimate, converged).
+    tail_estimate, converged).  term_log is extended once, after the stop,
+    so a block that raises leaves it as it was.
     """
     width = cfg.tail_window
     qs, terms = [], np.empty(0)

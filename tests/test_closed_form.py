@@ -326,19 +326,36 @@ def test_closed_factor_beyond_the_float_range_is_refused(scale):
         factor_closed(FactorKind.AXX, p)
 
 
-@pytest.mark.parametrize("R0,dt0", [(1e-300, 1.0), (1e110, 1.0)])
+@pytest.mark.parametrize(
+    # at (27.8, 4.5e-313) -1/(R0**4 kappa) = -1.03e308 is finite, the whole
+    # value -3.10e308 is not
+    "R0,dt0", [(1e-300, 1.0), (1e110, 1.0), (27.8, 4.5e-313)]
+)
 def test_coincident_beyond_the_float_range_is_refused(R0, dt0):
     with pytest.raises(ValidationError):
         coincident_axx(R0, dt0)
 
 
 @pytest.mark.parametrize(
-    "R0,dt0", [(1e100, 1.0), (1e100, 1.5e100), (3e80, 1e-200), (4e102, 1e-10), (1e78, 3e78)]
+    "R0,dt0",
+    [
+        (1e100, 1.0),
+        (1e100, 1.5e100),
+        (3e80, 1e-200),
+        (4e102, 1e-10),
+        (1e78, 3e78),
+        (2.4033461324302067e-79, 5.824122509442667e262),  # kappa = inf: the gate is closed
+        (3.8028094605875137e-90, 0.2053303216909999),  # R0**4 underflows
+        (4.614e70, 1.167e-253),  # kappa is subnormal
+        (1.0104e77, 2.798e76),  # 8 R0**4 kappa overflows
+        (1e-105, 1e10),  # R0**3 is subnormal
+    ],
 )
 def test_coincident_past_the_fourth_power_overflow(R0, dt0):
-    # R0**4 overflows, but the value has R0**4 kappa = R0**3 dt0 in a
-    # denominator and is rounded once, underflowing gradually where it is
-    # below the normal range: exact rationals give the reference
+    # R0**4, R0**3 or kappa leaves the normal range, but the value has
+    # R0**4 kappa = R0**3 dt0 in a denominator and is rounded once,
+    # underflowing gradually where it is below the normal range: exact
+    # rationals give the reference
     lead = Fraction(R0) ** 3 * Fraction(dt0)
     kappa = Fraction(dt0) / Fraction(R0)
     exact = -1 / lead
@@ -363,33 +380,6 @@ def test_coincident_keeps_the_gated_term_where_eight_r0_to_the_fourth_overflows(
             exact = -(1 + (4 + kappa) * (2 - kappa) ** 2 / 8) / lead
             got = coincident_axx(R0, dt0)
             assert got == pytest.approx(float(exact), rel=1e-14, abs=0.0), (R0, dt0)
-
-
-@pytest.mark.parametrize(
-    "R0,dt0",
-    [
-        (2.4033461324302067e-79, 5.824122509442667e262),  # kappa = inf: the gate is closed
-        (3.8028094605875137e-90, 0.2053303216909999),  # R0**4 underflows
-        (4.614e70, 1.167e-253),  # kappa is subnormal
-        (1.0104e77, 2.798e76),  # 8 R0**4 kappa overflows
-        (1e-105, 1e10),  # R0**3 is subnormal
-    ],
-)
-def test_coincident_takes_one_scale_over_the_whole_float_range(R0, dt0):
-    # every term scales with R0**4 kappa = R0**3 dt0, which is representable
-    # here although R0**4, R0**3 or kappa is not
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        kappa = mpmath.mpf(dt0) / mpmath.mpf(R0)
-        gated = (4 + kappa) * (2 - kappa) ** 2 / 8 if kappa < 2 else 0
-        exact = -(1 + gated) / (mpmath.mpf(R0) ** 3 * mpmath.mpf(dt0))
-    assert coincident_axx(R0, dt0) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
-
-
-def test_coincident_refuses_a_value_that_overflows_with_the_gated_term():
-    # -1/(R0**4 kappa) = -1.03e308 is finite, the whole value -3.10e308 is not
-    with pytest.raises(ValidationError):
-        coincident_axx(27.8, 4.5e-313)
 
 
 def test_coincident_long_average_at_extreme_scale():

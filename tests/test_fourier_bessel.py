@@ -125,14 +125,23 @@ def _block_of(q, terms, calls):
 
 
 def _terms_stopping_at(stop, width, count, seed):
-    """Signed terms of size 0.5/n to 1/n, and below 1e-9 from node
-    stop - width + 1 on: summed from 20, the window rule first holds at
-    `stop`, since every earlier window holds a term above 5e-4."""
+    """Signed terms of size 0.5/n to 1/n, 3e-5 at node stop - width, below
+    1e-9 from node stop - width + 1 on, but 1.4e-5 at node `stop`.
+
+    Summed from 20, the partial sums at the stop lie in 17.7-22.2, so the
+    default tail_tol puts the threshold at 1.77e-5 to 2.22e-5.  The window
+    rule first holds at `stop`: the window that ends at node stop - 1 fails
+    on the 3e-5 term and the one that ends at `stop` passes on 1.4e-5, each
+    by at least 1.26x, so a threshold off by a small factor either way
+    moves the stop."""
     rng = np.random.default_rng(seed)
     terms = rng.choice([-1.0, 1.0], count) * rng.uniform(0.5, 1.0, count)
     terms /= np.arange(1, count + 1)
     if stop is not None:
         terms[stop - width :] = rng.uniform(-1e-9, 1e-9, count - stop + width)
+        terms[stop - 1] = 1.4e-5
+        if stop > width:
+            terms[stop - width - 1] = 3e-5
     return terms
 
 
@@ -197,6 +206,24 @@ def test_result_does_not_depend_on_where_blocks_end(stop, monkeypatch):
     # bit for bit: value, stop, tail and every logged term and partial sum
     assert len({pickle.dumps(result) for result in results}) == 1
     assert results[0][0][1] == (stop if stop is not None else COUNT)
+
+
+def test_a_block_that_raises_leaves_the_log_as_it_was():
+    # the log is written once, after the stop: a series refused in its
+    # second block logs none of the first block's terms
+    terms = _terms_stopping_at(None, 20, COUNT, seed=5)
+    q = 0.5 * np.arange(1, COUNT + 1)
+    fetch = _block_of(q, terms, [])
+
+    def block(lo, hi):
+        if lo:
+            raise ValidationError("wavenumber beyond the float range")
+        return fetch(lo, hi)
+
+    log = [None]
+    with pytest.raises(ValidationError):
+        _accumulate(block, SeriesConfig(n_max=COUNT, tail_window=20), 20.0, log)
+    assert log == [None]
 
 
 def test_spans_double_from_one_block():
