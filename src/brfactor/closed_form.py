@@ -32,6 +32,7 @@ from .model import (
     Method,
     RegionPair,
     ValidationError,
+    _two_sum,
     reverse,
 )
 from .special_functions import angular_weight
@@ -69,13 +70,6 @@ _SIGNS8, _SIGNS4, _SIGNS2 = (
 # Python's float ** int rounds through the C library's pow; np.float_power
 # does too, so the terms below round exactly as scalar code would
 _pow = np.float_power
-
-
-def _two_sum(a, b) -> tuple:
-    # Knuth's TwoSum: s = fl(a + b) and its exact rounding error
-    s = a + b
-    v = s - a
-    return s, (a - (s - v)) + (b - v)
 
 
 def _two_sum_total(x: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ infinite-radius time averages appear), and a general-roots series over the
 per-l root tables of j_l with the boundary terms kept explicitly.  Both
 remove the flat (q-independent) part of the monopole kernel from the sum
 and add back its closed value, which turns the slowest-converging piece of
-the series into an exact term.
+the series into an exact term: a polynomial from the overlap volume of two
+balls, so the series take nothing from the closed form's kernels.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import _two_sum, ji4
 from .model import (
     FactorKind,
     FactorResult,
-    Ji4Args,
     Method,
     RegionPair,
     SeriesConfig,
     ValidationError,
+    _two_sum,
     check_channel,
     length_scale,
 )
@@ -148,13 +148,35 @@ def _flat_monopole_coeff(s: Schedule) -> float:
 def _flat_head(g00: float, a: float, b: float, r: float) -> float:
     """Closed value of the flat monopole contribution, any separation r.
 
-    Equals (12/(pi a b)) g00 ji4(0;1,1,0,0;a,b,r,0); the series being
-    replaced reproduces this exactly because a, b + r <= r_ex keeps the
-    node sum alias-free, and at r = 0 it reduces to 2 g00 R_< / (a b R_>^2).
+    Equals (12/(pi a b)) g00 ji4(0;1,1,0,0;a,b,r,0) = (12/(pi a b)) g00
+    V/(8 a^2 b^2), with V the overlap volume of balls of radii a and b at
+    distance r.  With R_< <= R_> the radii and d = R_> - R_<, it is 0.0 for
+    a closed gate (g00 = 0) or disjoint balls (r >= a + b), 2 g00 / R_>^3
+    for nested balls (r <= d), and for a lens
+    g00 (a+b-r)^2 (r^2 + 2r(a+b) - 3d^2) / (8 r a^3 b^3).
+
+    The lens's middle factor is summed as (r - d)(r + d + 2(a+b)) + 4 d R_<,
+    whose terms are nonnegative, with a + b - r and r - d rounded once
+    each, so no step cancels.  Lengths enter as ratios of at most 14, and
+    R_>^3 is divided by once; length_scale refuses it beyond the float
+    range.  The series being replaced reproduces this value exactly because
+    a, b + r <= r_ex keeps the node sum alias-free.
     """
-    return 12.0 / length_scale(math.pi * a * b) * g00 * ji4(
-        Ji4Args(n=0, l1=1, l2=1, l3=0, l4=0, alpha=a, beta=b, gamma=r, delta=0.0)
-    )
+    if g00 == 0.0:
+        return 0.0
+    small, big = (a, b) if a < b else (b, a)
+    overlap = math.fsum((a, b, -r))  # a + b - r
+    if overlap <= 0.0:
+        return 0.0
+    big3 = length_scale(big * big * big)
+    gap = math.fsum((r, -big, small))  # r - d
+    if gap <= 0.0:
+        return 2.0 * g00 / big3
+    d = big - small
+    # gap <= min(r, 2 R_<) and, in a lens, max(r, R_<) >= R_>/2
+    lo, hi = (r, small) if r < small else (small, r)
+    lens = gap / lo * ((r + d + 2.0 * (a + b)) / hi) + 4.0 * d / r
+    return g00 * (overlap / small) ** 2 * lens / (8.0 * big3)
 
 
 def _accumulate(block, cfg: SeriesConfig, start: float, term_log=None):

@@ -58,6 +58,13 @@ def length_scale(value):
     return value
 
 
+def _two_sum(a, b) -> tuple:
+    # Knuth's TwoSum: s = fl(a + b) and its exact rounding error
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
 def check_integer(name: str, value) -> None:
     """Raise ValidationError unless `value` is an integer; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):

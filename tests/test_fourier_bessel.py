@@ -1,5 +1,7 @@
 """Series routes against the closed form and each other; stopping honesty."""
 
+import ast
+import inspect
 import math
 import pickle
 from collections import deque
@@ -8,12 +10,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from brfactor import fourier_bessel
-from brfactor.closed_form import _two_sum, factor_closed
+from brfactor import closed_form, fourier_bessel, model
+from brfactor.closed_form import _two_sum, factor_closed, ji4
 from brfactor.fourier_bessel import (
     BLOCK,
     SeriesTermLog,
     _accumulate,
+    _flat_head,
     _spans,
     factor_series,
     factor_series_general,
@@ -21,6 +24,7 @@ from brfactor.fourier_bessel import (
 )
 from brfactor.model import (
     FactorKind,
+    Ji4Args,
     Method,
     RegionPair,
     SeriesConfig,
@@ -365,3 +369,100 @@ def test_dead_window_with_overflowing_lags_is_exactly_zero(route, kind):
     result = route(kind, p)
     assert result.value == 0.0
     assert result.converged
+
+
+def test_series_routes_import_nothing_from_the_closed_form():
+    # the flat head is the ball-overlap polynomial and TwoSum lives in
+    # model, so an error in the closed form's kernels cannot reach the
+    # series routes and hide behind route agreement
+    tree = ast.parse(inspect.getsource(fourier_bessel))
+    imported = {
+        node.module: {alias.name for alias in node.names}
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+    assert "closed_form" not in imported
+    assert "_two_sum" in imported["model"]
+    assert fourier_bessel._two_sum is model._two_sum is closed_form._two_sum
+
+
+def _exact_head(g00, a, b, r):
+    """The flat head as a Fraction, from the ball-overlap volume."""
+    g00, a, b, r = map(Fraction, (g00, a, b, r))
+    if r >= a + b:
+        return Fraction(0)
+    if r <= abs(a - b):
+        return 2 * g00 / max(a, b) ** 3
+    return g00 * (a + b - r) ** 2 * (r * r + 2 * r * (a + b) - 3 * (a - b) ** 2) / (
+        8 * r * a**3 * b**3)
+
+
+def _head_points(seed, count, margin=0.0):
+    """Seeded (g00, a, b, r): radii log-uniform over three decades, and a
+    third each nested, lens and disjoint, at least `margin` from the
+    support edges |a - b| and a + b."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        a, b = np.exp(rng.uniform(-3.5, 3.5, 2)).tolist()
+        d, s = abs(a - b), a + b
+        lo, hi = [(0.0, d - margin), (d + margin, s - margin), (s + margin, 2 * s)][k % 3]
+        if lo < hi:
+            yield float(rng.uniform(-2.0, 2.0)), a, b, float(rng.uniform(lo, hi))
+
+
+def test_flat_head_matches_the_exact_ball_overlap_value():
+    regimes = set()
+    for g00, a, b, r in _head_points(1600, 900):
+        exact = _exact_head(g00, a, b, r)
+        got = _flat_head(g00, a, b, r)
+        regimes.add((r <= abs(a - b), r >= a + b))
+        if exact == 0:
+            assert got == 0.0
+        else:
+            assert abs(Fraction(got) - exact) <= 1e-12 * abs(exact)
+    assert regimes == {(True, False), (False, False), (False, True)}
+
+
+def test_flat_head_matches_the_closed_form_ji4_away_from_the_edges():
+    # an independent derivation: the closed form's permutation sums
+    points = [(g, a, b, r) for g, a, b, r in _head_points(1601, 300, margin=0.05)
+              if 0.3 <= min(a, b) and max(a, b) <= 3.0]
+    assert len(points) >= 30
+    for g00, a, b, r in points:
+        closed = 12.0 / (math.pi * a * b) * g00 * ji4(
+            Ji4Args(n=0, l1=1, l2=1, l3=0, l4=0, alpha=a, beta=b, gamma=r, delta=0.0))
+        # past a + b the closed form leaves rounding noise where the head is 0
+        noise = 1e-12 * abs(g00) / max(a, b) ** 3
+        assert _flat_head(g00, a, b, r) == pytest.approx(closed, rel=1e-8, abs=noise)
+
+
+@pytest.mark.parametrize("a,b", [(0.75, 1.5), (1.0, 1.0), (3.0, 0.25)])
+def test_flat_head_is_exactly_zero_on_and_past_the_support_and_for_a_closed_gate(a, b):
+    # a + b is exact for these radii
+    for r in (a + b, math.nextafter(a + b, math.inf), 2.0 * (a + b), 1e300):
+        assert _flat_head(-0.5, a, b, r) == 0.0
+    for r in (0.0, abs(a - b), 0.5 * (a + b)):
+        assert _flat_head(0.0, a, b, r) == 0.0
+
+
+@pytest.mark.parametrize("a,b", [(0.75, 1.5), (3.0, 0.25), (1e-5, 1.0)])
+def test_flat_head_branches_meet_where_the_balls_touch_inside(a, b):
+    d = abs(a - b)
+    nested = _flat_head(1.0, a, b, d)
+    assert nested == 2.0 / max(a, b) ** 3
+    lens = _flat_head(1.0, a, b, math.nextafter(d, math.inf))
+    assert lens == pytest.approx(nested, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3])
+def test_flat_head_of_a_small_ball_inside_a_large_one(r):
+    # the closed form's ji4 loses its digits here: 1.8917 and 2.5102
+    assert _flat_head(1.0, 1e-5, 1.0, r) == 2.0
+
+
+@pytest.mark.parametrize("route", [factor_series, factor_series_general])
+def test_small_ball_probe_is_near_its_reference_or_unconverged(route):
+    # r1 = 1e-5 inside r2 = 1; the reference value is 1.49998
+    result = route(FactorKind.AXX, RegionPair(1e-5, 1.0, t_offset=0.5))
+    assert result.value == pytest.approx(1.49998, rel=1e-3)
+    assert not result.converged or result.value == pytest.approx(1.49998, rel=5e-5)
