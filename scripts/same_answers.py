@@ -11,7 +11,8 @@ sweep at two offsets, the results of the benchmark's `series-random` calls
 at seeds 300 and 301, `sph_bessel` and both analytic time averages on arrays
 and scalars, 200 small `validate` reports at the benchmark's seeds, and
 scalar `factor_closed` and `ji4` calls that reach every cell of the closed
-form's route table, every term both series routes log at fixed points, and
+form's route table, every term both series routes log at fixed points, each
+route's outcome at seeded points scaled by the powers of two of SCALE_K, and
 the help text of the parser and of each subcommand at 100 columns.
 
 Each `series-random` seed gives two items: `.stops` holds where every call
@@ -29,6 +30,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import math
 import os
 import pickle
 import random
@@ -44,6 +46,10 @@ SWEEP = ["sweep", "--kind", "axx,axy,bxy", "--r1", "0.5:2:40", "--r", "0:2:10",
          "--phi", "0:6.28:16", "--r2", "1.1", "--theta", "1.0"]
 #: series budgets that end at, just before or just after a block's end
 BUDGETS = (20, 127, 128, 129, 384, 385)
+#: the `scale.<route>` items evaluate 2**k times each point for these k: the
+#: factors scale as 2**(-4k), so past about |k| = 256 every nonzero one is
+#: refused
+SCALE_K = (-300, -256, -250, -50, -38, -9, 0, 1, 7, 60, 150, 180, 250, 256, 300)
 
 
 def _workloads():
@@ -188,6 +194,39 @@ def _series_term_items(workloads, scratch):
             _term_logs(route, points, SeriesConfig(n_max=k)) for k in BUDGETS)
 
 
+def _scale_items():
+    """`scale.<route>`: the outcome of each route at 2**k times 40 seeded
+    points (4 for the quadrature) whose window is open, for every k of
+    SCALE_K."""
+    from brfactor import (
+        FactorKind, RegionPair, factor_closed, factor_fourier_numeric, factor_series,
+        factor_series_general,
+    )
+
+    def outcome(route, kind, fields, k):
+        # r1, r2, r, dt1, dt2 and t_offset carry length or time
+        scaled = [v if i in (3, 4) else math.ldexp(v, k) for i, v in enumerate(fields)]
+        out = _outcome(lambda: route(kind, RegionPair(*scaled)))
+        return out if isinstance(out, (str, tuple)) else (
+            out.value, out.terms_used, out.tail_estimate, out.converged)
+
+    rng = random.Random(37)
+    points = []
+    for _ in range(40):
+        r1, r2, dt1, dt2 = (rng.uniform(0.3, 3.0) for _ in range(4))
+        points.append((r1, r2, rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.2),
+                       rng.uniform(0.0, 6.3), dt1, dt2, rng.uniform(-dt2, 4.0)))
+    kinds = list(FactorKind)
+    routes = (("closed", factor_closed, 40), ("series", factor_series, 40),
+              ("series-general", factor_series_general, 40), ("numeric", factor_fourier_numeric, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name, route, count in routes:
+            yield f"scale.{name}", pickle.dumps([
+                outcome(route, kinds[i % 3], fields, k)
+                for i, fields in enumerate(points[:count]) for k in SCALE_K])
+
+
 def _help_items():
     """`cli.help.<command>`: the `--help` text of the parser (`brfactor`) and
     of each subcommand, formatted at COLUMNS=100."""
@@ -240,6 +279,7 @@ def items(workloads):
     yield from _average_items()
     yield from _scalar_closed_items()
     yield from _help_items()
+    yield from _scale_items()
 
 
 def run(argv=None) -> int:

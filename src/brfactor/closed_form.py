@@ -34,6 +34,8 @@ from .model import (
     ValidationError,
     _two_sum,
     reverse,
+    scale_back,
+    unit_scale,
 )
 from .special_functions import angular_weight
 from .time_averages import BOUNDARY_RTOL, Schedule, heaviside, step_coefficients
@@ -202,7 +204,8 @@ def _cells(row, a, b, c, d):
     Zero detection of gamma and delta uses the band of `heaviside` with
     scale = max(alpha, beta, |gamma|, |delta|, 1), so boundary parameter
     sets (corner lags landing on zero, from either side) evaluate without
-    indeterminate forms.
+    indeterminate forms.  A factor's lanes come from its point at unit scale
+    (`unit_scale`), where the floor 1 is relative too.
     """
     scale = np.maximum(np.maximum(a, b), np.maximum(np.maximum(abs(c), abs(d)), 1.0))
     return 4 * row + _in_band(c, scale) + 2 * _in_band(d, scale)
@@ -296,14 +299,16 @@ def factor_closed_batch(kind: FactorKind, p: RegionPair) -> ClosedBatch:
     """
     p.validate()
     fields = [getattr(p, name) for name in FIELDS]
-    if any(isinstance(v, np.ndarray) for v in fields):
+    batch = any(isinstance(v, np.ndarray) for v in fields)
+    if batch:
         fields = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in fields))
-        n = len(fields[0])
-    else:
-        # a single point stays in floats, so that step_coefficients steps
-        # scalars; its lanes form one column
-        fields, n = [float(v) for v in fields], 1
-    r1, r2, r, theta, phi, dt1, dt2, t = fields
+        p = RegionPair(*fields)
+    # each point is evaluated at unit scale, with its own power of two; a
+    # single point stays in floats, so that step_coefficients steps scalars,
+    # and its lanes form one column
+    shift, unit = unit_scale(p)
+    r1, r2, r, theta, phi, dt1, dt2, t = (getattr(unit, name) for name in FIELDS)
+    n = len(r1) if batch else 1
     s = Schedule(dt1, dt2, t)
     st = step_coefficients(s, 0.0)
     # lane i of a point has lag 0 for i = 0 and lag tau_i after it
@@ -344,11 +349,9 @@ def factor_closed_batch(kind: FactorKind, p: RegionPair) -> ClosedBatch:
     # summation tree free of padding
     pieces = np.zeros((len(weights), 8, n))
     pieces[:, :5] = coeff * values.reshape(gates.shape)
-    # numpy's division: radii whose product underflows give inf, refused
-    # below, where float division would raise
-    total = np.divide(9.0, 2.0 * math.pi**2 * r1 * r2) * _two_sum_total(pieces.reshape(-1, n))
-    if not np.isfinite(total).all():
-        raise ValidationError(f"{kind.value}: a factor of the batch lies beyond the float range")
+    total = 9.0 / (2.0 * math.pi**2 * r1 * r2) * _two_sum_total(pieces.reshape(-1, n))
+    (total,) = scale_back(
+        f"{kind.value}: a factor of the batch", -4 * shift, total if batch else float(total[0]))
     cancelled = flags.reshape(-1, n).any(axis=0)
     count = np.count_nonzero(cancelled)
     if count:
@@ -358,7 +361,7 @@ def factor_closed_batch(kind: FactorKind, p: RegionPair) -> ClosedBatch:
             CancellationWarning,
             stacklevel=2,
         )
-    return ClosedBatch(total, opened.reshape(-1, n).sum(axis=0), cancelled)
+    return ClosedBatch(np.atleast_1d(total), opened.reshape(-1, n).sum(axis=0), cancelled)
 
 
 def factor_closed(kind: FactorKind, p: RegionPair) -> FactorResult:
@@ -388,16 +391,10 @@ def coincident_axx(R0: float, dt0: float) -> float:
     gated = 0.125 * (4.0 + kappa) * (2.0 - kappa) ** 2 * gate if gate else 0.0
     # both terms scale as 1/(R0**4 kappa) = 1/(R0**3 dt0), taken apart into
     # mantissas and powers of two so that only the value is rounded into the
-    # float range, where it may underflow gradually
+    # float range, under the routes' rule
     (m_r, e_r), (m_t, e_t) = math.frexp(R0), math.frexp(dt0)
-    try:
-        R0**3  # an R0 whose cube overflows is refused
-        value = -math.ldexp((1.0 + gated) / (m_r**3 * m_t), -3 * e_r - e_t)
-    except OverflowError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValidationError(f"A_xx at R0={R0!r}, dt0={dt0!r} lies beyond the float range")
-    return value
+    what = f"A_xx at R0={R0!r}, dt0={dt0!r}"
+    return scale_back(what, -3 * e_r - e_t, -(1.0 + gated) / (m_r**3 * m_t))[0]
 
 
 def commutator_difference(kind: FactorKind, p: RegionPair) -> float:

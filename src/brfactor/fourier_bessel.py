@@ -25,9 +25,12 @@ from .model import (
     RegionPair,
     SeriesConfig,
     ValidationError,
+    _ldexp,
     _two_sum,
     check_channel,
     length_scale,
+    scale_back,
+    unit_scale,
 )
 from .special_functions import angular_weight, bessel_roots, fb_weight, sph_bessels
 from .time_averages import (
@@ -158,8 +161,9 @@ def _flat_head(g00: float, a: float, b: float, r: float) -> float:
     The lens's middle factor is summed as (r - d)(r + d + 2(a+b)) + 4 d R_<,
     whose terms are nonnegative, with a + b - r and r - d rounded once
     each, so no step cancels.  Lengths enter as ratios of at most 14, and
-    R_>^3 is divided by once; length_scale refuses it beyond the float
-    range.  The series being replaced reproduces this value exactly because
+    R_>^3 is divided by once; the routes pass radii at unit scale
+    (`unit_scale`), where R_> lies in [2**-340, 2] and R_>^3 is a normal
+    float.  The series being replaced reproduces this value exactly because
     a, b + r <= r_ex keeps the node sum alias-free.
     """
     if g00 == 0.0:
@@ -168,7 +172,7 @@ def _flat_head(g00: float, a: float, b: float, r: float) -> float:
     overlap = math.fsum((a, b, -r))  # a + b - r
     if overlap <= 0.0:
         return 0.0
-    big3 = length_scale(big * big * big)
+    big3 = big * big * big
     gap = math.fsum((r, -big, small))  # r - d
     if gap <= 0.0:
         return 2.0 * g00 / big3
@@ -179,7 +183,7 @@ def _flat_head(g00: float, a: float, b: float, r: float) -> float:
     return g00 * (overlap / small) ** 2 * lens / (8.0 * big3)
 
 
-def _accumulate(block, cfg: SeriesConfig, start: float, term_log=None):
+def _accumulate(block, cfg: SeriesConfig, start: float, term_log=None, k: int = 0):
     """The series engine: sums start and the terms that `block(lo, hi)`
     returns, as the (q, terms) arrays of nodes lo + 1..hi, over the spans of
     `_spans(cfg.n_max)`, with compensated prefix sums and the windowed
@@ -198,7 +202,9 @@ def _accumulate(block, cfg: SeriesConfig, start: float, term_log=None):
     blocks saw the same floats and failed, so the first window that passes
     is the stop, and no later block is asked for.  Returns (total, last_n,
     tail_estimate, converged).  term_log is extended once, after the stop,
-    so a block that raises leaves it as it was.
+    so a block that raises leaves it as it was, and in the caller's units:
+    the blocks work at the point of `unit_scale`'s exponent k, so q is
+    logged times 2**-k, terms and partial sums times 2**(-4k).
     """
     width = cfg.tail_window
     qs, terms = [], np.empty(0)
@@ -223,10 +229,9 @@ def _accumulate(block, cfg: SeriesConfig, start: float, term_log=None):
         count = len(terms)
         tail, converged = float(mags[-width:].max()), False
     if term_log is not None:
-        term_log.extend(
-            map(SeriesTermLog, range(1, count + 1), np.concatenate(qs)[:count].tolist(),
-                terms[:count].tolist(), partials[:count].tolist())
-        )
+        q = np.ldexp(np.concatenate(qs)[:count], -k)
+        sums = np.ldexp((terms[:count], partials[:count]), -4 * k)
+        term_log.extend(map(SeriesTermLog, range(1, count + 1), q.tolist(), *sums.tolist()))
     return float(partials[count - 1]), count, tail, converged
 
 
@@ -244,13 +249,6 @@ def _window_max(mags: np.ndarray, width: int) -> np.ndarray:
     return np.maximum(out[: len(mags) - width + 1], out[width - span :])
 
 
-def _check_finite(method: Method, *values: float) -> None:
-    """Refuse a series whose value or tail left the float range: the terms
-    scale as the inverse fourth power of the lengths."""
-    if not all(map(math.isfinite, values)):
-        raise ValidationError(f"{method.value}: the value lies beyond the float range")
-
-
 def factor_series(
     kind: FactorKind,
     p: RegionPair,
@@ -264,14 +262,17 @@ def factor_series(
     reach region 2 within the sampled window.  When r1 exceeds r_ex the
     region-1 ball is truncated to r1' = r_ex, which is exact for the factor
     but rescales the density normalization; the (r1'/r1)^3 volume factor
-    restores it.
+    restores it.  The series runs at unit scale (`unit_scale`).
     """
     p.validate()
+    k, p = unit_scale(p)
     s = Schedule(p.dt1, p.dt2, p.t_offset)
-    r_ex = p.r + p.r2 + max(p.t_offset + p.dt2, 0.0) + cfg.rex_slack
+    r_ex = p.r + p.r2 + max(p.t_offset + p.dt2, 0.0) + _ldexp(cfg.rex_slack, -k)
     r1p = min(p.r1, r_ex)
     corr = (r1p / p.r1) ** 3
     weights = angular_weight(kind, p.theta, p.phi)
+    # at unit scale r1' and r2 keep the product from underflowing; a large
+    # r_ex still overflows it, as at RegionPair(1, 1, r=1e308)
     prefac = corr * 9.0 / length_scale(2.0 * math.pi * r_ex * r1p * p.r2)
     g00 = _flat_monopole_coeff(s)
     head = corr * _flat_head(g00, r1p, p.r2, p.r) if 0 in weights else 0.0
@@ -296,10 +297,10 @@ def factor_series(
             acc = acc + weights[l] * rad * j
         return q, prefac * j1[0] * j1[1] * acc
 
-    total, used, tail, converged = _accumulate(block, cfg, head, term_log)
-    _check_finite(Method.SERIES_SIMPLE, total, tail)
+    total, used, tail, converged = _accumulate(block, cfg, head, term_log, k)
+    value, tail = scale_back("series: the value", -4 * k, total, tail)
     return FactorResult(
-        value=total,
+        value=value,
         terms_used=used,
         tail_estimate=tail,
         method=Method.SERIES_SIMPLE,
@@ -317,14 +318,18 @@ def factor_series_general(
 
     Each l channel runs over its own root table q_n = x_n^(l)/r_ex with
     r_ex = r + r1 + r2 + rex_slack and is truncated independently; the
-    reported terms_used is the deepest node index across channels.
+    reported terms_used is the deepest node index across channels.  The
+    series runs at unit scale (`unit_scale`).
     """
     p.validate()
+    k, p = unit_scale(p)
     s = Schedule(p.dt1, p.dt2, p.t_offset)
-    r_ex = p.r + p.r1 + p.r2 + cfg.rex_slack
+    r_ex = p.r + p.r1 + p.r2 + _ldexp(cfg.rex_slack, -k)
     weights = angular_weight(kind, p.theta, p.phi)
     g00 = _flat_monopole_coeff(s)
-    try:  # the root weights are r_ex**3 times the unit ones
+    # the root weights are r_ex**3 times the unit ones; a large r_ex
+    # overflows it, as at RegionPair(1, 1, r=1e150)
+    try:
         r_ex3 = length_scale(r_ex**3)
     except OverflowError:
         r_ex3 = length_scale(math.inf)
@@ -332,7 +337,7 @@ def factor_series_general(
     channels = []
     for l, w in sorted(weights.items()):
         roots, unit_weights = _root_nodes(l, cfg.n_max)
-        chan_pref = (9.0 / length_scale(p.r1 * p.r2)) * (w / (4.0 * math.pi))
+        chan_pref = (9.0 / (p.r1 * p.r2)) * (w / (4.0 * math.pi))
         kernel = _boundary_kernel(l, r_ex, s)
         # rows that take j_1 alone: q r1 and q r2, and q r too for l = 1
         j1_rows = 3 if l == 1 else 2
@@ -350,19 +355,20 @@ def factor_series_general(
             terms = chan_pref * (bracket / (r_ex3 * unit_weights[lo:hi])) * j1[0] * j1[1] * jl_r
             return q, terms / (q * q)
 
-        channels.append(_accumulate(block, cfg, 0.0, term_log))
+        channels.append(_accumulate(block, cfg, 0.0, term_log, k))
     totals, used, tails, convs = zip(*channels)
     # the channels' tails add in channel order
     tail = sum(tails)
     head = _flat_head(g00, p.r1, p.r2, p.r) if 0 in weights else 0.0
     # fsum raises on an inf or a nan, so the parts are checked first
-    _check_finite(Method.SERIES_GENERAL, head, tail, *totals)
+    if not all(map(math.isfinite, totals)):
+        raise ValidationError("series-general: a channel sum lies beyond the float range")
     value = head + math.fsum(totals)
-    _check_finite(Method.SERIES_GENERAL, value)
     # a channel that sums to a structural near-zero never passes its own
     # relative stop; judge such channels against the combined magnitude
     scale = max(abs(value), 1e-300)
     converged = all(ok or t <= cfg.tail_tol * scale for t, ok in zip(tails, convs))
+    value, tail = scale_back("series-general: the value", -4 * k, value, tail)
     return FactorResult(
         value=value,
         terms_used=max(used),

@@ -135,6 +135,82 @@ class RegionPair:
 FIELDS = tuple(field.name for field in fields(RegionPair))
 
 
+#: the least radius or duration a route takes at unit scale (`unit_scale`):
+#: any product of three of them stays a normal float
+UNIT_FLOOR = 2.0**-340
+
+#: the least normal float
+_TINY = 2.0**-1022
+
+
+def _ldexp(x: float, e: int) -> float:
+    # math.ldexp, with an overflow rounded to an infinity instead of raised
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def unit_scale(p: RegionPair) -> tuple:
+    """(k, p') with p' = 2**-k p, exactly, in the six length and time fields,
+    where the largest of r1, r2, dt1 and dt2 lies in [1, 2) at p'.
+
+    A factor is homogeneous of degree -4 in those fields (c = 1), so every
+    route evaluates p' and returns `scale_back(what, -4 * k, value)`; scale
+    is decided here and nowhere else.  k leaves out r and t_offset, which may
+    exceed the regions by any amount (a dead window's offset may be 1e250).
+    A point whose r1, r2, dt1 or dt2 falls below UNIT_FLOOR at p', or whose r
+    or t_offset overflows there, has ratios beyond the float range and is
+    refused.  A single point comes back in floats; with arrays in every
+    field (a batch), k is an array, one entry per point.
+    """
+    if isinstance(p.r1, np.ndarray):
+        k = np.frexp(np.maximum(np.maximum(p.r1, p.r2), np.maximum(p.dt1, p.dt2)))[1] - 1
+        with np.errstate(over="ignore"):
+            r1, r2, r, dt1, dt2, t = (
+                np.ldexp(v, -k) for v in (p.r1, p.r2, p.r, p.dt1, p.dt2, p.t_offset))
+        unit = RegionPair(r1, r2, r, p.theta, p.phi, dt1, dt2, t)
+        least = np.minimum(np.minimum(r1, r2), np.minimum(dt1, dt2)).min()
+        ok = least >= UNIT_FLOOR and np.maximum(r, abs(t)).max() < math.inf
+    else:
+        k = math.frexp(max(p.r1, p.r2, p.dt1, p.dt2))[1] - 1
+        ldexp = math.ldexp
+        try:
+            unit = RegionPair(ldexp(p.r1, -k), ldexp(p.r2, -k), ldexp(p.r, -k), float(p.theta),
+                              float(p.phi), ldexp(p.dt1, -k), ldexp(p.dt2, -k), ldexp(p.t_offset, -k))
+            ok = min(unit.r1, unit.r2, unit.dt1, unit.dt2) >= UNIT_FLOOR
+        except OverflowError:  # r or t_offset
+            ok = False
+    if not ok:
+        raise ValidationError("the ratios of the point's lengths lie beyond the float range")
+    return k, unit
+
+
+def scale_back(what: str, e, value, *bounds) -> tuple:
+    """(value, *bounds) times 2**e: a factor computed at unit scale, and its
+    tail or error bound, at the caller's point (e = -4k for the k of
+    `unit_scale`; `coincident_axx` passes its own exponent).
+
+    A value comes back only as a normal float or an exact 0.0, and a bound
+    only finite: an overflow, or a nonzero value that would round below the
+    normal range, is refused as `what` lying beyond the float range.
+    Arrays are taken entry by entry.
+    """
+    if isinstance(value, np.ndarray):
+        with np.errstate(over="ignore"):
+            out = tuple(np.ldexp(x, e) for x in (value, *bounds))
+        size = abs(out[0])
+        # a nan fails both comparisons
+        ok = (((size >= _TINY) | (value == 0.0)) & (size < math.inf)).all()
+        ok = ok and all(np.isfinite(x).all() for x in out[1:])
+    else:
+        out = tuple(_ldexp(x, e) for x in (value, *bounds))
+        ok = (abs(out[0]) >= _TINY or value == 0.0) and all(map(math.isfinite, out))
+    if not ok:
+        raise ValidationError(f"{what} lies beyond the float range")
+    return out
+
+
 def normalize(params: RegionPair) -> RegionPair:
     """Fold angles into theta in [0, pi], phi in [0, 2*pi); validate the rest.
 

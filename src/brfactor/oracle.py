@@ -25,7 +25,8 @@ import numpy as np
 
 from .closed_form import CancellationWarning, ji4
 from .model import (
-    FactorKind, Ji4Args, RegionPair, ValidationError, check_channel, check_integer, length_scale,
+    FactorKind, Ji4Args, RegionPair, ValidationError, check_channel, check_integer,
+    scale_back, unit_scale,
 )
 from .special_functions import angular_weight, sph_bessel
 from .time_averages import QuadratureError, Schedule, _panel_sums, step_coefficients
@@ -213,12 +214,15 @@ def factor_fourier_numeric(
     Integrates (9 / (2 pi^2 R1 R2)) sum_l W_l * int j1(q R1) j1(q R2)
     echo_l(q) j_l(q R) dq by the half-period scheme and adds the flat
     kernel part through its four-Bessel value, whose non-oscillatory
-    1/q^2 tail would otherwise defeat the extrapolation.
+    1/q^2 tail would otherwise defeat the extrapolation.  The quadrature
+    runs at unit scale (`unit_scale`); the value and its error bound are
+    scaled back before cfg judges them, in the caller's units.
     """
     p.validate()
+    k, p = unit_scale(p)
     s = Schedule(p.dt1, p.dt2, p.t_offset)
     echoes = _active_echoes(s)
-    pref = 9.0 / length_scale(2.0 * math.pi**2 * p.r1 * p.r2)
+    pref = 9.0 / (2.0 * math.pi**2 * p.r1 * p.r2)
     value = error = 0.0
     for l, w in sorted(angular_weight(kind, p.theta, p.phi).items()):
         if w == 0.0 or (l >= 1 and p.r == 0.0):
@@ -247,9 +251,9 @@ def factor_fourier_numeric(
         part = _oscillatory_integral(integrand, omega, cfg)
         value += pref * w * part.value
         error += abs(pref * w) * part.error
-    return _require_converged(
-        QuadResult(value, error), cfg, f"factor_fourier_numeric({kind.value})"
-    )
+    context = f"factor_fourier_numeric({kind.value})"
+    result = QuadResult(*scale_back(context + ": the value", -4 * k, value, error))
+    return _require_converged(result, cfg, context)
 
 
 def ji4_numeric(args: Ji4Args, cfg: QuadConfig = QuadConfig()) -> QuadResult:

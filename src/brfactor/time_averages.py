@@ -26,8 +26,8 @@ import numpy as np
 
 from .model import ValidationError, check_field, length_scale
 
-#: half-band around zero (relative to a caller-supplied scale) treated as
-#: "exactly on the boundary"
+#: half-band around zero, relative to a caller-supplied scale (the largest
+#: length or time in play), treated as "exactly on the boundary"
 BOUNDARY_RTOL = 1e-12
 
 #: evaluations of f allowed to one numeric_time_average call, and to each of
@@ -50,7 +50,9 @@ class QuadratureError(RuntimeError):
 def heaviside(x, scale):
     """Unit step with Theta(0) = 1/2, the boundary band being |x| <= 1e-12*scale.
 
-    Elementwise on arrays; a float in gives a float out.
+    The band is relative: `scale` is the largest length or time in play
+    (`Schedule.scale`), with no absolute floor.  Elementwise on arrays; a
+    float in gives a float out.
     """
     band = BOUNDARY_RTOL * scale
     return (x > band) + 0.5 * (abs(x) <= band)
@@ -93,7 +95,8 @@ class Schedule:
     def __post_init__(self):
         for name in ("dt1", "dt2", "t_offset"):
             check_field(name, getattr(self, name))
-        # every average is normalized by dt1 * dt2
+        # every average is normalized by dt1 * dt2, which the routes' unit
+        # scale keeps normal but Schedule(1e-200, 1e-200) does not
         length_scale(self.dt1 * self.dt2)
         # step_coefficients' memo, one entry per r_ex; the fields are frozen,
         # so an entry never goes stale
@@ -110,10 +113,9 @@ class Schedule:
         )
 
     def scale(self, r_ex: float = 0.0) -> float:
-        """Magnitude scale used for boundary detection in `heaviside`."""
-        return _greater(
-            _greater(self.dt1, self.dt2), _greater(abs(self.t_offset), _greater(r_ex, 1.0))
-        )
+        """Magnitude scale used for boundary detection in `heaviside`: the
+        largest of dt1, dt2, |t_offset| and r_ex, so the band is relative."""
+        return _greater(_greater(self.dt1, self.dt2), _greater(abs(self.t_offset), r_ex))
 
 
 # alternating signs attached to the corner lags tau1..tau4

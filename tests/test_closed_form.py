@@ -328,8 +328,9 @@ def test_closed_factor_beyond_the_float_range_is_refused(scale):
 
 @pytest.mark.parametrize(
     # at (27.8, 4.5e-313) -1/(R0**4 kappa) = -1.03e308 is finite, the whole
-    # value -3.10e308 is not
-    "R0,dt0", [(1e-300, 1.0), (1e110, 1.0), (27.8, 4.5e-313)]
+    # value -3.10e308 is not; at (1e110, 1.0), (1e100, 1.5e100) and (1e78,
+    # 3e78) the value is nonzero but below the normal range
+    "R0,dt0", [(1e-300, 1.0), (1e110, 1.0), (27.8, 4.5e-313), (1e100, 1.5e100), (1e78, 3e78)]
 )
 def test_coincident_beyond_the_float_range_is_refused(R0, dt0):
     with pytest.raises(ValidationError):
@@ -340,10 +341,9 @@ def test_coincident_beyond_the_float_range_is_refused(R0, dt0):
     "R0,dt0",
     [
         (1e100, 1.0),
-        (1e100, 1.5e100),
         (3e80, 1e-200),
         (4e102, 1e-10),
-        (1e78, 3e78),
+        (1e110, 1e-200),  # R0**3 overflows
         (2.4033461324302067e-79, 5.824122509442667e262),  # kappa = inf: the gate is closed
         (3.8028094605875137e-90, 0.2053303216909999),  # R0**4 underflows
         (4.614e70, 1.167e-253),  # kappa is subnormal
@@ -353,8 +353,7 @@ def test_coincident_beyond_the_float_range_is_refused(R0, dt0):
 )
 def test_coincident_past_the_fourth_power_overflow(R0, dt0):
     # R0**4, R0**3 or kappa leaves the normal range, but the value has
-    # R0**4 kappa = R0**3 dt0 in a denominator and is rounded once,
-    # underflowing gradually where it is below the normal range: exact
+    # R0**4 kappa = R0**3 dt0 in a denominator and is rounded once: exact
     # rationals give the reference
     lead = Fraction(R0) ** 3 * Fraction(dt0)
     kappa = Fraction(dt0) / Fraction(R0)
