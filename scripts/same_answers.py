@@ -12,8 +12,9 @@ at seeds 300 and 301, `sph_bessel` and both analytic time averages on arrays
 and scalars, 200 small `validate` reports at the benchmark's seeds, and
 scalar `factor_closed` and `ji4` calls that reach every cell of the closed
 form's route table, every term both series routes log at fixed points, each
-route's outcome at seeded points scaled by the powers of two of SCALE_K, and
-the help text of the parser and of each subcommand at 100 columns.
+route's outcome at seeded points scaled by the powers of two of SCALE_K, the
+help text of the parser and of each subcommand at 100 columns, and the
+quadrature oracle's value and error at `validate`'s factor and `ji4` draws.
 
 Each `series-random` seed gives two items: `.stops` holds where every call
 stopped (`terms_used` and `converged`, or the exception it raised) and
@@ -227,6 +228,29 @@ def _scale_items():
                 for i, fields in enumerate(points[:count]) for k in SCALE_K])
 
 
+def _oracle_items():
+    """`oracle.factor` and `oracle.ji4`: the value and error bound, at full
+    precision, of the quadrature oracle at 60 factor draws and 60 `ji4`
+    draws of `validate`'s samplers, under the configs `validate` gives it."""
+    from brfactor import QuadConfig, factor_fourier_numeric, ji4_numeric
+    from brfactor.cli import _draw_ji4, _draw_pair
+
+    def outcome(call):
+        out = _outcome(call)
+        return out if isinstance(out, str) else tuple(out)
+
+    rng = np.random.default_rng(41)
+    loose = QuadConfig(abs_tol=1.0, rel_tol=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pairs = [_draw_pair(rng, i)[:2] for i in range(60)]
+        yield "oracle.factor", pickle.dumps([
+            outcome(lambda: factor_fourier_numeric(kind, p, loose)) for kind, p in pairs])
+        draws = [_draw_ji4(rng, i) for i in range(60)]
+        deep = QuadConfig(abs_tol=1.0, rel_tol=1.0, tail_periods=800)
+        yield "oracle.ji4", pickle.dumps([outcome(lambda: ji4_numeric(a, deep)) for a in draws])
+
+
 def _help_items():
     """`cli.help.<command>`: the `--help` text of the parser (`brfactor`) and
     of each subcommand, formatted at COLUMNS=100."""
@@ -280,6 +304,7 @@ def items(workloads):
     yield from _scalar_closed_items()
     yield from _help_items()
     yield from _scale_items()
+    yield from _oracle_items()
 
 
 def run(argv=None) -> int:

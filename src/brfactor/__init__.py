@@ -27,7 +27,10 @@ from .model import (
     normalize,
     reverse,
 )
-from .oracle import QuadConfig, QuadResult, factor_fourier_numeric, ji4_numeric
+from .oracle import (
+    QuadConfig, QuadResult, factor_fourier_numeric, factor_fourier_numeric_batch, ji4_numeric,
+    ji4_numeric_batch,
+)
 from .special_functions import angular_weight, bessel_roots, fb_weight, sph_bessel
 from .time_averages import AvgKind, QuadratureError, Schedule, finite_avg, infinite_avg
 
@@ -57,6 +60,7 @@ __all__ = [
     "factor_closed",
     "factor_closed_batch",
     "factor_fourier_numeric",
+    "factor_fourier_numeric_batch",
     "factor_series",
     "factor_series_general",
     "fb_weight",
@@ -64,6 +68,7 @@ __all__ = [
     "infinite_avg",
     "ji4",
     "ji4_numeric",
+    "ji4_numeric_batch",
     "normalize",
     "reverse",
     "sph_bessel",

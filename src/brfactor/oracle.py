@@ -10,6 +10,9 @@ part of the monopole and quadrupole kernels would leave a non-oscillatory
 pointed at the decaying echo part of the kernel only and the flat part
 enters through its four-Bessel value.
 
+The scheme is stacked: a factor point's channels share one grid, a batch's
+tails one averaging pass, and a scalar call is a batch of one.
+
 Nothing in this module is imported by the analytic routes; it exists to
 give them something independent to agree with.
 """
@@ -28,14 +31,16 @@ from .model import (
     FactorKind, Ji4Args, RegionPair, ValidationError, check_channel, check_integer,
     scale_back, unit_scale,
 )
-from .special_functions import angular_weight, sph_bessel
+from .special_functions import angular_weight, sph_bessel, sph_bessels
 from .time_averages import QuadratureError, Schedule, _panel_sums, step_coefficients
 
 __all__ = [
     "QuadConfig",
     "QuadResult",
     "factor_fourier_numeric",
+    "factor_fourier_numeric_batch",
     "ji4_numeric",
+    "ji4_numeric_batch",
     "utilde_direct",
 ]
 
@@ -70,72 +75,96 @@ class QuadResult(NamedTuple):
     error: float
 
 
-def _rounding_floor(panels: np.ndarray) -> float:
-    """Rounding error of summing the panel values in order."""
-    return float(4e-16 * (np.max(np.abs(np.cumsum(panels))) + np.max(np.abs(panels))))
+def _rounding_floor(panels: np.ndarray) -> np.ndarray:
+    """Rounding error of summing the panel values in order, per column."""
+    return 4e-16 * (np.abs(np.cumsum(panels, axis=0)).max(axis=0) + np.abs(panels).max(axis=0))
 
 
 def _settled(estimates: np.ndarray) -> tuple:
-    """Estimate after the smallest move between averaging levels, and that move."""
-    moves = np.abs(np.diff(estimates))
-    best = int(np.argmin(moves))
-    return float(estimates[best + 1]), float(moves[best])
+    """Per column, the estimate after the smallest move between levels, and that move."""
+    moves = np.abs(np.diff(estimates, axis=0))
+    best = np.argmin(moves, axis=0)
+    columns = tuple(np.indices(best.shape))  # none for a 1-D estimate
+    return estimates[(best + 1, *columns)], moves[(best, *columns)]
 
 
 def _averaged_limit(chunks: np.ndarray) -> tuple:
-    """Extrapolated tail with an error estimate honest about slow modes.
+    """Extrapolated tails with error estimates honest about slow modes.
 
     Averaging adjacent partial sums multiplies a mode of per-chunk ratio rho
     by (1 + rho)/2 per level, damping every non-DC mode; the level that
     moved least gives the value and the spread.  A barely-damped beat can
     leave that move far below the true error, so the limit is also compared
     with the one from the first m chunks, read off the same averaged rows.
+    chunks is (levels x columns), or 1-D for one column; columns share adds.
     """
-    m = max(chunks.size // 2, 8)
-    row = np.cumsum(chunks)
+    m = max(len(chunks) // 2, 8)
+    row = np.cumsum(chunks, axis=0)
     # Level L holds 2^k times its averaged row, k growing by one a level: a
     # level is one add, the halvings exact while the values stay normal.  The
     # ends are scaled back by exact powers of two, and every `room` levels,
-    # before 2^k times the largest partial sum could overflow, the row too.
-    room = max(1020 - int(np.frexp(np.max(np.abs(row)))[1]), 1)
-    full, half = np.empty(row.size), np.empty(m)
+    # before 2^k times its largest partial sum could overflow, a column too.
+    room = np.maximum(1020 - np.frexp(np.max(np.abs(row), axis=0))[1], 1)
+    rescaled = {L for step in set(np.ravel(room).tolist()) for L in range(step + 1, len(row), step)}
+    full, half = np.empty(row.shape), np.empty((m,) + row.shape[1:])
     full[0], half[0] = row[-1], row[m - 1]
-    for level in range(1, row.size):
-        if level > 1 and (level - 1) % room == 0:
-            row = np.ldexp(row, -room)
+    for level in range(1, len(row)):
+        if level in rescaled:
+            row = np.ldexp(row, np.where((level - 1) % room == 0, -room, 0))
         row = row[1:] + row[:-1]
         full[level] = row[-1]
         if level < m:
             half[level] = row[m - 1 - level]
-    levels = np.arange(chunks.size)
+    levels = np.arange(len(chunks)).reshape((-1,) + (1,) * (chunks.ndim - 1))
     shift = levels - room * (np.maximum(levels - 1, 0) // room)
     full, half = np.ldexp(full, -shift), np.ldexp(half, -shift[:m])
     (value, move), (half_value, _) = _settled(full), _settled(half)
-    return value, float(max(move, abs(value - half_value), _rounding_floor(chunks)))
+    return value, np.maximum(np.maximum(move, abs(value - half_value)), _rounding_floor(chunks))
 
 
 def _head(f, h: float) -> tuple:
-    """Integral of f over (0, 2 * _HEAD_PERIODS * h) and its error estimate,
-    from one call of f: the sum over 16-point Gauss-Legendre panels of width
-    h/2, and its distance from the sum over panels of width h."""
+    """Integrals of f's rows over (0, 2 * _HEAD_PERIODS * h) and their error
+    estimates, from one call of f: the sums over 16-point Gauss-Legendre
+    panels of width h/2, and their distance from the sums over width h."""
     n = 2 * _HEAD_PERIODS
     lo = np.concatenate((h * np.arange(n), 0.5 * h * np.arange(2 * n)))
-    panels = _panel_sums(f, lo, lo + np.repeat((h, 0.5 * h), (n, 2 * n)))[0]
-    value = float(np.sum(panels[n:]))
-    return value, abs(value - float(np.sum(panels[:n]))) + _rounding_floor(panels[n:])
+    panels = _panel_sums(f, lo, lo + np.repeat((h, 0.5 * h), (n, 2 * n)))
+    value = np.sum(panels[:, n:], axis=1)
+    return value, abs(value - np.sum(panels[:, :n], axis=1)) + _rounding_floor(panels[:, n:].T)
 
 
-def _oscillatory_integral(f, omega: float, cfg: QuadConfig) -> QuadResult:
-    """Integral of f over (0, inf), f oscillating no faster than omega.
+def _batch(staged, cfg: QuadConfig) -> list:
+    """QuadResults of the (job, finish) pairs `staged` yields, one pass.
 
-    f must accept numpy arrays.  The tail is chunked at half the fastest
-    period, so that the dominant mode alternates chunk to chunk.
+    A job is None, or (f, omega) with f oscillating no faster than omega and
+    returning a row per integral over (0, inf); the tail is chunked at half
+    the fastest period, so that the dominant mode alternates chunk to chunk.
+    finish takes its job's (value, error) rows from an iterator.  An item
+    that raises while staged raises once the items before it are finished.
     """
-    h = math.pi / omega
-    head, head_err = _head(f, h)
-    edges = 2 * _HEAD_PERIODS * h + h * np.arange(cfg.tail_periods + 1)
-    tail, tail_err = _averaged_limit(_panel_sums(f, edges[:-1], edges[1:])[0])
-    return QuadResult(head + tail, head_err + tail_err)
+    items, failure = [], None
+    try:
+        for item in staged:
+            items.append(item)
+    except Exception as exc:  # deferred, not swallowed: raised below
+        failure = exc
+    heads, tails, rows = [], [], iter(())
+    for f, omega in (job for job, _ in items if job):
+        h = math.pi / omega
+        heads.append(_head(f, h))
+        edges = 2 * _HEAD_PERIODS * h + h * np.arange(cfg.tail_periods + 1)
+        tails.append(_panel_sums(f, edges[:-1], edges[1:]))
+    if tails:
+        chunks = np.concatenate(tails)
+        # a lone row stays 1-D: the per-level numpy calls cost more on 2-D rows
+        tail, tail_err = _averaged_limit(
+            chunks[0] if len(chunks) == 1 else np.ascontiguousarray(chunks.T))
+        value, error = (np.concatenate(part) for part in zip(*heads))
+        rows = zip((value + tail).tolist(), (error + tail_err).tolist())
+    results = [finish(rows) for _, finish in items]
+    if failure is not None:
+        raise failure
+    return results
 
 
 def _require_converged(result: QuadResult, cfg: QuadConfig, context: str) -> QuadResult:
@@ -206,24 +235,14 @@ def utilde_direct(kind: FactorKind, l: int, q, s: Schedule):
     return float(value) if np.ndim(q) == 0 else value
 
 
-def factor_fourier_numeric(
-    kind: FactorKind, p: RegionPair, cfg: QuadConfig = QuadConfig()
-) -> QuadResult:
-    """Geometric factor by direct Fourier-space quadrature.
-
-    Integrates (9 / (2 pi^2 R1 R2)) sum_l W_l * int j1(q R1) j1(q R2)
-    echo_l(q) j_l(q R) dq by the half-period scheme and adds the flat
-    kernel part through its four-Bessel value, whose non-oscillatory
-    1/q^2 tail would otherwise defeat the extrapolation.  The quadrature
-    runs at unit scale (`unit_scale`); the value and its error bound are
-    scaled back before cfg judges them, in the caller's units.
-    """
+def _factor_point(kind: FactorKind, p: RegionPair, cfg: QuadConfig) -> tuple:
+    """(job, finish) of one factor point for `_batch`."""
     p.validate()
     k, p = unit_scale(p)
     s = Schedule(p.dt1, p.dt2, p.t_offset)
     echoes = _active_echoes(s)
     pref = 9.0 / (2.0 * math.pi**2 * p.r1 * p.r2)
-    value = error = 0.0
+    channels = []  # (l, W_l, the flat kernel part's term)
     for l, w in sorted(angular_weight(kind, p.theta, p.phi).items()):
         if w == 0.0 or (l >= 1 and p.r == 0.0):
             continue  # j_l(0) = 0 for l >= 1 kills the channel exactly
@@ -235,56 +254,77 @@ def factor_fourier_numeric(
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", CancellationWarning)
                 bracket = ji4(Ji4Args(0, 1, 1, 0, l, p.r1, p.r2, 0.0, p.r))
-            value += pref * w * flat * bracket
-        if not echoes:
-            continue  # dead sampling window, all corner lags gated off
-        omega = p.r1 + p.r2 + p.r + max(tau for _, tau in echoes)
-
-        def integrand(qv, l=l):
-            return (
-                sph_bessel(1, qv * p.r1)
-                * sph_bessel(1, qv * p.r2)
-                * _echo_kernel(l, qv, s, echoes)
-                * sph_bessel(l, qv * p.r)
-            )
-
-        part = _oscillatory_integral(integrand, omega, cfg)
-        value += pref * w * part.value
-        error += abs(pref * w) * part.error
+            flat = pref * w * flat * bracket
+        channels.append((l, w, flat))
+    orders = [l for l, _, _ in channels]
     context = f"factor_fourier_numeric({kind.value})"
-    result = QuadResult(*scale_back(context + ": the value", -4 * k, value, error))
-    return _require_converged(result, cfg, context)
+
+    def integrand(qv):
+        # one row per channel; a kind's channels share their echo kernel
+        common = (sph_bessel(1, qv * p.r1) * sph_bessel(1, qv * p.r2)
+                  * _echo_kernel(orders[0], qv, s, echoes))
+        return common * np.array(sph_bessels(orders, qv * p.r))
+
+    def finish(rows) -> QuadResult:
+        value = error = 0.0
+        for _, w, flat in channels:
+            value += flat
+            if job:
+                part, part_error = next(rows)
+                value += pref * w * part
+                error += abs(pref * w) * part_error
+        result = QuadResult(*scale_back(context + ": the value", -4 * k, value, error))
+        return _require_converged(result, cfg, context)
+
+    job = None  # no echo: a dead sampling window, all corner lags gated off
+    if channels and echoes:
+        job = (integrand, p.r1 + p.r2 + p.r + max(tau for _, tau in echoes))
+    return job, finish
 
 
-def ji4_numeric(args: Ji4Args, cfg: QuadConfig = QuadConfig()) -> QuadResult:
-    """Four-Bessel integral int x^-n prod_i j_li(a_i x) dx by quadrature.
+def factor_fourier_numeric_batch(items, cfg: QuadConfig = QuadConfig()) -> list:
+    """`factor_fourier_numeric` of each (kind, point) of items, in one pass;
+    raises what the first failing call of a loop of scalar calls raises."""
+    return _batch((_factor_point(kind, p, cfg) for kind, p in items), cfg)
 
-    Any integrable signature is accepted, not only the ones the closed
-    forms cover: slots with a zero argument reduce to j_l(0) analytically,
-    the rest must leave the integrand finite at the origin and decaying.
+
+def factor_fourier_numeric(
+    kind: FactorKind, p: RegionPair, cfg: QuadConfig = QuadConfig()
+) -> QuadResult:
+    """Geometric factor by direct Fourier-space quadrature.
+
+    Integrates (9 / (2 pi^2 R1 R2)) sum_l W_l * int j1(q R1) j1(q R2)
+    echo_l(q) j_l(q R) dq by the half-period scheme and adds the flat
+    kernel part through its four-Bessel value, whose non-oscillatory
+    1/q^2 tail would otherwise defeat the extrapolation.  The channels
+    share one grid.  The quadrature runs at unit scale (`unit_scale`); the
+    value and its error bound are scaled back before cfg judges them, in
+    the caller's units.  A batch of one.
     """
-    if args.n < 0 or args.n != int(args.n):
+    return factor_fourier_numeric_batch([(kind, p)], cfg)[0]
+
+
+def _ji4_point(args: Ji4Args, cfg: QuadConfig) -> tuple:
+    """(job, finish) of one four-Bessel integral for `_batch`."""
+    if not (math.isfinite(args.n) and args.n >= 0 and args.n == int(args.n)):
         raise ValidationError(f"n must be a non-negative integer, got {args.n}")
-    active = []
-    orders = (args.l1, args.l2, args.l3, args.l4)
-    for l, a in zip(orders, (args.alpha, args.beta, args.gamma, args.delta)):
+    slots = list(zip((args.l1, args.l2, args.l3, args.l4),
+                     (args.alpha, args.beta, args.gamma, args.delta)))
+    for l, a in slots:
         if l not in (-1, 0, 1, 2):
             raise ValidationError(f"spherical Bessel order {l} not available")
         if not (math.isfinite(a) and a >= 0.0):
             raise ValidationError(f"Bessel arguments must be finite and >= 0, got {a}")
-        if a == 0.0:
-            if l == -1:
-                raise ValidationError("j_-1 needs a positive argument")
-            if l >= 1:
-                return QuadResult(0.0, 0.0)  # j_l(0) = 0 for l >= 1
-            continue  # j_0(0) = 1 drops out of the product
-        active.append((l, a))
+        if a == 0.0 and l == -1:
+            raise ValidationError("j_-1 needs a positive argument")
+    if any(a == 0.0 and l >= 1 for l, a in slots):
+        return None, lambda rows: QuadResult(0.0, 0.0)  # j_l(0) = 0 for l >= 1
+    active = [(l, a) for l, a in slots if a != 0.0]  # j_0(0) = 1 drops out
     n = int(args.n)
     if sum(l for l, _ in active) - n <= -1:
         raise ValidationError("integrand is not integrable at the origin")
     if len(active) + n < 1:
         raise ValidationError("integrand does not decay")
-    omega = sum(a for _, a in active)
 
     def integrand(xv):
         total = np.ones_like(xv)
@@ -294,6 +334,24 @@ def ji4_numeric(args: Ji4Args, cfg: QuadConfig = QuadConfig()) -> QuadResult:
             total = total / xv**n
         return total
 
-    result = _oscillatory_integral(integrand, omega, cfg)
     signature = f"{n};{args.l1},{args.l2},{args.l3},{args.l4}"
-    return _require_converged(result, cfg, f"ji4_numeric({signature})")
+    return (integrand, sum(a for _, a in active)), lambda rows: _require_converged(
+        QuadResult(*next(rows)), cfg, f"ji4_numeric({signature})")
+
+
+def ji4_numeric_batch(args, cfg: QuadConfig = QuadConfig()) -> list:
+    """`ji4_numeric` of each Ji4Args of args, in one pass; raises what the
+    first failing call of a loop of scalar calls raises."""
+    return _batch((_ji4_point(a, cfg) for a in args), cfg)
+
+
+def ji4_numeric(args: Ji4Args, cfg: QuadConfig = QuadConfig()) -> QuadResult:
+    """Four-Bessel integral int x^-n prod_i j_li(a_i x) dx by quadrature.
+
+    Any integrable signature is accepted, not only the ones the closed
+    forms cover: slots with a zero argument reduce to j_l(0) analytically,
+    the rest must leave the integrand finite at the origin and decaying.
+    Every slot is checked before a zero argument of order >= 1 makes the
+    integral an exact zero.  A batch of one.
+    """
+    return ji4_numeric_batch([args], cfg)[0]

@@ -15,7 +15,9 @@ from brfactor.oracle import (
     QuadConfig,
     QuadResult,
     factor_fourier_numeric,
+    factor_fourier_numeric_batch,
     ji4_numeric,
+    ji4_numeric_batch,
     utilde_direct,
 )
 from brfactor.time_averages import QuadratureError, Schedule
@@ -86,6 +88,21 @@ def test_zero_argument_singular_slot_raises():
         ji4_numeric(Ji4Args(0, 1, 1, -1, 1, 1.0, 2.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # a zero argument of order >= 1 before the bad slot, then behind it
+        Ji4Args(0, 1, 1, 0, 0, 0.0, 1.0, math.nan, 1.0),
+        Ji4Args(0, 0, 1, 1, 0, math.nan, 1.0, 0.0, 1.0),
+        Ji4Args(0, 1, 7, 0, 0, 0.0, 1.0, 1.0, 1.0),
+        Ji4Args(0, 7, 1, 0, 0, 1.0, 0.0, 1.0, 1.0),
+    ],
+)
+def test_every_slot_is_checked_before_the_zero_shortcut(args):
+    with pytest.raises(ValidationError):
+        ji4_numeric(args)
+
+
 def test_origin_divergence_raises():
     # a single j0 slot with one inverse power diverges logarithmically
     with pytest.raises(ValidationError):
@@ -107,6 +124,9 @@ def test_bad_slot_parameters_raise():
         ji4_numeric(Ji4Args(0.5, 1, 1, 0, 0, 1.0, 1.0, 0.0, 0.0))
     with pytest.raises(ValidationError):
         ji4_numeric(Ji4Args(-1, 1, 1, 0, 0, 1.0, 1.0, 0.0, 0.0))
+    for n in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            ji4_numeric(Ji4Args(n, 1, 1, 0, 0, 1.0, 1.0, 0.0, 0.0))
 
 
 def test_error_estimate_covers_the_deep_value():
@@ -203,13 +223,17 @@ def test_head_matches_adaptive_quadrature(monkeypatch):
         kind, p, _ = _draw_pair(rng, i)
         factor_fourier_numeric(kind, p, LOOSE)
         ji4_numeric(_draw_ji4(rng, i), LOOSE)
-    assert len(heads) >= 40
+    # one head per factor point and per ji4 call, one row per integral
+    assert sum(len(values) for _, _, (values, _) in heads) >= 40
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for f, h, (value, error) in heads:
+        for f, h, (values, errors) in heads:
             end = 2 * oracle._HEAD_PERIODS * h
-            reference, _ = integrate.quad(f, 0.0, end, epsabs=1e-15, epsrel=1e-14, limit=500)
-            assert abs(value - reference) <= max(error, 1e-13)
+            for row, (value, error) in enumerate(zip(values, errors)):
+                reference, _ = integrate.quad(
+                    lambda x: np.reshape(f(np.array([x])), -1)[row], 0.0, end,
+                    epsabs=1e-15, epsrel=1e-14, limit=500)
+                assert abs(value - reference) <= max(error, 1e-13)
 
 
 def _two_pass_limit(chunks):
@@ -249,6 +273,73 @@ def test_tail_limit_is_bit_identical_at_extreme_magnitudes(magnitude):
         chunks = magnitude * (rng.normal() * (-1.0) ** k / (k + 3.0) ** 2 + 1e-3 * rng.normal(size=800))
         got, want = oracle._averaged_limit(chunks), _two_pass_limit(chunks)
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_stacked_tail_limit_keeps_each_column_bit_identical():
+    # columns whose rescale schedules differ share every level's add: 1e150
+    # is rescaled on the way, and would overflow on the schedule of 1e-150
+    # or 1e-300, which need none
+    rng = np.random.default_rng(17)
+    k = np.arange(800)
+    columns = [m * (rng.normal() * (-1.0) ** k / (k + 3.0) ** 2 + 1e-3 * rng.normal(size=800))
+               for m in (1e150, 1e-150, 1e-300, 1e150)]
+    values, errors = oracle._averaged_limit(np.stack(columns, axis=1))
+    for i, chunks in enumerate(columns):
+        value, error = oracle._averaged_limit(chunks)
+        assert (values[i].hex(), errors[i].hex()) == (value.hex(), error.hex())
+
+
+def _hex(result):
+    return result.value.hex(), result.error.hex()
+
+
+def _outcomes(call, items):
+    """What each scalar call returns, or the type and message it raises."""
+    out = []
+    for item in items:
+        try:
+            out.append(_hex(call(item)))
+        except (ValidationError, QuadratureError) as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::brfactor.closed_form.CancellationWarning")
+def test_factor_batch_matches_a_loop_of_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(20261019)
+    items = [_draw_pair(rng, i)[:2] for i in range(9)]
+    items += [
+        (kind, RegionPair(1.3, 0.7, 0.0, 0.4, 1.1, 0.6, 0.9, 0.2)) for kind in FactorKind
+    ]  # r = 0: the l >= 1 channels drop out, bxy has no job
+    items += [(FactorKind.AXX, RegionPair(1.0, 1.2, 0.5, 0.4, 1.1, 1.0, 0.5, -2.0))]  # dead window
+    expected = _outcomes(lambda item: factor_fourier_numeric(*item, LOOSE), items)
+    assert [_hex(r) for r in factor_fourier_numeric_batch(items, LOOSE)] == expected
+
+
+def test_ji4_batch_matches_a_loop_of_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(20261020)
+    args = [_draw_ji4(rng, i) for i in range(8)]
+    args.insert(3, Ji4Args(0, 1, 1, 0, 2, 1.0, 2.0, 0.5, 0.0))  # an exact zero
+    cfg = QuadConfig(abs_tol=1.0, rel_tol=1.0, tail_periods=800)
+    expected = _outcomes(lambda a: ji4_numeric(a, cfg), args)
+    assert [_hex(r) for r in ji4_numeric_batch(args, cfg)] == expected
+
+
+@pytest.mark.parametrize("failing", [[1, 2], [2, 1]])
+def test_batch_raises_what_the_first_failing_scalar_call_raises(failing):
+    # a tail that stalls (QuadratureError, raised when its item is judged)
+    # and a bad slot (ValidationError, raised when its item is staged), in
+    # either order behind a good item
+    good = Ji4Args(0, 1, 1, 0, 0, 1.0, 2.0, 0.0, 0.0)
+    bad = {1: Ji4Args(0, 1, 1, 0, 0, 1.0, 1.0, 0.0, 0.0), 2: Ji4Args(0, 3, 1, 0, 0, 1.0, 1.0, 0.0, 0.0)}
+    args = [good] + [bad[i] for i in failing] + [good]
+    first = next(o for o in _outcomes(ji4_numeric, args) if isinstance(o[0], type))
+    with pytest.raises(first[0]) as exc_info:
+        ji4_numeric_batch(args)
+    assert str(exc_info.value) == first[1]
+    points = [RegionPair(1.0, 1.3, 0.9, 0.4, 1.1, 1.0, 0.8, 0.3), RegionPair(1.0, -1.0)]
+    with pytest.raises(ValidationError):
+        factor_fourier_numeric_batch([(FactorKind.AXX, p) for p in points], LOOSE)
 
 
 def test_utilde_direct_refuses_a_missing_channel_and_bad_q():
