@@ -12,8 +12,8 @@ at seeds 300 and 301, `sph_bessel` and both analytic time averages on arrays
 and scalars, 200 small `validate` reports at the benchmark's seeds, and
 scalar `factor_closed` and `ji4` calls that reach every cell of the closed
 form's route table, every term both series routes log at fixed points, each
-route's outcome at seeded points scaled by the powers of two of SCALE_K, the
-help text of the parser and of each subcommand at 100 columns, and the
+route's outcome and each closed `ji4` signature's at seeded points scaled by
+the powers of two of SCALE_K, the help text of the parser and of each subcommand at 100 columns, and the
 quadrature oracle's value and error at `validate`'s factor and `ji4` draws.
 
 Each `series-random` seed gives two items: `.stops` holds where every call
@@ -49,7 +49,7 @@ SWEEP = ["sweep", "--kind", "axx,axy,bxy", "--r1", "0.5:2:40", "--r", "0:2:10",
 BUDGETS = (20, 127, 128, 129, 384, 385)
 #: the `scale.<route>` items evaluate 2**k times each point for these k: the
 #: factors scale as 2**(-4k), so past about |k| = 256 every nonzero one is
-#: refused
+#: refused; `scale.ji4` scales each lane's arguments by them
 SCALE_K = (-300, -256, -250, -50, -38, -9, 0, 1, 7, 60, 150, 180, 250, 256, 300)
 
 
@@ -198,10 +198,11 @@ def _series_term_items(workloads, scratch):
 def _scale_items():
     """`scale.<route>`: the outcome of each route at 2**k times 40 seeded
     points (4 for the quadrature) whose window is open, for every k of
-    SCALE_K."""
+    SCALE_K; `scale.ji4`: the outcome of the closed `ji4` of each signature
+    at 2**k times 20 seeded lanes, gamma and delta zero in some."""
     from brfactor import (
-        FactorKind, RegionPair, factor_closed, factor_fourier_numeric, factor_series,
-        factor_series_general,
+        FactorKind, Ji4Args, RegionPair, factor_closed, factor_fourier_numeric, factor_series,
+        factor_series_general, ji4,
     )
 
     def outcome(route, kind, fields, k):
@@ -226,13 +227,23 @@ def _scale_items():
             yield f"scale.{name}", pickle.dumps([
                 outcome(route, kinds[i % 3], fields, k)
                 for i, fields in enumerate(points[:count]) for k in SCALE_K])
+        rng = random.Random(43)
+        lanes = []
+        for sig in ((0, 1, 1, 0, 0), (0, 1, 1, 0, 2), (0, 1, 1, -1, 1), (1, 1, 1, 0, 1)):
+            for _ in range(20):
+                a, b = rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)
+                gamma = 0.0 if sig[0] == 1 else rng.choice((rng.uniform(0.0, 5.0), 0.0))
+                lanes.append((sig, a, b, gamma, rng.choice((rng.uniform(0.0, 5.0), 0.0))))
+        yield "scale.ji4", pickle.dumps([
+            _outcome(lambda: ji4(Ji4Args(*sig, *(math.ldexp(v, k) for v in args))))
+            for sig, *args in lanes for k in SCALE_K])
 
 
 def _oracle_items():
     """`oracle.factor` and `oracle.ji4`: the value and error bound, at full
     precision, of the quadrature oracle at 60 factor draws and 60 `ji4`
     draws of `validate`'s samplers, under the configs `validate` gives it."""
-    from brfactor import QuadConfig, factor_fourier_numeric, ji4_numeric
+    from brfactor import Ji4Args, QuadConfig, factor_fourier_numeric, ji4_numeric
     from brfactor.cli import _draw_ji4, _draw_pair
 
     def outcome(call):
@@ -246,7 +257,9 @@ def _oracle_items():
         pairs = [_draw_pair(rng, i)[:2] for i in range(60)]
         yield "oracle.factor", pickle.dumps([
             outcome(lambda: factor_fourier_numeric(kind, p, loose)) for kind, p in pairs])
+        # `_draw_ji4` returns (args, closed value); older trees return the args
         draws = [_draw_ji4(rng, i) for i in range(60)]
+        draws = [d if isinstance(d, Ji4Args) else d[0] for d in draws]
         deep = QuadConfig(abs_tol=1.0, rel_tol=1.0, tail_periods=800)
         yield "oracle.ji4", pickle.dumps([outcome(lambda: ji4_numeric(a, deep)) for a in draws])
 

@@ -333,8 +333,9 @@ def _draw_pair(rng: np.random.Generator, index: int) -> tuple:
 _JI4_SIGS = ((0, 1, 1, 0, 0), (0, 1, 1, 0, 2), (0, 1, 1, -1, 1), (1, 1, 1, 0, 1))
 
 
-def _draw_ji4(rng: np.random.Generator, index: int) -> Ji4Args:
-    """One supported ji4 signature with compact support and a stable value."""
+def _draw_ji4(rng: np.random.Generator, index: int) -> tuple:
+    """(args, closed value) of one supported ji4 signature with compact
+    support and a stable value."""
     n, l1, l2, l3, l4 = _JI4_SIGS[index % 4]
     while True:
         a, b = rng.uniform(0.3, 3.0, size=2)
@@ -349,8 +350,9 @@ def _draw_ji4(rng: np.random.Generator, index: int) -> Ji4Args:
         if max(vals) > sum(vals) - max(vals) - 0.1:
             continue  # too close to the support edge
         args = Ji4Args(n, l1, l2, l3, l4, a, b, g, d)
-        if abs(ji4(args)) >= 1e-3:
-            return args
+        closed = ji4(args)
+        if abs(closed) >= 1e-3:
+            return args, closed
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -393,8 +395,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     ji4_cfg = QuadConfig(abs_tol=1.0, rel_tol=1.0, tail_periods=800)
     dev_ji4 = 0.0
     ji4_draws = [_draw_ji4(rng, i) for i in range(n)]
-    for ji4_args, quad in zip(ji4_draws, ji4_numeric_batch(ji4_draws, ji4_cfg)):
-        closed = ji4(ji4_args)
+    quads = ji4_numeric_batch([ji4_args for ji4_args, _ in ji4_draws], ji4_cfg)
+    for (_, closed), quad in zip(ji4_draws, quads):
         dev_ji4 = max(dev_ji4, abs(quad.value - closed) / abs(closed))
 
     checks = (

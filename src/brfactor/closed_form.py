@@ -205,7 +205,8 @@ def _cells(row, a, b, c, d):
     scale = max(alpha, beta, |gamma|, |delta|, 1), so boundary parameter
     sets (corner lags landing on zero, from either side) evaluate without
     indeterminate forms.  A factor's lanes come from its point at unit scale
-    (`unit_scale`), where the floor 1 is relative too.
+    (`unit_scale`), where the floor 1 stands in for the point's own scale;
+    a lane of `_ji4_batch` is at unit scale itself, where the floor is inert.
     """
     scale = np.maximum(np.maximum(a, b), np.maximum(np.maximum(abs(c), abs(d)), 1.0))
     return 4 * row + _in_band(c, scale) + 2 * _in_band(d, scale)
@@ -241,12 +242,19 @@ def _ji4_batch(sig: tuple, a, b, c, d) -> tuple:
     """(values, cancelled) of one signature's ji4 over equal-length arrays,
     or over scalars as one lane.
 
-    Each entry takes the `_ROUTES` cell of its zero-band code (`_cells`),
-    and each formula runs only on the entries that select it.
+    Each lane runs at unit scale: its arguments are divided by the 2**k that
+    puts the largest in [1, 2), and its value, homogeneous of degree n - 1,
+    is scaled back by 2**((n - 1) k).  It takes the `_ROUTES` cell of its
+    zero-band code (`_cells`); each formula runs only on the lanes it serves.
     """
     if sig not in _ROUTES:
         raise UnsupportedSignatureError(f"no closed form for signature {sig}")
-    return _evaluate(_cells(_ROW[sig], a, b, c, d), a, b, c, d)
+    args = np.array((a, b, c, d))
+    k = np.frexp(abs(args).max(axis=0))[1] - 1
+    a, b, c, d = np.ldexp(args, -k)
+    value, cancelled = _evaluate(_cells(_ROW[sig], a, b, c, d), a, b, c, d)
+    (value,) = scale_back(f"ji4{sig}: the value", (sig[0] - 1) * k, value)
+    return value, cancelled
 
 
 def ji4(args: Ji4Args) -> float:
@@ -254,10 +262,11 @@ def ji4(args: Ji4Args) -> float:
 
     A batch of one of the array evaluation.  Arguments must be finite and
     nonnegative, except that gamma and delta inside the zero band count as
-    zero whatever their sign; alpha and beta must be positive.
+    zero whatever their sign; alpha and beta must be positive.  The band is
+    relative to the largest argument, as it is at unit scale (`_ji4_batch`).
     """
     a, b, c, d = args.alpha, args.beta, args.gamma, args.delta
-    scale = max(a, b, abs(c), abs(d), 1.0)
+    scale = max(a, b, abs(c), abs(d))
     for name, v in (("alpha", a), ("beta", b), ("gamma", c), ("delta", d)):
         if not math.isfinite(v) or (v < 0.0 and not _in_band(v, scale)):
             raise ValidationError(f"{name} must be finite and >= 0, got {v!r}")
@@ -265,8 +274,6 @@ def ji4(args: Ji4Args) -> float:
         raise ValidationError("alpha and beta must be positive")
     sig = (args.n, args.l1, args.l2, args.l3, args.l4)
     value, cancelled = _ji4_batch(sig, *(np.float64(v) for v in (a, b, c, d)))
-    if not np.isfinite(value[0]):
-        raise ValidationError(f"ji4{sig} at {args} lies beyond the float range")
     if cancelled[0]:
         warnings.warn(
             f"ji4{sig}: permutation sum lost more than 8 digits to cancellation",

@@ -27,7 +27,6 @@ from .model import (
     ValidationError,
     _ldexp,
     _two_sum,
-    check_channel,
     length_scale,
     scale_back,
     unit_scale,
@@ -37,10 +36,8 @@ from .time_averages import (
     AvgKind,
     Schedule,
     _average,
-    check_wavenumbers,
     open_lags,
     step_coefficients,
-    wavenumbers,
 )
 
 #: nodes are evaluated in vectorized blocks: the first holds BLOCK nodes and
@@ -68,25 +65,14 @@ def _spans(count: int):
         lo, size = lo + size, 2 * size
 
 
-def utilde(kind: FactorKind, l: int, q, s: Schedule):
-    """Radial multipole kernel at wavenumber q, angular constants excluded.
-
-    These are the saturated (infinite-radius) forms: q times the sine
-    average for l = 0 and 2 (the monopole also carries the -(3/2)<delta(t)>
-    flat term), q times the cosine average for l = 1.  Broadcasts over q.
-    """
-    check_channel(kind, l)
-    qa = wavenumbers(q)
-    out = _saturated_kernels((l,), s, qa.ndim)(qa)[l]
-    return float(out) if np.ndim(q) == 0 else out
-
-
-def _saturated_kernels(ls, s: Schedule, ndim: int):
-    """The function that maps checked wavenumbers q of `ndim` dimensions to
-    the `utilde` of every channel l in `ls`, with the schedule's constants
-    taken once; l = 0 and 2 share one sine average."""
+def _saturated_kernels(ls, s: Schedule):
+    """The function that maps q > 0 (a finite 1-d array) to the saturated
+    (infinite-radius) radial kernel of every channel l in `ls`, angular
+    constants excluded: q times the sine average for l = 0 and 2, the
+    monopole also carrying the -(3/2)<delta(t)> flat term, and q times the
+    cosine average for l = 1.  The schedule's constants are taken once."""
     st = step_coefficients(s, 0.0)
-    lags = open_lags(s, st.open_gates, ndim)
+    lags = open_lags(s, st.open_gates, 1)
     norm = s.dt1 * s.dt2
 
     def kernels(q) -> dict:
@@ -104,7 +90,7 @@ def _saturated_kernels(ls, s: Schedule, ndim: int):
 
 def _boundary_kernel(l: int, r_ex: float, s: Schedule):
     """The radial kernel of channel l with the expansion-boundary terms kept
-    at finite r_ex, as a function of the roots' wavenumbers q and of q r_ex,
+    at finite r_ex, as a function of the roots' wavenumber q and of q r_ex,
     sin(q r_ex) and cos(q r_ex); the schedule's constants are taken once.
 
     Combines the radius-gated averages with the delta-type boundary terms at
@@ -278,14 +264,13 @@ def factor_series(
     head = corr * _flat_head(g00, r1p, p.r2, p.r) if 0 in weights else 0.0
 
     ls = sorted(weights)
-    kernels = _saturated_kernels(ls, s, 1)
+    kernels = _saturated_kernels(ls, s)
     radii = np.array([[r1p], [p.r2], [p.r]])
     # rows that take j_1 alone: q r1' and q r2, and q r too for the dipole
     j1_rows = 3 if ls == [1] else 2
 
     def block(lo, hi):
         q = np.arange(lo + 1, hi + 1) * (math.pi / r_ex)
-        check_wavenumbers(q[0], q[-1])  # q increases
         radial = kernels(q)
         x = q * radii
         sin_x, cos_x = np.sin(x), np.cos(x)
@@ -344,7 +329,6 @@ def factor_series_general(
 
         def block(lo, hi):
             q = roots[lo:hi] / r_ex
-            check_wavenumbers(q[0], q[-1])  # q increases
             x = q * radii
             sin_x, cos_x = np.sin(x), np.cos(x)
             (j1,) = sph_bessels((1,), x[:j1_rows], (sin_x[:j1_rows], cos_x[:j1_rows]))

@@ -79,22 +79,6 @@ class FactorKind(enum.Enum):
     BXY = "bxy"
 
 
-#: (kind, l) multipole channels that carry a radial kernel; the keys of
-#: `angular_weight` for each kind
-CHANNELS = frozenset({
-    (FactorKind.AXX, 0),
-    (FactorKind.AXX, 2),
-    (FactorKind.AXY, 2),
-    (FactorKind.BXY, 1),
-})
-
-
-def check_channel(kind: FactorKind, l: int) -> None:
-    """Refuse a (kind, l) pair that is not one of the CHANNELS."""
-    if (kind, l) not in CHANNELS:
-        raise ValidationError(f"no radial kernel for (kind={kind.value}, l={l})")
-
-
 class Method(enum.Enum):
     """Computation route used to produce a FactorResult."""
 

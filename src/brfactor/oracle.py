@@ -28,7 +28,7 @@ import numpy as np
 
 from .closed_form import CancellationWarning, ji4
 from .model import (
-    FactorKind, Ji4Args, RegionPair, ValidationError, check_channel, check_integer,
+    FactorKind, Ji4Args, RegionPair, ValidationError, check_integer,
     scale_back, unit_scale,
 )
 from .special_functions import angular_weight, sph_bessel, sph_bessels
@@ -41,7 +41,6 @@ __all__ = [
     "factor_fourier_numeric_batch",
     "ji4_numeric",
     "ji4_numeric_batch",
-    "utilde_direct",
 ]
 
 #: head length, in periods of the fastest oscillation, before chunking starts
@@ -205,7 +204,8 @@ def _echo_kernel(l: int, qa: np.ndarray, s: Schedule, echoes: list):
 
     Each term carries its own finite q -> 0 limit (tau j0(q tau), or a
     half-angle sine square over q), so nothing cancels at small q and
-    nothing is subtracted at large q.
+    nothing is subtracted at large q.  The nodes are Gauss-Legendre
+    interior points, so q > 0.
     """
     norm = s.dt1 * s.dt2
     total = np.zeros_like(qa)
@@ -213,26 +213,10 @@ def _echo_kernel(l: int, qa: np.ndarray, s: Schedule, echoes: list):
         for gate, tau in echoes:
             half = np.sin(0.5 * qa * tau)
             total = total - gate * 2.0 * half * half
-        safe = np.where(qa == 0.0, 1.0, qa)
-        return np.where(qa == 0.0, 0.0, total / safe) / norm
+        return total / qa / norm
     for gate, tau in echoes:
         total = total + gate * tau * sph_bessel(0, qa * tau)
     return total / norm
-
-
-def utilde_direct(kind: FactorKind, l: int, q, s: Schedule):
-    """Radial kernel in echo-plus-flat form; algebraically equal to utilde.
-
-    Written independently from step-gated trig terms so the two can be
-    compared; broadcasts over q (q >= 0 allowed, the q -> 0 limits are
-    built in).
-    """
-    check_channel(kind, l)
-    qa = np.asarray(q, dtype=float)
-    if np.any(qa < 0.0) or not np.all(np.isfinite(qa)):
-        raise ValidationError("q must be >= 0 and finite")
-    value = _echo_kernel(l, qa, s, _active_echoes(s)) + _flat_part(l, s)
-    return float(value) if np.ndim(q) == 0 else value
 
 
 def _factor_point(kind: FactorKind, p: RegionPair, cfg: QuadConfig) -> tuple:

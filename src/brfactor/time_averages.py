@@ -164,26 +164,15 @@ def step_coefficients(s: Schedule, r_ex: float) -> StepCoefficients:
     return memo[r_ex]
 
 
-def check_wavenumbers(lo, hi) -> None:
-    """Refuse wavenumbers outside (0, inf), given the least and the greatest
-    of them; a nan fails both tests."""
-    if not (lo > 0.0 and hi < np.inf):
-        raise ValidationError("q must be positive and finite for Sin/Cos averages")
-
-
-def wavenumbers(q) -> np.ndarray:
-    """q as an array of floats, once every entry has passed
-    `check_wavenumbers`."""
-    qa = np.asarray(q, dtype=float)
-    if qa.size:
-        check_wavenumbers(qa.min(), qa.max())
-    return qa
-
-
 def _checked(kind: AvgKind, q) -> np.ndarray:
+    """q as an array of floats, once kind is an AvgKind and every entry of q
+    lies in (0, inf); a nan fails both tests."""
     if not isinstance(kind, AvgKind):
         raise ValidationError(f"kind must be an AvgKind, got {kind!r}")
-    return wavenumbers(q)
+    qa = np.asarray(q, dtype=float)
+    if qa.size and not (qa.min() > 0.0 and qa.max() < np.inf):
+        raise ValidationError("q must be positive and finite for Sin/Cos averages")
+    return qa
 
 
 def open_lags(s: Schedule, gates: tuple, ndim: int) -> tuple:

@@ -42,6 +42,8 @@ pytestmark = pytest.mark.filterwarnings(
         (1.0, "1.000e+0"),
         (9.9996e4, "1.000e+5"),
         (1.23456e-7, "1.235e-7"),
+        (math.inf, "Infinity"),
+        (math.nan, "NaN"),
     ],
 )
 def test_round4(x, expected):

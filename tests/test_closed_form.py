@@ -307,11 +307,10 @@ def test_commutator_difference_contract_and_antisymmetry():
 @pytest.mark.parametrize(
     "args",
     [
-        Ji4Args(0, 1, 1, 0, 0, 1e300, 1e300, 1e300, 1e300),
-        Ji4Args(0, 1, 1, 0, 0, 1e-300, 1e-300, 0.0, 0.0),
+        Ji4Args(0, 1, 1, 0, 0, 1e-310, 1e-310, 1e-310, 1e-310),  # the value overflows
+        Ji4Args(0, 1, 1, 0, 0, 1e308, 1e308, 0.0, 0.0),  # the value is subnormal
     ],
 )
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_ji4_beyond_the_float_range_is_refused(args):
     with pytest.raises(ValidationError):
         ji4(args)

@@ -17,10 +17,10 @@ from brfactor.fourier_bessel import (
     SeriesTermLog,
     _accumulate,
     _flat_head,
+    _saturated_kernels,
     _spans,
     factor_series,
     factor_series_general,
-    utilde,
 )
 from brfactor.model import (
     FactorKind,
@@ -316,25 +316,10 @@ def test_series_validates_inputs():
         factor_series_general(FactorKind.AXX, bad)
 
 
-def test_utilde_rejects_unsupported_channels():
-    s = Schedule(1.0, 0.8, 0.3)
-    with pytest.raises(ValidationError):
-        utilde(FactorKind.AXX, 1, 2.0, s)
-    with pytest.raises(ValidationError):
-        utilde(FactorKind.AXY, 0, 2.0, s)
-    with pytest.raises(ValidationError):
-        utilde(FactorKind.BXY, 2, 2.0, s)
-
-
-def test_utilde_broadcasts_and_matches_its_averages():
+def test_saturated_dipole_kernel_is_q_times_the_cosine_average():
     s = Schedule(1.0, 0.8, 0.3)
     q = np.array([0.5, 2.0, 7.0])
-    vec = utilde(FactorKind.AXY, 2, q, s)
-    assert vec.shape == q.shape
-    for i, qi in enumerate(q):
-        assert utilde(FactorKind.AXY, 2, float(qi), s) == vec[i]
-    # the dipole channel is the q-weighted saturated cosine average
-    got = utilde(FactorKind.BXY, 1, q, s)
+    got = _saturated_kernels((1,), s)(q)[1]
     expected = q * infinite_avg(AvgKind.COS, q, s)
     assert np.allclose(got, expected, rtol=1e-15, atol=0.0)
 
@@ -353,10 +338,16 @@ def test_series_lengths_beyond_the_float_range_are_refused(route):
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_series_value_beyond_the_float_range_is_refused(route, length):
-    # the terms overflow to a nan, or (at 1e150) r_ex**3 of the general
-    # route's root weights does; neither may come back as a value
+    # the terms overflow to a nan, or (at 1e150) the unit-scale durations
+    # fall below the floor; neither may come back as a value
     with pytest.raises(ValidationError, match="float range"):
         route(FactorKind.AXX, RegionPair(length, length))
+
+
+def test_general_root_weights_beyond_the_float_range_are_refused():
+    # the regions are at unit scale, but r_ex**3 of the root weights overflows
+    with pytest.raises(ValidationError, match="float range"):
+        factor_series_general(FactorKind.AXX, RegionPair(1.0, 1.0, r=1e150))
 
 
 @pytest.mark.parametrize("kind", list(FactorKind))

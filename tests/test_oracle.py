@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from brfactor.closed_form import CancellationWarning, factor_closed, ji4
-from brfactor.fourier_bessel import utilde
-from brfactor.model import CHANNELS, FactorKind, Ji4Args, RegionPair, ValidationError
+from brfactor.fourier_bessel import _saturated_kernels
+from brfactor.model import FactorKind, Ji4Args, RegionPair, ValidationError
 from brfactor import oracle
 from brfactor.cli import _draw_ji4, _draw_pair
 from brfactor.oracle import (
@@ -18,8 +18,8 @@ from brfactor.oracle import (
     factor_fourier_numeric_batch,
     ji4_numeric,
     ji4_numeric_batch,
-    utilde_direct,
 )
+from brfactor.special_functions import angular_weight
 from brfactor.time_averages import QuadratureError, Schedule
 
 LOOSE = QuadConfig(abs_tol=1.0, rel_tol=1.0)
@@ -179,7 +179,7 @@ def test_factor_oracle_validates_inputs():
         factor_fourier_numeric(FactorKind.AXX, bad, LOOSE)
 
 
-def _utilde_schedules():
+def _kernel_schedules():
     rng = np.random.default_rng(20)
     drawn = [
         Schedule(rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0), rng.uniform(-4.0, 4.0))
@@ -191,15 +191,19 @@ def _utilde_schedules():
     return drawn + kinks
 
 
-@pytest.mark.parametrize("kind,l", sorted(CHANNELS, key=lambda c: (c[0].value, c[1])))
+@pytest.mark.parametrize(
+    "kind,l", [(kind, l) for kind in FactorKind for l in sorted(angular_weight(kind, 0.0, 0.0))]
+)
 def test_utilde_direct_equals_utilde(kind, l):
-    # the echo-plus-flat kernel is written independently of the gated
-    # averages behind utilde; the two forms agree to rounding
+    # the oracle's echo-plus-flat kernel is written independently of the
+    # gated averages behind the fixed-node series' saturated kernel; the
+    # two forms agree to rounding on every (kind, l) channel the series
+    # contracts, though the kernel itself depends on l alone
     rng = np.random.default_rng(21)
     q = np.concatenate([np.geomspace(0.05, 60.0, 60), rng.uniform(0.05, 60.0, 60)])
-    for s in _utilde_schedules():
-        expected = utilde(kind, l, q, s)
-        got = utilde_direct(kind, l, q, s)
+    for s in _kernel_schedules():
+        expected = _saturated_kernels((l,), s)(q)[l]
+        got = oracle._echo_kernel(l, q, s, oracle._active_echoes(s)) + oracle._flat_part(l, s)
         scale = np.max(np.abs(expected)) + 1.0
         assert np.max(np.abs(got - expected)) <= 1e-12 * scale, s
 
@@ -222,7 +226,7 @@ def test_head_matches_adaptive_quadrature(monkeypatch):
     for i in range(20):
         kind, p, _ = _draw_pair(rng, i)
         factor_fourier_numeric(kind, p, LOOSE)
-        ji4_numeric(_draw_ji4(rng, i), LOOSE)
+        ji4_numeric(_draw_ji4(rng, i)[0], LOOSE)
     # one head per factor point and per ji4 call, one row per integral
     assert sum(len(values) for _, _, (values, _) in heads) >= 40
     with warnings.catch_warnings():
@@ -318,7 +322,7 @@ def test_factor_batch_matches_a_loop_of_scalar_calls_bit_for_bit():
 
 def test_ji4_batch_matches_a_loop_of_scalar_calls_bit_for_bit():
     rng = np.random.default_rng(20261020)
-    args = [_draw_ji4(rng, i) for i in range(8)]
+    args = [_draw_ji4(rng, i)[0] for i in range(8)]
     args.insert(3, Ji4Args(0, 1, 1, 0, 2, 1.0, 2.0, 0.5, 0.0))  # an exact zero
     cfg = QuadConfig(abs_tol=1.0, rel_tol=1.0, tail_periods=800)
     expected = _outcomes(lambda a: ji4_numeric(a, cfg), args)
@@ -342,15 +346,6 @@ def test_batch_raises_what_the_first_failing_scalar_call_raises(failing):
         factor_fourier_numeric_batch([(FactorKind.AXX, p) for p in points], LOOSE)
 
 
-def test_utilde_direct_refuses_a_missing_channel_and_bad_q():
-    s = Schedule(1.0, 0.8, 0.3)
-    with pytest.raises(ValidationError):
-        utilde_direct(FactorKind.AXY, 0, 1.0, s)
-    for q in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValidationError):
-            utilde_direct(FactorKind.AXX, 0, q, s)
-
-
 @pytest.mark.parametrize("kind", list(FactorKind))
 def test_factor_oracle_is_zero_when_interval_2_ends_before_interval_1(kind):
     # t_offset + dt2 < 0: every corner lag is negative, so no echo and no
@@ -364,6 +359,13 @@ def test_factor_oracle_lengths_beyond_the_float_range_are_refused():
     # r1 * r2 underflows to 0, and the prefactor divides by it
     with pytest.raises(ValidationError, match="float range"):
         factor_fourier_numeric(FactorKind.AXX, RegionPair(1e-200, 1e-200))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ji4_oracle_value_beyond_the_float_range_is_refused():
+    # int j0(a x) dx = pi / (2 a) overflows at a = 1e-310
+    with pytest.raises(ValidationError, match="the value lies beyond the float range"):
+        ji4_numeric(Ji4Args(0, 0, 0, 0, 0, 1e-310, 0.0, 0.0, 0.0))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

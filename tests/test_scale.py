@@ -3,7 +3,9 @@
 A factor is homogeneous of degree -4 in the six length and time fields
 (c = 1).  At 2**k p every route therefore returns exactly 2**(-4k) times its
 value at p, with the same terms used and the same stop, wherever that is a
-normal float or 0.0; everywhere else it raises ValidationError.
+normal float or 0.0; everywhere else it raises ValidationError.  The closed
+ji4(n; ...) is homogeneous of degree n - 1 in its arguments, and is
+evaluated at unit scale too.
 """
 
 import math
@@ -12,12 +14,13 @@ import random
 import numpy as np
 import pytest
 
-from brfactor.closed_form import factor_closed, factor_closed_batch
+from brfactor.closed_form import _ROUTES, factor_closed, factor_closed_batch, ji4
 from brfactor.fourier_bessel import factor_series, factor_series_general
 from brfactor.model import (
     FIELDS,
     UNIT_FLOOR,
     FactorKind,
+    Ji4Args,
     RegionPair,
     SeriesConfig,
     ValidationError,
@@ -58,10 +61,10 @@ def _scaled(p: RegionPair, k: int) -> RegionPair:
     return RegionPair(**{**p.to_dict(), **fields})
 
 
-def _expected(value: float, k: int):
-    """2**(-4k) value where that is a normal float or 0.0, else None."""
+def _expected(value: float, k: int, degree: int = -4):
+    """2**(degree k) value where that is a normal float or 0.0, else None."""
     try:
-        out = math.ldexp(value, -4 * k)
+        out = math.ldexp(value, degree * k)
     except OverflowError:
         return None
     return out if value == 0.0 or abs(out) >= 2.0**-1022 else None
@@ -92,6 +95,21 @@ def test_routes_are_scale_covariant_bit_for_bit(route):
             assert (got.value, got.terms_used, got.converged) == (
                 want, base.terms_used, base.converged), (kind, p, k)
             assert got.tail_estimate == math.ldexp(base.tail_estimate, -4 * k)
+
+
+@pytest.mark.parametrize("sig", list(_ROUTES))
+def test_ji4_is_scale_covariant_bit_for_bit(sig):
+    # gamma = 0 where the signature takes no other
+    base = (0.7, 1.1, 0.0 if sig == (1, 1, 1, 0, 1) else 0.9, 1.3)
+    value = ji4(Ji4Args(*sig, *base))
+    for k in range(-1000, 1001):
+        args = Ji4Args(*sig, *(math.ldexp(v, k) for v in base))
+        want = _expected(value, k, sig[0] - 1)
+        if want is None:
+            with pytest.raises(ValidationError, match="float range"):
+                ji4(args)
+        else:
+            assert ji4(args) == want, k
 
 
 def test_closed_batch_scales_each_point_by_its_own_power_of_two():
