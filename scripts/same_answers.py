@@ -13,8 +13,9 @@ and scalars, 200 small `validate` reports at the benchmark's seeds, and
 scalar `factor_closed` and `ji4` calls that reach every cell of the closed
 form's route table, every term both series routes log at fixed points, each
 route's outcome and each closed `ji4` signature's at seeded points scaled by
-the powers of two of SCALE_K, the help text of the parser and of each subcommand at 100 columns, and the
-quadrature oracle's value and error at `validate`'s factor and `ji4` draws.
+the powers of two of SCALE_K, the help text of the parser and of each subcommand at 100 columns, the
+quadrature oracle's value and error at `validate`'s factor and `ji4` draws,
+and the 2-D time-average quadrature at `validate`'s time-average draws.
 
 Each `series-random` seed gives two items: `.stops` holds where every call
 stopped (`terms_used` and `converged`, or the exception it raised) and
@@ -264,6 +265,41 @@ def _oracle_items():
         yield "oracle.ji4", pickle.dumps([outcome(lambda: ji4_numeric(a, deep)) for a in draws])
 
 
+def _time_average_items(w):
+    """`time_averages.numeric`: the value at full precision, or the
+    QuadratureError and its estimate, of scalar `numeric_time_average` calls
+    at `validate`'s time-average draws for the calls of the benchmark's
+    `validate` workload `w`, in `validate`'s order."""
+    from brfactor.cli import _draw_pair
+    from brfactor.time_averages import QuadratureError, Schedule, heaviside, numeric_time_average
+
+    def outcome(f, s, bps):
+        try:
+            return numeric_time_average(f, s, breakpoints=bps)
+        except QuadratureError as exc:
+            return f"QuadratureError: {exc}", exc.estimate
+
+    results = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for i in range(200):
+            argv = w.inputs(i)
+            seed, samples = int(argv[argv.index("--seed") + 1]), int(argv[argv.index("--samples") + 1])
+            rng = np.random.default_rng(seed)
+            for j in range(samples):  # the factor draws come first
+                _draw_pair(rng, j)
+            for _ in range(samples):
+                q, r_ex = rng.uniform(0.1, 15.0), rng.uniform(0.2, 6.0)
+                s = Schedule(rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0), rng.uniform(-4.0, 4.0))
+                sc = s.scale(r_ex)
+                for trig in (np.sin, np.cos):
+                    gated = lambda t: trig(q * t) * heaviside(t, sc) * heaviside(r_ex - t, sc)
+                    results.append(outcome(gated, s, (0.0, r_ex)))
+                    open_ended = lambda t: trig(q * t) * heaviside(t, sc)
+                    results.append(outcome(open_ended, s, (0.0,)))
+    yield "time_averages.numeric", pickle.dumps(results)
+
+
 def _help_items():
     """`cli.help.<command>`: the `--help` text of the parser (`brfactor`) and
     of each subcommand, formatted at COLUMNS=100."""
@@ -311,6 +347,7 @@ def items(workloads):
             yield f"series-random.seed{seed}.values", pickle.dumps(values)
         w = workloads.Validate(0, scratch)
         yield "validate.perfbench", b"".join(_stdout(main, w.inputs(i)) for i in range(200))
+        yield from _time_average_items(w)
         yield from _series_term_items(workloads, scratch)
     yield from _bessel_items()
     yield from _average_items()

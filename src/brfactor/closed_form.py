@@ -240,7 +240,7 @@ def _evaluate(cells, a, b, c, d) -> tuple:
 
 def _ji4_batch(sig: tuple, a, b, c, d) -> tuple:
     """(values, cancelled) of one signature's ji4 over equal-length arrays,
-    or over scalars as one lane.
+    or over floats as one lane whose value is a float.
 
     Each lane runs at unit scale: its arguments are divided by the 2**k that
     puts the largest in [1, 2), and its value, homogeneous of degree n - 1,
@@ -249,11 +249,16 @@ def _ji4_batch(sig: tuple, a, b, c, d) -> tuple:
     """
     if sig not in _ROUTES:
         raise UnsupportedSignatureError(f"no closed form for signature {sig}")
-    args = np.array((a, b, c, d))
-    k = np.frexp(abs(args).max(axis=0))[1] - 1
-    a, b, c, d = np.ldexp(args, -k)
+    lanes = isinstance(a, np.ndarray)
+    if lanes:
+        args = np.array((a, b, c, d))
+        k = np.frexp(abs(args).max(axis=0))[1] - 1
+        a, b, c, d = np.ldexp(args, -k)
+    else:  # a lane of floats scales in floats, where numpy costs more than the lane
+        k = math.frexp(max(a, b, abs(c), abs(d)))[1] - 1
+        a, b, c, d = (np.float64(math.ldexp(v, -k)) for v in (a, b, c, d))
     value, cancelled = _evaluate(_cells(_ROW[sig], a, b, c, d), a, b, c, d)
-    (value,) = scale_back(f"ji4{sig}: the value", (sig[0] - 1) * k, value)
+    (value,) = scale_back(f"ji4{sig}: the value", (sig[0] - 1) * k, value if lanes else value[0])
     return value, cancelled
 
 
@@ -273,14 +278,14 @@ def ji4(args: Ji4Args) -> float:
     if a == 0.0 or b == 0.0:
         raise ValidationError("alpha and beta must be positive")
     sig = (args.n, args.l1, args.l2, args.l3, args.l4)
-    value, cancelled = _ji4_batch(sig, *(np.float64(v) for v in (a, b, c, d)))
+    value, cancelled = _ji4_batch(sig, a, b, c, d)
     if cancelled[0]:
         warnings.warn(
             f"ji4{sig}: permutation sum lost more than 8 digits to cancellation",
             CancellationWarning,
             stacklevel=2,
         )
-    return float(value[0])
+    return value
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,10 @@ kink line get the mean of the two one-sided limits.
 The step functions, the schedule and the q-independent averages are written
 in plain arithmetic, so they take a schedule of floats or a batch of
 schedules held in arrays alike.
+
+The 2-D quadrature is stacked: a batch of integrals shares each bisection
+level's calls of f, each keeps its own budgets and choices, and a scalar
+call is a batch of one.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from .model import ValidationError, check_field, length_scale
 #: length or time in play), treated as "exactly on the boundary"
 BOUNDARY_RTOL = 1e-12
 
-#: evaluations of f allowed to one numeric_time_average call, and to each of
-#: its inner integrals
+#: evaluations of f allowed to each integral of a numeric_time_average_batch
+#: call, and to each of its inner integrals
 _EVAL_BUDGET = 1 << 21
 _INNER_BUDGET = 1 << 10
 
@@ -234,59 +238,114 @@ def infinite_avg(kind: AvgKind, q, s: Schedule):
     return float(val) if np.ndim(q) == 0 else val
 
 
-def _panel_sums(f, lo, hi) -> np.ndarray:
+def _panel_sums(f, lo, hi, *per_panel) -> np.ndarray:
     """16-point Gauss-Legendre sums over the panels (lo_i, hi_i) from one call
     of f, which returns a row of values per node, or a row of values and a
-    row of their errors; one row of sums per row of f."""
+    row of their errors; one row of sums per row of f.  f takes the nodes
+    and each array of `per_panel` at its panel's nodes.
+
+    einsum reduces each panel on its own, so a panel's sum keeps its bits
+    however many panels share the call; a matrix product would not.
+    """
     nodes, weights = _gauss_legendre()
     half = 0.5 * (hi - lo)
     grid = (lo + half)[:, None] + half[:, None] * nodes
-    return half * (np.reshape(f(grid.ravel()), (-1,) + grid.shape) @ weights)
+    vals = f(grid.ravel(), *(np.repeat(x, nodes.size) for x in per_panel))
+    vals = np.reshape(vals, (-1,) + grid.shape)
+    return half * np.einsum("...k,k->...", vals, weights)
 
 
-def _bisected_panels(f, lo, hi, density: float, budget: int) -> tuple:
+def _bisected_panels(f, lo, hi, group, density, budget) -> tuple:
     """Integrals of f over the intervals (lo_i, hi_i) and their error bounds.
 
-    A panel is bisected while its one-panel and two-half values differ by
-    more than density times its width; where `budget` evaluations of f do not
-    pay for all bisections, those that differ most go first.
+    Panel i belongs to integral group_i, and f takes the nodes and the
+    integral of each.  A panel is bisected while its one-panel and two-half
+    values differ by more than density[group] times its width; where
+    budget[group] evaluations of f do not pay for all of an integral's
+    bisections, those that differ most go first.  An integral's panels keep
+    their order among themselves, so each takes the levels and panels it
+    takes alone.
     """
     n = lo.size
     value, error, owner = np.zeros(n), np.zeros(n), np.arange(n)
-    whole = _panel_sums(f, lo, hi)[0]
-    budget -= 16 * n
+    whole = _panel_sums(f, lo, hi, group)[0]
+    budget = budget - 16 * np.bincount(group, minlength=budget.size)
     while owner.size:
         mid = 0.5 * (lo + hi)
-        left, right = np.split(
-            _panel_sums(f, np.concatenate((lo, mid)), np.concatenate((mid, hi))), 2, axis=1
-        )
-        budget -= 32 * owner.size
+        left, right = np.split(_panel_sums(
+            f, np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.concatenate((group, group))
+        ), 2, axis=1)
+        budget -= 32 * np.bincount(group, minlength=budget.size)
         both = left + right
         diff = np.abs(whole - both[0])
-        split = diff > density * (hi - lo)
-        room = max(budget // 64, 0)  # a bisection costs two panels of halves
-        if np.count_nonzero(split) > room:
-            split[np.argsort(np.where(split, -diff, 0.0))[room:]] = False
+        split = diff > density[group] * (hi - lo)
+        room = np.maximum(budget // 64, 0)  # a bisection costs two panels of halves
+        for g in np.flatnonzero(np.bincount(group, split, budget.size) > room):
+            mine = np.flatnonzero(group == g)
+            keep = split[mine]
+            keep[np.argsort(np.where(keep, -diff[mine], 0.0))[room[g]:]] = False
+            split[mine] = keep
         done = ~split
         value += np.bincount(owner[done], both[0, done], n)
         error += np.bincount(owner[done], (diff + both[1:].sum(axis=0))[done], n)
         lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
         whole = np.concatenate((left[0, split], right[0, split]))
-        owner = np.concatenate((owner[split], owner[split]))
+        owner, group = (np.concatenate((x[split], x[split])) for x in (owner, group))
     return value, error
 
 
-def _inner_integrals(f, s: Schedule, bps: np.ndarray, tol: float, t1: np.ndarray):
+def _inner_integrals(f, offset, dt2, bps, tol, t1, which):
     """Integral of f(t2 - t1) over t2 in (T, T + dt2) for each t1, taken in
-    the lag and cut at the breakpoints: a row of values, a row of errors."""
-    first = (s.t_offset - t1)[:, None]
-    last = first + s.dt2
-    edges = np.hstack((first, np.clip(bps, first, last), last))
+    the lag and cut at the breakpoints, all of integral `which`: a row of
+    values, a row of errors.  Row j of bps holds integral j's breakpoints,
+    padded with inf."""
+    first = (offset[which] - t1)[:, None]
+    last = first + dt2[which][:, None]
+    edges = np.hstack((first, np.clip(bps[which], first, last), last))
     lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    row = np.repeat(np.arange(t1.size), bps.size + 1)
+    row = np.repeat(np.arange(t1.size), bps.shape[1] + 1)
     live = hi > lo
-    sums = _bisected_panels(f, lo[live], hi[live], 0.25 * tol, _INNER_BUDGET * t1.size)
+    nodes = np.bincount(which, minlength=offset.size)  # t1 nodes per integral
+    sums = _bisected_panels(f, lo[live], hi[live], which[row[live]],
+                            np.full(offset.size, 0.25 * tol), _INNER_BUDGET * nodes)
     return np.stack([np.bincount(row[live], part, t1.size) for part in sums])
+
+
+def numeric_time_average_batch(f, schedules, breakpoints, tol: float = 1e-10) -> list:
+    """`numeric_time_average` of integral j = f(., j) over schedules[j], cut
+    at breakpoints[j], for every j in one quadrature pass.
+
+    f(lags, which) takes an array of lags and, per lag, the index of its
+    integral.  Each integral keeps its own budgets and bisection choices,
+    so its value has the bits of its scalar call; raises what the first
+    failing call of a loop of scalar calls raises.
+    """
+    if not schedules:
+        return []
+    bps = [np.unique(np.asarray(b, dtype=float)) for b in breakpoints]
+    padded = np.full((len(bps), max(b.size for b in bps)), np.inf)
+    cuts = []
+    for row, s, b in zip(padded, schedules, bps, strict=True):
+        row[:b.size] = b
+        edges = np.concatenate((s.t_offset - b, s.t_offset + s.dt2 - b))
+        edges = edges[(edges > 0.0) & (edges < s.dt1)]
+        cuts.append(np.unique(np.concatenate(([0.0, s.dt1], edges))))
+    dt1, dt2, offset = np.array([(s.dt1, s.dt2, s.t_offset) for s in schedules], dtype=float).T
+    outer = functools.partial(_inner_integrals, f, offset, dt2, padded, tol)
+    sizes = [c.size - 1 for c in cuts]
+    lo, hi = np.concatenate([c[:-1] for c in cuts]), np.concatenate([c[1:] for c in cuts])
+    budget = np.full(len(cuts), _EVAL_BUDGET // _INNER_BUDGET)  # in t1 nodes
+    group = np.repeat(np.arange(len(cuts)), sizes)
+    sums = _bisected_panels(outer, lo, hi, group, 0.25 * tol * dt2, budget)
+    values = []
+    for total, err, norm in zip(*(np.split(x, np.cumsum(sizes)[:-1]) for x in sums),
+                                (dt1 * dt2).tolist()):
+        value, err_bound = float(total.sum()) / norm, float(err.sum()) / norm
+        if err_bound > tol:
+            raise QuadratureError(
+                f"2-D average error estimate {err_bound:.3e} exceeds tol {tol:.3e}", value)
+        values.append(value)
+    return values
 
 
 def numeric_time_average(f, s: Schedule, tol: float = 1e-10, breakpoints=(0.0,)) -> float:
@@ -298,20 +357,6 @@ def numeric_time_average(f, s: Schedule, tol: float = 1e-10, breakpoints=(0.0,))
     a bisection level at once.  A budget of 2**21 evaluations of f per call,
     2**10 per inner integral, bounds time and memory when tol cannot be met:
     QuadratureError, with the best value attached, if the error estimate
-    exceeds tol.
+    exceeds tol.  A batch of one.
     """
-    bps = np.unique(np.asarray(breakpoints, dtype=float))
-    edges = np.concatenate((s.t_offset - bps, s.t_offset + s.dt2 - bps))
-    cuts = np.unique(np.concatenate(([0.0, s.dt1], edges[(edges > 0.0) & (edges < s.dt1)])))
-    outer = functools.partial(_inner_integrals, f, s, bps, tol)
-    budget = _EVAL_BUDGET // _INNER_BUDGET  # in t1 nodes
-    total, err = _bisected_panels(outer, cuts[:-1], cuts[1:], 0.25 * tol * s.dt2, budget)
-    norm = s.dt1 * s.dt2
-    value = float(total.sum()) / norm
-    err_bound = float(err.sum()) / norm
-    if err_bound > tol:
-        raise QuadratureError(
-            f"2-D average error estimate {err_bound:.3e} exceeds tol {tol:.3e}",
-            estimate=value,
-        )
-    return value
+    return numeric_time_average_batch(lambda t, _: f(t), [s], [breakpoints], tol)[0]

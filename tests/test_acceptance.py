@@ -40,7 +40,7 @@ from brfactor import (
 # sample the same geometries
 from brfactor.cli import _JI4_SIGS, _draw_ji4, _draw_pair
 from brfactor.model import table1_rows
-from brfactor.time_averages import heaviside, numeric_time_average
+from brfactor.time_averages import heaviside, numeric_time_average_batch
 
 _CTX4 = decimal.Context(prec=4, rounding=decimal.ROUND_HALF_EVEN)
 
@@ -181,25 +181,33 @@ def test_criterion_5_cross_method_random_grid():
 
 def test_criterion_6_time_average_quadrature():
     rng = np.random.default_rng(20260223)
-    worst = 0.0
+    stack = []  # (kind, q, r_ex, schedule, scale); r_ex = inf for the open averages
     for _ in range(200):
         q = rng.uniform(0.1, 15.0)
         r_ex = rng.uniform(0.2, 6.0)
         s = Schedule(
             rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0), rng.uniform(-4.0, 4.0)
         )
-        sc = s.scale(r_ex)
-        for kind, trig in (
-            (AvgKind.SIN, np.sin),
-            (AvgKind.COS, np.cos),
-        ):
-            gated = lambda t: trig(q * t) * heaviside(t, sc) * heaviside(r_ex - t, sc)
-            numeric = numeric_time_average(gated, s, breakpoints=(0.0, r_ex))
-            worst = max(worst, abs(finite_avg(kind, q, r_ex, s) - numeric))
-        for kind, trig in ((AvgKind.SIN, np.sin), (AvgKind.COS, np.cos)):
-            open_ended = lambda t: trig(q * t) * heaviside(t, sc)
-            numeric = numeric_time_average(open_ended, s, breakpoints=(0.0,))
-            worst = max(worst, abs(infinite_avg(kind, q, s) - numeric))
+        stack += [(kind, q, gate, s, s.scale(r_ex))
+                  for gate in (r_ex, math.inf) for kind in (AvgKind.SIN, AvgKind.COS)]
+    wavenumbers, gates, scales = (np.array([item[i] for item in stack]) for i in (1, 2, 4))
+    cosines = np.array([kind is AvgKind.COS for kind, *_ in stack])
+
+    def integrand(t, which):
+        # trig(q t) Theta(t) Theta(r_ex - t) of each lag's own integral
+        x, sc, cos = wavenumbers[which] * t, scales[which], cosines[which]
+        trig = np.cos(x, where=cos, out=np.empty_like(x))
+        np.sin(x, where=~cos, out=trig)
+        return trig * heaviside(t, sc) * heaviside(gates[which] - t, sc)
+
+    numerics = numeric_time_average_batch(
+        integrand, [s for *_, s, _ in stack],
+        [(0.0, g) if g < math.inf else (0.0,) for _, _, g, _, _ in stack])
+    worst = 0.0
+    for (kind, q, r_ex, s, _), numeric in zip(stack, numerics):
+        exact = finite_avg(kind, q, r_ex, s) if r_ex < math.inf else infinite_avg(kind, q, s)
+        worst = max(worst, abs(exact - numeric))
+    assert len(numerics) == 800
     assert worst <= 1e-8, worst
 
 

@@ -1,20 +1,24 @@
 """Analytic double time averages against quadrature and hand formulas."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from brfactor.closed_form import CancellationWarning
 from brfactor.model import ValidationError
 from brfactor.time_averages import (
     BOUNDARY_RTOL,
     AvgKind,
     QuadratureError,
     Schedule,
+    _panel_sums,
     finite_avg,
     heaviside,
     infinite_avg,
     numeric_time_average,
+    numeric_time_average_batch,
     step_coefficients,
 )
 
@@ -215,9 +219,24 @@ def test_time_average_quadrature_takes_arrays_within_its_budget():
         sizes.append(np.size(t))
         return np.where(t < 0.3712345, 0.0, 1.0)
 
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError) as alone:
         numeric_time_average(step, s, tol=1e-13)
     assert min(sizes) > 1 and sum(sizes) <= 2**21
+
+    # in a batch among cheap integrals, the step raises what it raises alone,
+    # and keeps its own budget: each integral's evaluations stay within 2**21
+    q = np.array([2.0, 0.0, 1.5, 3.0])
+    counts = np.zeros(q.size, dtype=int)
+
+    def stacked(t, which):
+        counts[:] += np.bincount(which, minlength=q.size)
+        return np.where(which == 1, np.where(t < 0.3712345, 0.0, 1.0), np.cos(q[which] * t))
+
+    with pytest.raises(QuadratureError) as batched:
+        numeric_time_average_batch(stacked, [s] * q.size, [(0.0,)] * q.size, tol=1e-13)
+    assert str(batched.value) == str(alone.value)
+    assert batched.value.estimate.hex() == alone.value.estimate.hex()
+    assert counts.max() <= 2**21 and counts[1] == sum(sizes)
 
     def wave(t):
         sizes.append(np.size(t))
@@ -313,3 +332,72 @@ def test_averages_skip_closed_gates_bit_for_bit(kind):
             assert np.float64(finite_avg(kind, v, r_ex, s)).tobytes() == np.float64(
                 _four_term_average(kind, v, s, r_ex)).tobytes()
     assert closed > 300  # the seeded schedules close many corners
+
+
+def _validate_stack(seed: int, samples: int = 4):
+    """validate's time-average draws at `seed`: per sample, each trig's
+    radius-gated integral and its open one, as (trig, q, r_ex, schedule,
+    scale, breakpoints); the open ones have r_ex = inf."""
+    from brfactor.cli import _draw_pair
+
+    rng = np.random.default_rng(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CancellationWarning)
+        for i in range(samples):
+            _draw_pair(rng, i)
+    stack = []
+    for _ in range(samples):
+        q, r_ex = rng.uniform(0.1, 15.0), rng.uniform(0.2, 6.0)
+        s = Schedule(rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0), rng.uniform(-4.0, 4.0))
+        for trig in (np.sin, np.cos):
+            stack.append((trig, q, r_ex, s, s.scale(r_ex), (0.0, r_ex)))
+            stack.append((trig, q, math.inf, s, s.scale(r_ex), (0.0,)))
+    return stack
+
+
+def _scalar_loop(stack) -> list:
+    out = []
+    for trig, q, r_ex, s, sc, bps in stack:
+        if r_ex < math.inf:
+            f = lambda t: trig(q * t) * heaviside(t, sc) * heaviside(r_ex - t, sc)
+        else:
+            f = lambda t: trig(q * t) * heaviside(t, sc)
+        out.append(numeric_time_average(f, s, breakpoints=bps).hex())
+    return out
+
+
+def _batch(stack) -> list:
+    trigs = [trig for trig, *_ in stack]
+
+    def f(t, which):
+        out = np.empty_like(t)
+        for j in np.unique(which):
+            _, q, r_ex, _, sc, _ = stack[j]
+            mine = which == j
+            x = t[mine]
+            out[mine] = trigs[j](q * x) * heaviside(x, sc) * heaviside(r_ex - x, sc)
+        return out
+
+    values = numeric_time_average_batch(f, [e[3] for e in stack], [e[5] for e in stack])
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20260223])
+def test_batch_equals_a_loop_of_scalar_calls_bit_for_bit(seed):
+    stack = _validate_stack(seed)
+    # breakpoint lists of one, two and three lags in one batch; a breakpoint
+    # that is no kink only cuts the panels
+    stack[2] = stack[2][:5] + ((0.0, 0.5 * stack[2][2], stack[2][2]),)
+    assert _batch(stack) == _scalar_loop(stack)
+    assert _batch(stack[3:4]) == _scalar_loop(stack[3:4])
+
+
+@pytest.mark.parametrize("panels", [1, 3, 7, 100, 1001])
+def test_panel_sums_keep_their_bits_whatever_shares_the_call(panels):
+    # a row's sum does not depend on how many panels are reduced with it
+    rng = np.random.default_rng(3)
+    lo = rng.uniform(-5.0, 5.0, 1001)
+    hi = lo + rng.uniform(1e-3, 2.0, lo.size)
+    f = lambda x: np.stack((np.sin(3.0 * x) * np.exp(-0.1 * x * x), x**3))
+    alone = np.concatenate([_panel_sums(f, lo[i:i + 1], hi[i:i + 1]) for i in range(panels)], axis=1)
+    assert _panel_sums(f, lo[:panels], hi[:panels]).tobytes() == alone.tobytes()
