@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    BOUNDARY_RTOL,
     FIELDS,
     FactorKind,
     FactorResult,
@@ -38,7 +39,7 @@ from .model import (
     unit_scale,
 )
 from .special_functions import angular_weight
-from .time_averages import BOUNDARY_RTOL, Schedule, heaviside, step_coefficients
+from .time_averages import Schedule, heaviside, step_coefficients
 
 #: a sign sum whose total is below this fraction of its largest term is
 #: reported as cancellation-limited

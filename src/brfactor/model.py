@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import decimal
 import enum
+import functools
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -20,6 +21,10 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+#: half-band around zero, relative to a caller-supplied scale (the largest
+#: length or time in play), treated as "exactly on the boundary"
+BOUNDARY_RTOL = 1e-12
 
 #: fields that must be positive; r must be nonnegative, the rest only finite
 _POSITIVE = ("r1", "r2", "dt1", "dt2")
@@ -113,6 +118,21 @@ class RegionPair:
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in FIELDS}
+
+    def in_support(self):
+        """False where every factor of the pair is exactly 0 (c = 1): no lag
+        t2 - t1 in (T - dt1, T + dt2) equals a distance between points of
+        the two balls, which run from max(0, r - r1 - r2) to r + r1 + r2.
+
+        An edge within BOUNDARY_RTOL times the largest length or time in
+        play counts as inside, so no zero is claimed at a boundary.
+        Elementwise on arrays, broadcasting as the closed form's batches do.
+        """
+        reach = self.r1 + self.r2
+        band = BOUNDARY_RTOL * functools.reduce(np.maximum, (
+            self.r1, self.r2, self.r, self.dt1, self.dt2, abs(self.t_offset)))
+        return ((self.t_offset + self.dt2 >= np.maximum(self.r - reach, 0.0) - band)
+                & (self.t_offset - self.dt1 <= self.r + reach + band))
 
 
 #: RegionPair fields in declaration order

@@ -38,9 +38,9 @@ from brfactor import (
 )
 # the random draws are the CLI's own, so `validate` and these criteria
 # sample the same geometries
-from brfactor.cli import _JI4_SIGS, _draw_ji4, _draw_pair
+from brfactor.cli import _JI4_SIGS, _draw_ji4, _draw_pair, _time_average_integrand
 from brfactor.model import table1_rows
-from brfactor.time_averages import heaviside, numeric_time_average_batch
+from brfactor.time_averages import numeric_time_average_batch
 
 _CTX4 = decimal.Context(prec=4, rounding=decimal.ROUND_HALF_EVEN)
 
@@ -190,16 +190,10 @@ def test_criterion_6_time_average_quadrature():
         )
         stack += [(kind, q, gate, s, s.scale(r_ex))
                   for gate in (r_ex, math.inf) for kind in (AvgKind.SIN, AvgKind.COS)]
+    # trig(q t) Theta(t) Theta(r_ex - t) of each lag's own integral, as validate builds it
     wavenumbers, gates, scales = (np.array([item[i] for item in stack]) for i in (1, 2, 4))
     cosines = np.array([kind is AvgKind.COS for kind, *_ in stack])
-
-    def integrand(t, which):
-        # trig(q t) Theta(t) Theta(r_ex - t) of each lag's own integral
-        x, sc, cos = wavenumbers[which] * t, scales[which], cosines[which]
-        trig = np.cos(x, where=cos, out=np.empty_like(x))
-        np.sin(x, where=~cos, out=trig)
-        return trig * heaviside(t, sc) * heaviside(gates[which] - t, sc)
-
+    integrand = _time_average_integrand(wavenumbers, scales, cosines, gates)
     numerics = numeric_time_average_batch(
         integrand, [s for *_, s, _ in stack],
         [(0.0, g) if g < math.inf else (0.0,) for _, _, g, _, _ in stack])

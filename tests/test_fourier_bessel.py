@@ -453,7 +453,8 @@ def test_flat_head_of_a_small_ball_inside_a_large_one(r):
 
 @pytest.mark.parametrize("route", [factor_series, factor_series_general])
 def test_small_ball_probe_is_near_its_reference_or_unconverged(route):
-    # r1 = 1e-5 inside r2 = 1; the reference value is 1.49998
+    # r1 = 1e-5 inside r2 = 1; the closed form with its lanes at 60 digits
+    # gives 1.5
     result = route(FactorKind.AXX, RegionPair(1e-5, 1.0, t_offset=0.5))
-    assert result.value == pytest.approx(1.49998, rel=1e-3)
-    assert not result.converged or result.value == pytest.approx(1.49998, rel=5e-5)
+    assert result.value == pytest.approx(1.5, rel=1e-3)
+    assert not result.converged or result.value == pytest.approx(1.5, rel=5e-5)

@@ -1,13 +1,17 @@
 """Geometry container validation, angle folding, and the reverse map."""
 
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brfactor.closed_form import factor_closed_batch
 from brfactor.model import (
+    BOUNDARY_RTOL,
     TWO_PI,
     FactorKind,
     Method,
@@ -203,3 +207,44 @@ def test_enum_values_round_trip():
         "series-general",
         "numeric",
     }
+
+
+def _support_box(seed: int, n: int = 200) -> tuple:
+    """Seeded pairs of validate's box without t_offset, and their nearest
+    and farthest distances between points of the two balls."""
+    rng = np.random.default_rng(seed)
+    r1, r2 = rng.uniform(0.3, 3.0, (2, n))
+    # r = 0, or at least 0.3: at a smaller r the closed form's lanes lose
+    # their digits, and its noise at exact zeros outgrows the bound below
+    r = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.3, 3.0, n))
+    geometry = (r1, r2, r, rng.uniform(0.0, math.pi, n), rng.uniform(0.0, TWO_PI, n),
+                *rng.uniform(0.2, 3.0, (2, n)))
+    return geometry, np.maximum(r - r1 - r2, 0.0), r + r1 + r2
+
+
+@pytest.mark.filterwarnings("ignore::brfactor.closed_form.CancellationWarning")
+def test_support_test_places_points_just_outside_and_just_inside():
+    geometry, near, far = _support_box(71)
+    dt1, dt2 = geometry[5:]
+    # T with the last lag T + dt2 at the nearest distance, and with the
+    # first lag T - dt1 at the farthest
+    last, first = near - dt2, far + dt1
+    gap = 10.0 ** np.random.default_rng(72).uniform(-6.0, -1.0, near.size)
+    # the band at an edge: BOUNDARY_RTOL times the largest length or time
+    lengths = np.maximum.reduce([*geometry[:3], dt1, dt2])
+    below, above = (BOUNDARY_RTOL * np.maximum(lengths, abs(t)) for t in (last, first))
+    for t in (last - gap, first + gap, last - 4.0 * below, first + 4.0 * above):
+        pair = RegionPair(*geometry, t)
+        assert not pair.in_support().any()
+        for kind in FactorKind:
+            assert np.abs(factor_closed_batch(kind, pair).value).max() <= 1e-9
+    for t in (last + gap, first - gap, last, first, last - 0.25 * below, first + 0.25 * above):
+        assert RegionPair(*geometry, t).in_support().all()
+    # elementwise: each point alone, and one array field among floats
+    t = np.concatenate((last - gap, last + gap))
+    points = RegionPair(*(np.tile(v, 2) for v in geometry), t)
+    alone = [RegionPair(*(float(v[i]) for v in dataclasses.astuple(points))).in_support()
+             for i in range(t.size)]
+    assert points.in_support().tolist() == alone == [False] * near.size + [True] * near.size
+    assert RegionPair(1.0, 1.0, 5.0, t_offset=np.array([0.0, 2.5, 9.0])).in_support().tolist() == [
+        False, True, False]

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from brfactor.cli import _time_average_integrand
 from brfactor.closed_form import CancellationWarning
 from brfactor.model import ValidationError
 from brfactor.time_averages import (
@@ -14,6 +15,7 @@ from brfactor.time_averages import (
     QuadratureError,
     Schedule,
     _panel_sums,
+    _sorted_rows,
     finite_avg,
     heaviside,
     infinite_avg,
@@ -390,6 +392,74 @@ def test_batch_equals_a_loop_of_scalar_calls_bit_for_bit(seed):
     stack[2] = stack[2][:5] + ((0.0, 0.5 * stack[2][2], stack[2][2]),)
     assert _batch(stack) == _scalar_loop(stack)
     assert _batch(stack[3:4]) == _scalar_loop(stack[3:4])
+
+
+def _lag_density_average(trig, q, r_ex, s):
+    """(1/dt1 dt2) times the integral of trig(q t) Theta(t) Theta(r_ex - t)
+    over the sampling intervals, at 40 digits: a 1-D integral over the lag t
+    against its piecewise-linear density, cut at the corner lags."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        dt1, dt2, offset, q = (mp.mpf(v) for v in (s.dt1, s.dt2, s.t_offset, q))
+        lo, hi = max(mp.mpf(0), offset - dt1), min(mp.mpf(r_ex), offset + dt2)
+        if hi <= lo:
+            return 0.0
+        cuts = sorted({lo, hi} | {k for k in (offset + dt2 - dt1, offset) if lo < k < hi})
+        density = lambda t: min(dt1, offset + dt2 - t) - max(mp.mpf(0), offset - t)
+        f = mp.cos if trig is np.cos else mp.sin
+        return mp.quad(lambda t: f(q * t) * density(t), cuts) / (dt1 * dt2)
+
+
+@pytest.mark.parametrize("seed", [4, 6])
+def test_validate_quadrature_is_within_rounding_of_40_digit_references(seed):
+    # validate's own pass over both trigs, radius-gated and open; seed 4's
+    # gates cut its lag windows, and seed 6 has a window with no positive lag
+    stack = _validate_stack(seed, samples=2)
+    q, scales, cosines, gates = (np.array(column) for column in zip(
+        *((q, sc, trig is np.cos, r_ex) for trig, q, r_ex, _, sc, _ in stack)))
+    integrand = _time_average_integrand(q, scales, cosines, gates)
+    values = numeric_time_average_batch(integrand, [e[3] for e in stack], [e[5] for e in stack])
+    for (trig, q, r_ex, s, _, _), value in zip(stack, values):
+        assert abs(value - _lag_density_average(trig, q, r_ex, s)) <= 5e-16
+
+
+def test_validate_integrand_keeps_the_bits_of_the_gated_product():
+    # one band test per node: closed nodes are +0.0, and open and band nodes
+    # keep the bits of trig(q t) Theta(t) Theta(gate - t)
+    q, scales = np.array([3.7, 11.0, 0.4]), np.array([2.5, 6.0, 1e3])
+    cosines, gates = np.array([True, False, True]), np.array([2.0, 5.5, math.inf])
+    integrand = _time_average_integrand(q, scales, cosines, gates)
+    bands = BOUNDARY_RTOL * scales
+    t, which = [], []
+    for j in range(q.size):
+        edges = [0.0] + ([gates[j]] if gates[j] < math.inf else [])
+        for edge in edges:
+            for shift in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
+                t.append(edge + shift * bands[j])
+                which.append(j)
+        grid = np.linspace(-1.0, 7.0, 41)
+        t += grid.tolist()
+        which += [j] * grid.size
+    t, which = np.array(t), np.array(which)
+    x = q[which] * t
+    trig = np.where(cosines[which], np.cos(x), np.sin(x))
+    want = trig * heaviside(t, scales[which]) * heaviside(gates[which] - t, scales[which])
+    got = integrand(t, which)
+    assert (want == 0.5 * trig).any() and (want == 0.0).any()
+    assert got.tobytes() == np.where(want == 0.0, 0.0, want).tobytes()
+
+
+def test_sorted_rows_is_np_unique_of_every_row():
+    # repeats, inf padding anywhere, and a row with no finite value
+    rng = np.random.default_rng(9)
+    rows = np.round(rng.uniform(-2.0, 2.0, (50, 6)), 1)
+    rows[rng.random(rows.shape) < 0.3] = np.inf
+    rows[7] = np.inf
+    unique = [np.unique(row[np.isfinite(row)]) for row in rows]
+    got = _sorted_rows(rows)
+    assert got.shape == (rows.shape[0], max(u.size for u in unique))
+    for row, want in zip(got, unique):
+        assert row[:want.size].tobytes() == want.tobytes() and np.isinf(row[want.size:]).all()
 
 
 @pytest.mark.parametrize("panels", [1, 3, 7, 100, 1001])
