@@ -306,7 +306,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 # validation suite bounds: series routes vs closed form, the quadrature
 # oracle vs closed form (relative, floored at 1e-6), analytic time averages
-# vs 2-D quadrature (absolute), and closed ji4 brackets vs 1-D quadrature
+# vs lag-density quadrature (absolute), and closed ji4 brackets vs 1-D quadrature
 _BOUND_SERIES = 5e-5
 _BOUND_NUMERIC = 1e-3
 _BOUND_AVG = 1e-8
@@ -357,6 +357,13 @@ def _draw_ji4(rng: np.random.Generator, index: int) -> tuple:
         closed = ji4(args)
         if abs(closed) >= 1e-3:
             return args, closed
+
+
+def _draw_time_averages(rng: np.random.Generator, n: int) -> list:
+    """n random (q, r_ex, schedule) samples of the time-average suite."""
+    return [(rng.uniform(0.1, 15.0), rng.uniform(0.2, 6.0),
+             Schedule(rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0), rng.uniform(-4.0, 4.0)))
+            for _ in range(n)]
 
 
 def _time_average_integrand(wavenumbers, scales, cosines, gates):
@@ -414,10 +421,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     # every draw first, then one quadrature batch: per sample and trig, the
     # radius-gated average, then the open one, whose gate Theta(inf - t) is 1
-    samples = [(rng.uniform(0.1, 15.0), rng.uniform(0.2, 6.0),
-                Schedule(rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0), rng.uniform(-4.0, 4.0)))
-               for _ in range(n)]
-    stack = [(q, r_ex, s, kind, gate) for q, r_ex, s in samples
+    stack = [(q, r_ex, s, kind, gate) for q, r_ex, s in _draw_time_averages(rng, n)
              for kind in AvgKind for gate in (r_ex, math.inf)]
     integrand = _time_average_integrand(
         np.array([q for q, _, _, _, _ in stack]),

@@ -1,5 +1,5 @@
 """Closed-form double time averages of retarded-kernel terms over a pair of
-sampling intervals, plus the 2-D quadrature oracle used to verify them.
+sampling intervals, plus the quadrature used to verify them.
 
 All averages run t1 over (0, dt1) and t2 over (T, T+dt2), act on functions
 of the lag t = t2 - t1, and are normalized by dt1*dt2.  The four corner lags
@@ -14,15 +14,16 @@ The step functions, the schedule and the q-independent averages are written
 in plain arithmetic, so they take a schedule of floats or a batch of
 schedules held in arrays alike.
 
-The 2-D quadrature is stacked: a batch of integrals shares each bisection
-level's calls of f, each keeps its own budgets and choices, and a scalar
-call is a batch of one.
+The quadrature integrates f against the lag density, the fold of the two
+intervals, piecewise linear with kinks at the corner lags.  A batch of
+integrals shares each level's calls of f, and a scalar call is a batch of one.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,10 +31,8 @@ import numpy as np
 
 from .model import BOUNDARY_RTOL, ValidationError, check_field, length_scale
 
-#: evaluations of f allowed to each integral of a numeric_time_average_batch
-#: call, and to each of its inner integrals
+#: evaluations of f allowed to each integral of a numeric_time_average_batch call
 _EVAL_BUDGET = 1 << 21
-_INNER_BUDGET = 1 << 10
 
 
 class QuadratureError(RuntimeError):
@@ -236,9 +235,9 @@ def infinite_avg(kind: AvgKind, q, s: Schedule):
 
 def _panel_sums(f, lo, hi, *per_panel) -> np.ndarray:
     """16-point Gauss-Legendre sums over the panels (lo_i, hi_i) from one call
-    of f, which returns a row of values per node, or a row of values and a
-    row of their errors; one row of sums per row of f.  f takes the nodes
-    and each array of `per_panel` at its panel's nodes.
+    of f, which returns one or more rows of values at the nodes; one row of
+    sums per row of f.  f takes the nodes and each array of `per_panel` at
+    its panel's nodes.
 
     einsum reduces each panel on its own, so a panel's sum keeps its bits
     however many panels share the call; a matrix product would not.
@@ -249,62 +248,6 @@ def _panel_sums(f, lo, hi, *per_panel) -> np.ndarray:
     vals = f(grid.ravel(), *(np.repeat(x, nodes.size) for x in per_panel))
     vals = np.reshape(vals, (-1,) + grid.shape)
     return half * np.einsum("...k,k->...", vals, weights)
-
-
-def _bisected_panels(f, lo, hi, group, density, budget) -> tuple:
-    """Integrals of f over the intervals (lo_i, hi_i) and their error bounds.
-
-    Panel i belongs to integral group_i, and f takes the nodes and the
-    integral of each.  A panel is bisected while its one-panel and two-half
-    values differ by more than density[group] times its width; where
-    budget[group] evaluations of f do not pay for all of an integral's
-    bisections, those that differ most go first.  An integral's panels keep
-    their order among themselves, so each takes the levels and panels it
-    takes alone.
-    """
-    n = lo.size
-    value, error, owner = np.zeros(n), np.zeros(n), np.arange(n)
-    whole = _panel_sums(f, lo, hi, group)[0]
-    budget = budget - 16 * np.bincount(group, minlength=budget.size)
-    while owner.size:
-        mid = 0.5 * (lo + hi)
-        left, right = np.split(_panel_sums(
-            f, np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.concatenate((group, group))
-        ), 2, axis=1)
-        budget -= 32 * np.bincount(group, minlength=budget.size)
-        both = left + right
-        diff = np.abs(whole - both[0])
-        split = diff > density[group] * (hi - lo)
-        room = np.maximum(budget // 64, 0)  # a bisection costs two panels of halves
-        for g in np.flatnonzero(np.bincount(group, split, budget.size) > room):
-            mine = np.flatnonzero(group == g)
-            keep = split[mine]
-            keep[np.argsort(np.where(keep, -diff[mine], 0.0))[room[g]:]] = False
-            split[mine] = keep
-        done = ~split
-        value += np.bincount(owner[done], both[0, done], n)
-        error += np.bincount(owner[done], (diff + both[1:].sum(axis=0))[done], n)
-        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
-        whole = np.concatenate((left[0, split], right[0, split]))
-        owner, group = (np.concatenate((x[split], x[split])) for x in (owner, group))
-    return value, error
-
-
-def _inner_integrals(f, offset, dt2, bps, tol, t1, which):
-    """Integral of f(t2 - t1) over t2 in (T, T + dt2) for each t1, taken in
-    the lag and cut at the breakpoints, all of integral `which`: a row of
-    values, a row of errors.  Row j of bps holds integral j's breakpoints,
-    padded with inf."""
-    first = (offset[which] - t1)[:, None]
-    last = first + dt2[which][:, None]
-    edges = np.hstack((first, np.clip(bps[which], first, last), last))
-    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    row = np.repeat(np.arange(t1.size), bps.shape[1] + 1)
-    live = hi > lo
-    nodes = np.bincount(which, minlength=offset.size)  # t1 nodes per integral
-    sums = _bisected_panels(f, lo[live], hi[live], which[row[live]],
-                            np.full(offset.size, 0.25 * tol), _INNER_BUDGET * nodes)
-    return np.stack([np.bincount(row[live], part, t1.size) for part in sums])
 
 
 def _sorted_rows(rows: np.ndarray) -> np.ndarray:
@@ -321,54 +264,80 @@ def numeric_time_average_batch(f, schedules, breakpoints, tol: float = 1e-10) ->
     at breakpoints[j], for every j in one quadrature pass.
 
     f(lags, which) takes an array of lags and, per lag, the index of its
-    integral.  Each integral keeps its own budgets and bisection choices,
-    so its value has the bits of its scalar call; raises what the first
-    failing call of a loop of scalar calls raises.
+    integral.  Each integral keeps its own budget and doubling choices, so
+    its value has the bits of its scalar call; raises what the first failing
+    call of a loop of scalar calls raises.
     """
     if not schedules:
         return []
     if len(breakpoints) != len(schedules):
         raise ValueError("one list of breakpoints per schedule")
+    dt1, dt2 = np.array([(s.dt1, s.dt2) for s in schedules], dtype=float).T
     width = max(len(b) for b in breakpoints)
-    bps = _sorted_rows(np.array([[*b] + [np.inf] * (width - len(b)) for b in breakpoints]))
-    dt1, dt2, offset = np.array([(s.dt1, s.dt2, s.t_offset) for s in schedules], dtype=float).T
-    # t1 cuts: where a breakpoint line t2 - t1 = b crosses an edge of t2
-    edges = np.hstack((offset[:, None] - bps, (offset + dt2)[:, None] - bps))
-    edges[~((edges > 0.0) & (edges < dt1[:, None]))] = np.inf
-    cuts = _sorted_rows(np.column_stack((np.zeros_like(dt1), dt1, edges)))
-    sizes = np.isfinite(cuts).sum(axis=1) - 1
-    panels = np.arange(cuts.shape[1] - 1) < sizes[:, None]
-    lo, hi = cuts[:, :-1][panels], cuts[:, 1:][panels]
-    outer = functools.partial(_inner_integrals, f, offset, dt2, bps, tol)
-    budget = np.full(sizes.size, _EVAL_BUDGET // _INNER_BUDGET)  # in t1 nodes
-    group = np.repeat(np.arange(sizes.size), sizes)
-    sums = _bisected_panels(outer, lo, hi, group, 0.25 * tol * dt2, budget)
-    values = []
-    for total, err, norm in zip(*(np.split(x, np.cumsum(sizes)[:-1]) for x in sums),
+    # pieces: the lag window (tau4, tau2) cut at the inner corner lags tau1
+    # and tau3 and at the breakpoints inside it
+    cuts = np.array([[*s.taus, *b] + [np.inf] * (width - len(b))
+                     for s, b in zip(schedules, breakpoints)], dtype=float)
+    tau2, tau4 = cuts[:, 1].copy(), cuts[:, 3].copy()  # the lag window
+    cuts[(cuts < tau4[:, None]) | (cuts > tau2[:, None])] = np.inf
+    cuts = _sorted_rows(cuts)
+    pieces = np.isfinite(cuts[:, 1:])
+    lo, hi, which = cuts[:, :-1][pieces], cuts[:, 1:][pieces], np.nonzero(pieces)[0]
+    # the lag density is min(t - tau4, tau2 - t, dt1, dt2).  Nodes sit at a
+    # distance d from their piece's lower edge, and t - tau4 and tau2 - t are
+    # that edge's values plus or minus d: the min/max form of the density
+    # would cancel, and the validate --seed 0 margin reads 2.2e-16 with it
+    rise, fall = lo - tau4[which], tau2[which] - lo
+    flat, length = np.minimum(dt1, dt2)[which], hi - lo
+
+    def weighted(d, piece):
+        density = np.minimum(np.minimum(rise[piece] + d, fall[piece] - d), flat[piece])
+        return f(lo[piece] + d, which[piece]) * density
+
+    # each piece's panel count doubles from 16 until two levels agree within
+    # its share of tol, or until its integral's budget would be overspent
+    share = tol * (dt1 * dt2 / (tau2 - tau4))[which] * length
+    value, error = np.full(lo.size, np.inf), np.full(lo.size, np.inf)
+    spent, live, n = np.zeros(len(schedules)), np.arange(lo.size), 16
+    while live.size:
+        left = np.arange(n) / n  # panel edges as exact fractions of a piece
+        edges = (np.outer(length[live], x).ravel() for x in (left, left + 1 / n))
+        sums = _panel_sums(weighted, *edges, np.repeat(live, n))[0].reshape(live.size, n)
+        total = np.array([math.fsum(row) for row in sums.tolist()])  # rounded once
+        error[live], value[live] = abs(total - value[live]), total
+        spent += 16 * n * np.bincount(which[live], minlength=len(schedules))
+        more = error[live] > share[live]
+        dear = spent + 32 * n * np.bincount(which[live], more, len(schedules)) > _EVAL_BUDGET
+        live, n = live[more & ~dear[which[live]]], 2 * n
+    values, bounds = [], np.cumsum(pieces.sum(axis=1))[:-1]
+    for part, errs, norm in zip(np.split(value, bounds), np.split(error, bounds),
                                 (dt1 * dt2).tolist()):
-        value, err_bound = float(total.sum()) / norm, float(err.sum()) / norm
-        if err_bound > tol:
+        mean, err = math.fsum(part.tolist()) / norm, math.fsum(errs.tolist()) / norm
+        if err > tol:
             raise QuadratureError(
-                f"2-D average error estimate {err_bound:.3e} exceeds tol {tol:.3e}", value)
-        values.append(value)
+                f"lag-density average error estimate {err:.3e} exceeds tol {tol:.3e}", mean)
+        values.append(mean)
     return values
 
 
 def numeric_time_average(f, s: Schedule, tol: float = 1e-10, breakpoints=(0.0,)) -> float:
-    """2-D quadrature of (1/dt1 dt2) * double integral of f(t2 - t1).
+    """(1/dt1 dt2) * double integral of f(t2 - t1), as a 1-D integral of f
+    against the lag density.
 
     f takes a numpy array of lags.  `breakpoints` lists lag values where f
-    has kinks (pass (0.0, r_ex) for radius-gated integrands); both axes are
-    cut along those lines, and the inner t2 integrals run for all t1 nodes of
-    a bisection level at once.  A budget of 2**21 evaluations of f per call,
-    2**10 per inner integral, bounds time and memory when tol cannot be met:
-    QuadratureError, with the best value attached, if the error estimate
-    exceeds tol.  A batch of one.
+    has kinks or jumps (pass (0.0, r_ex) for radius-gated integrands); the
+    lag window is cut there and at the corner lags.  Each piece's panels
+    double from 16 until two levels agree within its share of tol, their
+    difference being the error, and a budget of 2**21 evaluations of f per
+    call bounds time and memory: QuadratureError, with the best value
+    attached, if the error exceeds tol.  A batch of one.
 
-    A jump of f missing from `breakpoints` can go unseen: within about 0.3%
-    of a panel's width of the panel's edge or midpoint, every node of the
-    panel and of its halves lies on one side, the two rules agree, and the
-    panel is accepted.  The result, or the estimate a QuadratureError
-    carries, can then be off by up to about that gap for a unit jump.
+    A jump of f missing from `breakpoints` can go unseen, and the error is
+    no bound.  For a unit jump at 1000 seeded lags in (0.05, 0.95) of
+    Schedule(1, 1, 0) at tol = 1e-13, 35 were accepted, up to 8.7e-5 off:
+    near a panel's edge or midpoint, every node of the panel and of its
+    halves lies on one side, and the levels agree.  The other 965 raised,
+    their estimates within 1.3e-6, and 171 reported less than their true
+    error.
     """
     return numeric_time_average_batch(lambda t, _: f(t), [s], [breakpoints], tol)[0]

@@ -38,7 +38,13 @@ from brfactor import (
 )
 # the random draws are the CLI's own, so `validate` and these criteria
 # sample the same geometries
-from brfactor.cli import _JI4_SIGS, _draw_ji4, _draw_pair, _time_average_integrand
+from brfactor.cli import (
+    _JI4_SIGS,
+    _draw_ji4,
+    _draw_pair,
+    _draw_time_averages,
+    _time_average_integrand,
+)
 from brfactor.model import table1_rows
 from brfactor.time_averages import numeric_time_average_batch
 
@@ -181,15 +187,9 @@ def test_criterion_5_cross_method_random_grid():
 
 def test_criterion_6_time_average_quadrature():
     rng = np.random.default_rng(20260223)
-    stack = []  # (kind, q, r_ex, schedule, scale); r_ex = inf for the open averages
-    for _ in range(200):
-        q = rng.uniform(0.1, 15.0)
-        r_ex = rng.uniform(0.2, 6.0)
-        s = Schedule(
-            rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0), rng.uniform(-4.0, 4.0)
-        )
-        stack += [(kind, q, gate, s, s.scale(r_ex))
-                  for gate in (r_ex, math.inf) for kind in (AvgKind.SIN, AvgKind.COS)]
+    # (kind, q, r_ex, schedule, scale); r_ex = inf for the open averages
+    stack = [(kind, q, gate, s, s.scale(r_ex)) for q, r_ex, s in _draw_time_averages(rng, 200)
+             for gate in (r_ex, math.inf) for kind in (AvgKind.SIN, AvgKind.COS)]
     # trig(q t) Theta(t) Theta(r_ex - t) of each lag's own integral, as validate builds it
     wavenumbers, gates, scales = (np.array([item[i] for item in stack]) for i in (1, 2, 4))
     cosines = np.array([kind is AvgKind.COS for kind, *_ in stack])

@@ -461,6 +461,27 @@ def test_validate_report_is_reproducible(capsys):
     assert "FAIL" not in first
 
 
+# the margins `validate` printed at --seed 0 and --seed 7 when this gate was
+# set: a change may lower a margin, never raise one
+VALIDATE_MARGINS = {
+    "0": {"closed vs series": 9.936e-6, "closed vs series-general": 6.180e-6,
+          "closed vs numeric": 8.043e-7, "time averages vs quadrature": 1.943e-16,
+          "ji4 closed vs quadrature": 1.570e-8},
+    "7": {"closed vs series": 6.214e-6, "closed vs series-general": 6.696e-6,
+          "closed vs numeric": 3.826e-5, "time averages vs quadrature": 2.880e-16,
+          "ji4 closed vs quadrature": 7.544e-9},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VALIDATE_MARGINS))
+def test_validate_margins_are_no_worse(seed, capsys):
+    assert main(["validate", "--seed", seed]) == 0
+    printed = dict(re.findall(r"^(.+?)\s+max dev (\S+)", capsys.readouterr().out, re.M))
+    assert printed.keys() == VALIDATE_MARGINS[seed].keys()
+    for label, margin in VALIDATE_MARGINS[seed].items():
+        assert float(printed[label]) <= margin, (label, printed[label])
+
+
 def test_validate_zero_samples_is_a_vacuous_pass(capsys):
     assert main(["validate", "--samples", "0"]) == 0
     out = capsys.readouterr().out
