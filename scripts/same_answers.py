@@ -15,7 +15,12 @@ form's route table, every term both series routes log at fixed points, each
 route's outcome and each closed `ji4` signature's at seeded points scaled by
 the powers of two of SCALE_K, the help text of the parser and of each subcommand at 100 columns, the
 quadrature oracle's value and error at `validate`'s factor and `ji4` draws,
-and the 2-D time-average quadrature at `validate`'s time-average draws.
+the 1-D time-average quadrature at `validate`'s time-average draws, and
+`factor_closed_batch` of each kind on the sweep's grid at both offsets.
+
+The `closed.batch.<kind>` items hold a batch's `value`, `terms_used` and
+`cancelled` mask and the text of its CancellationWarning, which the sweep
+CSV does not carry.
 
 Each `series-random` seed gives two items: `.stops` holds where every call
 stopped (`terms_used` and `converged`, or the exception it raised) and
@@ -155,6 +160,29 @@ def _scalar_closed_items():
                 for delta in (rng.uniform(0.0, 5.0), 0.0, 1e-13, abs(a - b)):
                     results.append(call(ji4, Ji4Args(*sig, a, b, gamma, delta)))
         yield "ji4.scalar." + "_".join(map(str, sig)), pickle.dumps(results)
+
+
+def _batch_closed_items():
+    """`closed.batch.<kind>`: `factor_closed_batch` on the grid of SWEEP at
+    t = 0.5 and 0.3, the grid built as `sweep` builds it."""
+    from brfactor import FactorKind, RegionPair, factor_closed_batch
+    from brfactor.cli import build_parser
+    from brfactor.model import FIELDS
+
+    grids = []
+    for t in ("0.5", "0.3"):
+        args = build_parser().parse_args(SWEEP + ["--t", t])
+        axes = [getattr(args, name) for name in FIELDS]
+        grids.append(RegionPair(*(g.ravel() for g in np.meshgrid(*axes, indexing="ij"))))
+    for kind in FactorKind:
+        data = []
+        for grid in grids:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                batch = factor_closed_batch(kind, grid)
+            data += [batch.value.tobytes(), batch.terms_used.tobytes(), batch.cancelled.tobytes(),
+                     "\n".join(str(w.message) for w in caught).encode()]
+        yield f"closed.batch.{kind.value}", b"\0".join(data)
 
 
 def _term_logs(route, kinds_points, cfg):
@@ -352,6 +380,7 @@ def items(workloads):
     yield from _bessel_items()
     yield from _average_items()
     yield from _scalar_closed_items()
+    yield from _batch_closed_items()
     yield from _help_items()
     yield from _scale_items()
     yield from _oracle_items()

@@ -10,10 +10,11 @@ built from the corner lags of the sampling schedule.
 
 Which sum applies depends only on the signature and on which of gamma and
 delta vanish: one table, `_ROUTES`, holds a kernel, an exact zero or a
-refusal for each case.  The sign permutations are a leading axis of 2, 4 or
-8 terms, a factor stacks the gates of all its (l, i) lanes into one grid per
-call, and each kernel runs once over the open lanes that take it.  A single
-factor or integral is a batch of one.
+refusal for each case.  The sign permutations are broadcast axes, one per
+argument whose sign they flip; a factor stacks the gates of all its (l, i)
+lanes into one grid per call, and each kernel runs over the open lanes that
+take it, at most LANES at a time.  A single factor or integral is a batch of
+one.
 """
 
 from __future__ import annotations
@@ -45,6 +46,16 @@ from .time_averages import Schedule, heaviside, step_coefficients
 #: reported as cancellation-limited
 CANCELLATION_RTOL = 1e-8
 
+#: a kernel runs over at most LANES lanes at a time, so that the temporaries
+#: of its permutation sums, 8 x LANES floats each, stay in cache
+LANES = 2048
+
+#: a run of fewer lanes than SHORT costs about what numpy's calls cost, and a
+#: call whose operands differ in shape costs about twice one whose shapes
+#: agree: such a run spreads its lanes over its sign axes first, so that
+#: every operation of its kernel sees one shape
+SHORT = 32
+
 
 class UnsupportedSignatureError(ValueError):
     """Requested (n; l1..l4) moment integral has no closed form here."""
@@ -59,19 +70,19 @@ def _in_band(x, scale):
     return abs(x) <= BOUNDARY_RTOL * scale
 
 
-# sign patterns for the permutation sums, one row per term: the second
-# argument alternates every term, the third every two terms, the fourth
-# every four terms; four-term sums flip their last argument every two terms.
-# Each pattern is kept as one (terms, 1) column per argument.
-_SIGNS8 = np.array(
-    [(1.0, (-1.0) ** n, (-1.0) ** (n // 2), (-1.0) ** (n // 4)) for n in range(8)]
-)
-_SIGNS8, _SIGNS4, _SIGNS2 = (
-    tuple(_SIGNS8[:k, j : j + 1] for j in range(m)) for k, m in ((8, 4), (4, 3), (2, 2))
-)
+# The sign patterns of the permutation sums are broadcast axes.  Term
+# n = 4 i + 2 j + k of an eight-term sum gives the second argument the sign
+# (-1)^k, the third (-1)^j and the fourth (-1)^i; a four-term sum's last
+# argument takes (-1)^j.  _SIGNm flips along the m-th axis before the lanes,
+# and the second argument's sign leads: the terms summed first, n and n + 1,
+# are then the two contiguous halves of the terms, and each subexpression
+# has the shape of the signs it depends on.
+_SIGN1, _SIGN2, _SIGN3 = (np.array([1.0, -1.0]).reshape((2,) + (1,) * m) for m in (1, 2, 3))
 
 # Python's float ** int rounds through the C library's pow; np.float_power
-# does too, so the terms below round exactly as scalar code would
+# does too, so the terms below round exactly as scalar code would.  That pow
+# is odd or even in its base for an integer power, so pow(-x, k) is taken as
+# +-pow(x, k), once per lane.
 _pow = np.float_power
 
 
@@ -80,44 +91,44 @@ def _two_sum_total(x: np.ndarray) -> np.ndarray:
 
     Pairwise TwoSum: every addition's exact rounding error is kept and the
     errors are added back at the end, which matches math.fsum unless the
-    sum cancels by some 1e15.
+    sum cancels by some 1e15.  Each level adds the second half of the rows
+    to the first, row by row, so the rows pair in the bit-reversed order of
+    their index.
     """
-    x, err = _two_sum(x[0::2], x[1::2])
-    while len(x) > 1:
-        x, e = _two_sum(x[0::2], x[1::2])
-        err = err[0::2] + err[1::2] + e
+    half = len(x) // 2
+    x, err = _two_sum(x[:half], x[half:])
+    while half > 1:
+        half //= 2
+        x, e = _two_sum(x[:half], x[half:])
+        err = err[:half] + err[half:] + e
     return x[0] + err[0]
 
 
-def _signed(signs: tuple, *args) -> tuple:
-    """The arguments with one sign pattern applied, one row per term."""
-    return (col * x for col, x in zip(signs, args))
-
-
 def _sign_total(terms: np.ndarray) -> tuple:
-    """(total, cancelled) of the terms summed over their sign rows."""
+    """(total, cancelled) of the terms summed over their sign axes."""
+    terms = terms.reshape(-1, terms.shape[-1])
     total = _two_sum_total(terms)
     # an all-zero sum (peak 0) is exact and fails the strict test
     return total, abs(total) < CANCELLATION_RTOL * abs(terms).max(axis=0)
 
 
 # Each kernel maps the argument arrays (a, b, c, d) to (terms, prefactor):
-# one row of terms per sign pattern, and the factor of their sum.
+# the terms over the sign axes of its pattern, and the factor of their sum.
 
 
 def _ji4_1100_pair(a, b, c, d):
     # both remaining arguments zero: two-term sum, equals (pi/6) R_< / R_>^2
-    an, bn = _signed(_SIGNS2, a, b)
-    ab = an * bn
-    return abs(an + bn) / ab * (an * an - ab + bn * bn), math.pi / (12.0 * a * b)
+    bn = _SIGN1 * b
+    ab = a * bn
+    return abs(a + bn) / ab * (a * a - ab + b * b), math.pi / (12.0 * a * b)
 
 
 def _ji4_1100_three(a, b, c, d):
     # delta zero: four-term sum with a signed-square kernel
-    an, bn, cn = _signed(_SIGNS4, a, b, c)
-    s = an + bn + cn
-    poly = 3.0 * _pow(an - bn, 2) + 2.0 * (an + bn) * cn - cn * cn
-    return s * abs(s) / (an * bn * cn) * poly, math.pi / (192.0 * a * b)
+    bn, cn = _SIGN2 * b, _SIGN1 * c
+    s = a + bn + cn
+    poly = 3.0 * _pow(a - bn, 2) + 2.0 * (a + bn) * cn - c * c
+    return s * abs(s) / (a * bn * cn) * poly, math.pi / (192.0 * a * b)
 
 
 def _ji4_1100_three_swapped(a, b, c, d):
@@ -126,56 +137,56 @@ def _ji4_1100_three_swapped(a, b, c, d):
 
 
 def _ji4_1100_full(a, b, c, d):
-    an, bn, cn, dn = _signed(_SIGNS8, a, b, c, d)
-    s = an + bn + cn + dn
-    poly = 4.0 * an * an + (4.0 * bn - cn - dn) * (-3.0 * an + bn + cn + dn)
-    return _pow(abs(s), 3) / (an * bn * cn * dn) * poly, math.pi / (1920.0 * a * b)
+    bn, cn, dn = _SIGN3 * b, _SIGN2 * c, _SIGN1 * d
+    s = a + bn + cn + dn
+    poly = 4.0 * a * a + (4.0 * bn - cn - dn) * (-3.0 * a + bn + cn + dn)
+    return _pow(abs(s), 3) / (a * bn * cn * dn) * poly, math.pi / (1920.0 * a * b)
 
 
 def _ji4_1102_quad(a, b, c, d):
     # gamma zero; delta flips sign every two terms here
-    an, bn, dn = _signed(_SIGNS4, a, b, d)
-    ab = an + bn
+    bn, dn = _SIGN2 * b, _SIGN1 * d
+    ab = a + bn
     s = ab + dn
-    poly = an * an - 4.0 * an * bn + bn * bn - dn * dn
-    terms = s * abs(s) / (an * bn * dn) * _pow(ab - dn, 2) * poly
+    poly = a * a - 4.0 * a * bn + b * b - d * d
+    terms = s * abs(s) / (a * bn * dn) * _pow(ab - dn, 2) * poly
     return terms, -math.pi / (384.0 * a * b * d * d)
 
 
 def _ji4_1102_full(a, b, c, d):
-    an, bn, cn, dn = _signed(_SIGNS8, a, b, c, d)
-    ab = an + bn
+    bn, cn, dn = _SIGN3 * b, _SIGN2 * c, _SIGN1 * d
+    ab = a + bn
     abc = ab + cn
     s = abc + dn
     poly = (
-        abc * (abc - 3.0 * dn) * (6.0 * an * an + (6.0 * bn - cn) * (-5.0 * an + bn + cn))
-        + (8.0 * (an * an - 12.0 * an * bn + bn * bn) + 9.0 * ab * cn + cn * cn) * _pow(dn, 2)
-        + (24.0 * ab - 11.0 * cn) * _pow(dn, 3)
-        - 8.0 * _pow(dn, 4)
+        abc * (abc - 3.0 * dn) * (6.0 * a * a + (6.0 * bn - cn) * (-5.0 * a + bn + cn))
+        + (8.0 * (a * a - 12.0 * a * bn + b * b) + 9.0 * ab * cn + c * c) * _pow(d, 2)
+        + (24.0 * ab - 11.0 * cn) * (_SIGN1 * _pow(d, 3))
+        - 8.0 * _pow(d, 4)
     )
-    terms = _pow(abs(s), 3) / (an * bn * cn * dn) * poly
+    terms = _pow(abs(s), 3) / (a * bn * cn * dn) * poly
     return terms, -math.pi / (26880.0 * a * b * d * d)
 
 
 def _ji4_11m11_full(a, b, c, d):
     # the third (cosine-kernel) argument drops out of the denominators
-    an, bn, cn, dn = _signed(_SIGNS8, a, b, c, d)
-    s = an + bn + cn + dn
+    bn, cn, dn = _SIGN3 * b, _SIGN2 * c, _SIGN1 * d
+    s = a + bn + cn + dn
     d5 = 5.0 * dn
     poly = (
-        5.0 * _pow(an, 3)
-        - 3.0 * an * an * (5.0 * bn - 3.0 * cn + d5)
-        + (-3.0 * an + bn + cn + dn) * (5.0 * bn * bn + (cn - d5) * (4.0 * bn - cn - dn))
+        5.0 * _pow(a, 3)
+        - 3.0 * a * a * (5.0 * bn - 3.0 * cn + d5)
+        + (-3.0 * a + bn + cn + dn) * (5.0 * b * b + (cn - d5) * (4.0 * bn - cn - dn))
     )
-    return _pow(abs(s), 3) / (an * bn * dn) * poly, -math.pi / (11520.0 * a * b * c * d)
+    return _pow(abs(s), 3) / (a * bn * dn) * poly, -math.pi / (11520.0 * a * b * c * d)
 
 
 def _ji4_n1_1101_quad(a, b, c, d):
-    an, bn, dn = _signed(_SIGNS4, a, b, d)
-    s = an + bn + dn
-    bb, bd, dd = bn * bn, 4.0 * bn * dn, dn * dn
-    poly = _pow(an, 3) - 3.0 * an * (bb - bd + dd) + (bn + dn) * (-3.0 * an * an + bb - bd + dd)
-    return _pow(abs(s), 3) / (an * bn * dn) * poly, -math.pi / (1152.0 * a * b * d)
+    bn, dn = _SIGN2 * b, _SIGN1 * d
+    s = a + bn + dn
+    bb, bd, dd = b * b, 4.0 * bn * dn, d * d
+    poly = _pow(a, 3) - 3.0 * a * (bb - bd + dd) + (bn + dn) * (-3.0 * a * a + bb - bd + dd)
+    return _pow(abs(s), 3) / (a * bn * dn) * poly, -math.pi / (1152.0 * a * b * d)
 
 
 _GAMMA_POSITIVE = (
@@ -198,9 +209,14 @@ _ROUTES = {
 _CELLS = tuple(cell for row in _ROUTES.values() for cell in row)
 _ROW = {sig: row for row, sig in enumerate(_ROUTES)}
 
+# ones in the sign shape of each zero-band code: an argument in the band
+# drops out of the permutation sum, and its sign axis with it
+_SPREAD = tuple(np.ones((2,) * (3 - bin(code).count("1")) + (1,)) for code in range(4))
 
-def _cells(row, a, b, c, d):
-    """The `_ROUTES` cell, 4 * row + zero-band code, of each ji4 lane.
+
+def _cells(row, lanes):
+    """The `_ROUTES` cell, 4 * row + zero-band code, of each ji4 lane, the
+    lanes being the rows (alpha, beta, gamma, delta).
 
     Zero detection of gamma and delta uses the band of `heaviside` with
     scale = max(alpha, beta, |gamma|, |delta|, 1), so boundary parameter
@@ -209,33 +225,47 @@ def _cells(row, a, b, c, d):
     (`unit_scale`), where the floor 1 stands in for the point's own scale;
     a lane of `_ji4_batch` is at unit scale itself, where the floor is inert.
     """
-    scale = np.maximum(np.maximum(a, b), np.maximum(np.maximum(abs(c), abs(d)), 1.0))
-    return 4 * row + _in_band(c, scale) + 2 * _in_band(d, scale)
+    zeros = _in_band(lanes[2:], np.maximum(abs(lanes).max(axis=0), 1.0))
+    return 4 * row + zeros[0] + 2 * zeros[1]
 
 
-def _evaluate(cells, a, b, c, d) -> tuple:
-    """(values, cancelled) of ji4 lanes, lane j taking `_ROUTES` cell
-    cells[j]; each kernel runs once over its lanes."""
-    counts = np.bincount(np.ravel(cells), minlength=len(_CELLS)).tolist()
+def _kernel(index, lanes) -> tuple:
+    """(values, cancelled) of the kernel in `_CELLS[index]` over `lanes`,
+    one row per argument."""
+    kernel, size = _CELLS[index], lanes.shape[1]
+    if size < SHORT:
+        ones = _SPREAD[index % 4]
+        terms, prefactor = kernel(*(ones * lanes.reshape(4, *(1,) * (ones.ndim - 1), size)))
+        # a spread prefactor repeats its lanes along the sign axes
+        prefactor = prefactor.reshape(-1, size)[0]
+    else:
+        terms, prefactor = kernel(*lanes)
+    total, cancelled = _sign_total(terms)
+    return prefactor * total, cancelled
+
+
+def _evaluate(cells, lanes) -> tuple:
+    """(values, cancelled) of ji4 lanes, the rows (alpha, beta, gamma,
+    delta), lane j taking `_ROUTES` cell cells[j]; each kernel runs over its
+    lanes, LANES at a time."""
+    counts = np.bincount(cells, minlength=len(_CELLS)).tolist()
     for count, cell in zip(counts, _CELLS):
         if count and isinstance(cell, str):
             raise UnsupportedSignatureError(cell)
-    size = np.size(a)
-    if size and size in counts and _CELLS[counts.index(size)] is not None:  # one kernel takes all
-        terms, prefactor = _CELLS[counts.index(size)](a, b, c, d)
-        total, cancelled = _sign_total(terms)
-        return prefactor * total, cancelled
+    size = lanes.shape[1]
+    if 0 < size <= LANES and size in counts and _CELLS[counts.index(size)] is not None:
+        return _kernel(counts.index(size), lanes)  # one kernel takes all
     # sorted by cell, the lanes of each kernel are one run of `order`
-    order = np.argsort(np.ravel(cells).astype(np.uint8), kind="stable")  # a radix sort
+    order = np.argsort(cells.astype(np.uint8), kind="stable")  # a radix sort
     value, cancelled = np.zeros(size), np.zeros(size, dtype=bool)
     stop = 0
-    for count, cell in zip(counts, _CELLS):
+    for index, (count, cell) in enumerate(zip(counts, _CELLS)):
         start, stop = stop, stop + count
         if count and cell is not None:  # j_l(0) = 0 for a trailing l > 0
-            run = order[start:stop]
-            terms, prefactor = cell(*(np.ravel(x)[run] for x in (a, b, c, d)))
-            total, cancelled[run] = _sign_total(terms)
-            value[run] = prefactor * total
+            for first in range(start, stop, LANES):
+                block = order[first : min(first + LANES, stop)]
+                # take, unlike lanes[:, block], gives the block's rows contiguous
+                value[block], cancelled[block] = _kernel(index, lanes.take(block, axis=1))
     return value, cancelled
 
 
@@ -250,16 +280,16 @@ def _ji4_batch(sig: tuple, a, b, c, d) -> tuple:
     """
     if sig not in _ROUTES:
         raise UnsupportedSignatureError(f"no closed form for signature {sig}")
-    lanes = isinstance(a, np.ndarray)
-    if lanes:
+    batch = isinstance(a, np.ndarray)
+    if batch:
         args = np.array((a, b, c, d))
         k = np.frexp(abs(args).max(axis=0))[1] - 1
-        a, b, c, d = np.ldexp(args, -k)
+        lanes = np.ldexp(args, -k)
     else:  # a lane of floats scales in floats, where numpy costs more than the lane
         k = math.frexp(max(a, b, abs(c), abs(d)))[1] - 1
-        a, b, c, d = (np.float64(math.ldexp(v, -k)) for v in (a, b, c, d))
-    value, cancelled = _evaluate(_cells(_ROW[sig], a, b, c, d), a, b, c, d)
-    (value,) = scale_back(f"ji4{sig}: the value", (sig[0] - 1) * k, value if lanes else value[0])
+        lanes = np.array([math.ldexp(v, -k) for v in (a, b, c, d)])[:, None]
+    value, cancelled = _evaluate(_cells(_ROW[sig], lanes), lanes)
+    (value,) = scale_back(f"ji4{sig}: the value", (sig[0] - 1) * k, value if batch else value[0])
     return value, cancelled
 
 
@@ -302,20 +332,31 @@ class ClosedBatch:
     cancelled: np.ndarray
 
 
-def factor_closed_batch(kind: FactorKind, p: RegionPair) -> ClosedBatch:
-    """Geometric factors of many points of one kind in one vectorised pass.
+# lanes 0..4 of a multipole, each with its three bits reversed
+_REVERSED = np.array([0, 4, 2, 6, 1])
 
-    The fields of `p` are equal-length arrays (floats broadcast).  The
-    gates of all (l, i) lanes form one grid; each open lane picks its
-    `_ROUTES` cell there, each kernel runs once over the lanes that picked
-    it, and one CancellationWarning names how many points lost digits.
+
+def factor_closed_batch(kind: FactorKind, p: RegionPair) -> ClosedBatch:
+    """Geometric factors of many points of one kind, vectorised.
+
+    The fields of `p` are equal-length 1-D arrays (floats broadcast); no
+    points give an empty batch.  The gates of all (l, i) lanes form one
+    grid; each open lane picks its `_ROUTES` cell there, each kernel runs
+    over the lanes that picked it in blocks of LANES, and one
+    CancellationWarning names how many points lost digits.  On a 2-vCPU
+    host a point of a large batch costs about 2 microseconds, and a batch
+    of one about 0.2 ms.
     """
     p.validate()
     fields = [getattr(p, name) for name in FIELDS]
     batch = any(isinstance(v, np.ndarray) for v in fields)
     if batch:
-        fields = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in fields))
-        p = RegionPair(*fields)
+        fields = [np.atleast_1d(np.asarray(v, dtype=float)) for v in fields]
+        if len({v.shape for v in fields} - {(1,)}) > 1 or max(v.ndim for v in fields) > 1:
+            raise ValidationError("the fields of a batch must be equal-length 1-D arrays or floats")
+        p = RegionPair(*np.broadcast_arrays(*fields))
+        if not len(p.r1):
+            return ClosedBatch(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=bool))
     # each point is evaluated at unit scale, with its own power of two; a
     # single point stays in floats, so that step_coefficients steps scalars,
     # and its lanes form one column
@@ -354,14 +395,16 @@ def factor_closed_batch(kind: FactorKind, p: RegionPair) -> ClosedBatch:
     # open lanes: flat indices into the grid and into one multipole's (i, point)
     live = np.flatnonzero(opened)
     lane = live % (5 * n)
-    a, b, d = np.take(point, lane % n, axis=1)
-    c = gammas.ravel()[lane]
+    lanes = np.empty((4, len(live)))
+    lanes[[0, 1, 3]] = np.take(point, lane % n, axis=1)
+    lanes[2] = gammas.ravel()[lane]
     values, flags = np.zeros(gates.size), np.zeros(gates.size, dtype=bool)
-    values[live], flags[live] = _evaluate(_cells(rows.ravel()[live], a, b, c, d), a, b, c, d)
-    # pieces[k, i] holds lane (l, i); eight rows per multipole keep the
-    # summation tree free of padding
-    pieces = np.zeros((len(weights), 8, n))
-    pieces[:, :5] = coeff * values.reshape(gates.shape)
+    values[live], flags[live] = _evaluate(_cells(rows.ravel()[live], lanes), lanes)
+    # pieces[r, k] holds lane (l, i) of the k-th multipole, r being i with
+    # its three bits reversed: eight lanes per multipole keep the summation
+    # tree free of padding, and it pairs rows 8 k + i in reversed bit order
+    pieces = np.zeros((8, len(weights), n))
+    pieces[_REVERSED] = np.swapaxes(coeff * values.reshape(gates.shape), 0, 1)
     total = 9.0 / (2.0 * math.pi**2 * r1 * r2) * _two_sum_total(pieces.reshape(-1, n))
     (total,) = scale_back(
         f"{kind.value}: a factor of the batch", -4 * shift, total if batch else float(total[0]))

@@ -38,9 +38,11 @@ def check_field(name: str, value) -> None:
     """Raise ValidationError unless `value` is legal for the field `name`.
 
     The constraints are per field and one-sided, so an array of values is
-    checked through its extremes.
+    checked through its extremes; an empty array holds no illegal value.
     """
     if isinstance(value, np.ndarray):
+        if not value.size:
+            return
         lo, hi = float(value.min()), float(value.max())
     else:
         lo = hi = value

@@ -451,6 +451,20 @@ def test_sweep_validates_grid_upfront(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--kind", "axx", "--r1", "0.5:2:4", "--r2", "1.0", "--out"],
+    ["table1", "--method", "closed", "--csv"],
+])
+def test_unwritable_output_is_refused_before_any_work(command, tmp_path, capsys):
+    for path in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert main(command + [str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(path) in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_validate_report_is_reproducible(capsys):
     assert main(["validate", "--samples", "2", "--seed", "7"]) == 0
     first = capsys.readouterr().out

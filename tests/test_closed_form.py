@@ -22,6 +22,7 @@ from brfactor.closed_form import (
 )
 from brfactor.fourier_bessel import factor_series
 from brfactor.model import (
+    FIELDS,
     FactorKind,
     Ji4Args,
     Method,
@@ -463,5 +464,154 @@ def test_no_open_lane_runs_no_kernel(monkeypatch):
     # with no lanes every cell counts zero: none may be taken as the one
     # kernel of all lanes, whatever the route table holds first
     monkeypatch.setattr(closed_form, "_CELLS", ("a refusal",) + closed_form._CELLS[1:])
-    values, cancelled = closed_form._evaluate(np.zeros(0, dtype=int), *[np.zeros(0)] * 4)
+    values, cancelled = closed_form._evaluate(np.zeros(0, dtype=int), np.zeros((4, 0)))
     assert values.shape == cancelled.shape == (0,)
+
+
+def _spy_kernel_runs(monkeypatch) -> list:
+    """The (kernel name, lane count) of every kernel call from now on."""
+    calls = []
+    kernel = closed_form._kernel
+
+    def spy(index, lanes):
+        calls.append((closed_form._CELLS[index].__name__, lanes.shape[1]))
+        return kernel(index, lanes)
+
+    monkeypatch.setattr(closed_form, "_kernel", spy)
+    return calls
+
+
+def test_ji4_lane_blocks_equal_scalar_calls(monkeypatch):
+    # one signature's cells with runs of 2 LANES + 1, LANES + 1, LANES and 3
+    # lanes, shuffled: the first spans three blocks, its last of one lane
+    size = closed_form.LANES
+    rng = np.random.default_rng(5)
+    runs = ((2 * size + 1, 1.0, 1.0), (size + 1, 0.0, 0.0), (size, 1.0, 0.0), (3, 0.0, 1.0))
+    lanes = np.concatenate([
+        rng.uniform(0.1, 3.0, (count, 4)) * (1.0, 1.0, gamma, delta)
+        for count, gamma, delta in runs
+    ])
+    rng.shuffle(lanes)
+    calls = _spy_kernel_runs(monkeypatch)
+    values, cancelled = _ji4_batch((0, 1, 1, 0, 0), *lanes.T)
+    assert sorted(calls) == sorted([
+        ("_ji4_1100_full", size), ("_ji4_1100_full", size), ("_ji4_1100_full", 1),
+        ("_ji4_1100_pair", size), ("_ji4_1100_pair", 1), ("_ji4_1100_three", size),
+        ("_ji4_1100_three_swapped", 3),
+    ])
+    monkeypatch.undo()
+    for lane, value, flag in zip(lanes.tolist(), values.tolist(), cancelled.tolist()):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            single = ji4(Ji4Args(0, 1, 1, 0, 0, *lane))
+        assert single.hex() == value.hex(), lane
+        assert bool(caught) == flag, lane
+
+
+def _grid(seed: int) -> RegionPair:
+    """A seeded 240-point grid, with zero lags and r = 0 among its points."""
+    rng = np.random.default_rng(seed)
+    axes = (rng.uniform(0.3, 3.0, 5), [1.1], [0.0, *rng.uniform(0.0, 3.0, 3)], [1.0],
+            rng.uniform(0.0, 6.3, 3), [1.0], rng.uniform(0.2, 3.0, 2),
+            [0.0, rng.uniform(-2.0, 2.0)])
+    return RegionPair(*(g.ravel() for g in np.meshgrid(*axes, indexing="ij")))
+
+
+@pytest.mark.parametrize("kind", list(FactorKind))
+def test_lane_blocks_leave_every_point_as_its_batch_of_one(kind, monkeypatch):
+    # the longest kernel run of the grid in three blocks, in one block plus
+    # one lane, and in exactly one block: each point as its batch of one
+    grid = _grid(3)
+    points = list(zip(*(getattr(grid, name).tolist() for name in FIELDS)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        singles = [factor_closed_batch(kind, RegionPair(*fields)) for fields in points]
+    assert any(single.cancelled[0] for single in singles) == bool(caught)
+    calls = _spy_kernel_runs(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CancellationWarning)
+        factor_closed_batch(kind, grid)
+    name, longest = max(calls, key=lambda call: call[1])
+    assert longest > 100
+    for size in (longest // 3, longest - 1, longest):
+        monkeypatch.setattr(closed_form, "LANES", size)
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CancellationWarning)
+            batch = factor_closed_batch(kind, grid)
+        run = [count for kernel, count in calls if kernel == name]
+        assert run == [size] * (longest // size) + [longest % size] * (longest % size > 0)
+        for i, (fields, single) in enumerate(zip(points, singles)):
+            assert batch.value[i].hex() == single.value[0].hex(), fields
+            assert batch.terms_used[i] == single.terms_used[0], fields
+            assert batch.cancelled[i] == single.cancelled[0], fields
+
+
+def test_empty_batch_and_batch_shapes():
+    def batch(r1, r2):
+        return factor_closed_batch(FactorKind.AXY, RegionPair(r1, r2, 0.5, 0.3, 0.2, 1.0, 1.0, 0.5))
+
+    empty = batch(np.zeros(0), 1.0)
+    assert empty.value.shape == empty.terms_used.shape == empty.cancelled.shape == (0,)
+    with pytest.raises(ValidationError):  # a float field is checked even with no points
+        batch(np.zeros(0), -1.0)
+    for r1, r2 in ((np.ones((4, 4)), 1.0), (np.ones((4, 1)), np.ones(3)), (np.ones(4), np.ones(3))):
+        with pytest.raises(ValidationError, match="1-D"):
+            batch(r1, r2)
+
+
+def _two_sum_reference(a: float, b: float) -> tuple:
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _tree_total(column: list) -> float:
+    """The pairwise TwoSum of a column in floats: terms 2m and 2m + 1 first,
+    each level's errors added pairwise to the errors below them."""
+    x, err = zip(*(_two_sum_reference(*column[i : i + 2]) for i in range(0, len(column), 2)))
+    while len(x) > 1:
+        x, e = zip(*(_two_sum_reference(*x[i : i + 2]) for i in range(0, len(x), 2)))
+        err = [err[i] + err[i + 1] + e[i // 2] for i in range(0, len(err), 2)]
+    return x[0] + err[0]
+
+
+def test_two_sum_total_is_the_float_tree():
+    # rows spanning 40 decades whose float sum cancels, where another tree
+    # rounds otherwise; _two_sum_total pairs its rows in the bit-reversed
+    # order of their index
+    rng = np.random.default_rng(9)
+    for count in (2, 4, 8, 16):
+        stack = rng.normal(size=(count, 500)) * 10.0 ** rng.integers(-20, 21, (count, 500))
+        stack[-1] = -stack[:-1].sum(axis=0)
+        bits = count.bit_length() - 1
+        reversed_rows = [int(f"{r:0{bits}b}"[::-1], 2) for r in range(count)]
+        total = closed_form._two_sum_total(stack[reversed_rows])
+        assert [v.hex() for v in total.tolist()] == [_tree_total(r).hex() for r in stack.T.tolist()]
+
+
+@pytest.mark.parametrize("sig", list(_ROUTES))
+def test_sign_sums_keep_their_summation_tree(sig):
+    # term n of a permutation sum, n = 4 i + 2 j + k, flips the second
+    # argument by (-1)^k and the next ones out of the zero band by (-1)^j
+    # and (-1)^i; it is the all-plus term at the flipped arguments.  Each
+    # kernel's total sums its terms as the float loop does, bit for bit.
+    rng = np.random.default_rng(9)
+    for code, kernel in enumerate(_ROUTES[sig]):
+        if not callable(kernel):
+            continue
+        # small gammas and deltas make the sums cancel
+        lanes = rng.uniform(0.1, 2.0, (4, 500)) * 10.0 ** rng.integers(-6, 1, (4, 500))
+        lanes[:2] = rng.uniform(0.1, 2.0, (2, 500))
+        lanes[2] *= code in (0, 2)  # gamma zero for codes 1 and 3
+        lanes[3] *= code in (0, 1)  # delta zero for codes 2 and 3
+        flipped = [1] + [k for k in (2, 3) if lanes[k].any()]
+        terms = []
+        for n in range(2 ** len(flipped)):
+            args = lanes.copy()
+            for bit, k in enumerate(flipped):
+                args[k] *= (-1) ** (n >> bit & 1)
+            terms.append(kernel(*args)[0].reshape(-1, 500)[0])
+        total = closed_form._sign_total(kernel(*lanes)[0])[0]
+        rows = np.array(terms).T.tolist()
+        assert [v.hex() for v in total.tolist()] == [_tree_total(r).hex() for r in rows], kernel
