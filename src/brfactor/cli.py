@@ -11,13 +11,13 @@ Exit codes: 0 success, 1 reference/validation mismatch, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import functools
 import itertools
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -166,23 +166,30 @@ def _csv_row(kind: FactorKind, p: RegionPair, result: FactorResult) -> list:
     )
 
 
-def _output(path: Optional[str], default=None):
-    """A context that holds `path` opened for writing, or `default` when
-    there is no path.  The file opens at once, so a path that cannot be
-    written is refused as bad input before any work is done."""
+def _writable(path: Optional[str]) -> None:
+    """Refuse as bad input, before any work, a `path` that cannot be opened
+    for writing.  The check appends nothing and removes a file it made."""
     if path is None:
-        return contextlib.nullcontext(default)
+        return
+    made = not os.path.exists(path)
     try:
-        return open(path, "w", newline="")
+        open(path, "a").close()
     except OSError as exc:
         raise ValidationError(f"cannot write {path!r}: {exc.strerror}") from None
+    if made:
+        os.remove(path)
 
 
-def _write_csv(out, header: Sequence[str], rows) -> None:
-    """Write a header line and the rows as CSV to the open file `out`."""
-    writer = csv.writer(out)
-    writer.writerow(header)
-    writer.writerows(rows)
+def _write_csv(path: Optional[str], header: Sequence[str], rows) -> None:
+    """Write a header line and the rows as CSV to `path`, or to stdout."""
+    out = open(path, "w", newline="") if path is not None else sys.stdout
+    try:
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(rows)
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 # ---------------------------------------------------------------------------
@@ -211,29 +218,30 @@ def cmd_table1(args: argparse.Namespace) -> int:
     Exit 3 if any row did not converge, else 1 if any row failed.
     """
     evaluate = _router(args)
+    _writable(args.csv)
     rows = table1_rows()
     passed = 0
     all_converged = True
     csv_rows = []
-    with _output(args.csv) as out:
-        print(_TABLE_HEADER)
-        for index, row in enumerate(rows, start=1):
-            result = evaluate(row.kind, row.params)
-            rounded = round4(result.value)
-            ok = result.converged and rounded == row.expected
-            passed += ok
-            all_converged = all_converged and result.converged
-            print(
-                f"{index:>3}  {row.kind.value:<4}  {result.method.value:<14}  "
-                f"{result.value:>23.16e}  {rounded:>10}  {row.expected:>10}  "
-                f"{result.terms_used:>6}  {'pass' if ok else 'FAIL'}"
-            )
-            csv_rows.append(
-                _csv_row(row.kind, row.params, result) + [row.expected, "true" if ok else "false"]
-            )
-        print(f"{passed}/{len(rows)} rows pass at 4 significant digits")
-        if out is not None:
-            _write_csv(out, _CSV_COLUMNS + ("expected", "passed"), csv_rows)
+    print(_TABLE_HEADER)
+    for index, row in enumerate(rows, start=1):
+        result = evaluate(row.kind, row.params)
+        rounded = round4(result.value)
+        ok = result.converged and rounded == row.expected
+        passed += ok
+        all_converged = all_converged and result.converged
+        print(
+            f"{index:>3}  {row.kind.value:<4}  {result.method.value:<14}  "
+            f"{result.value:>23.16e}  {rounded:>10}  {row.expected:>10}  "
+            f"{result.terms_used:>6}  {'pass' if ok else 'FAIL'}"
+        )
+        csv_rows.append(
+            _csv_row(row.kind, row.params, result) + [row.expected, "true" if ok else "false"]
+        )
+    print(f"{passed}/{len(rows)} rows pass at 4 significant digits")
+
+    if args.csv is not None:
+        _write_csv(args.csv, _CSV_COLUMNS + ("expected", "passed"), csv_rows)
     if not all_converged:
         return 3
     return 0 if passed == len(rows) else 1
@@ -283,34 +291,34 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # checks every grid point
     for name, values in zip(FIELDS, axes):
         check_field(name, np.array(values))
+    _writable(args.out)
 
     rows = []
     all_converged = True
-    with _output(args.out, sys.stdout) as out:
-        if method is Method.CLOSED_FORM:
-            # each kind's whole grid is one batch, in itertools.product order,
-            # whose kernels run in blocks of closed_form.LANES lanes; no
-            # FactorResult per point, which would cost more than the batch
-            labels = list(itertools.product(*([f"{v:.17g}" for v in values] for values in axes)))
-            grid = RegionPair(*(g.ravel() for g in np.meshgrid(*axes, indexing="ij")))
-            # an enum's value is a property lookup; read it once, not per row
-            route = method.value
-            for kind in args.kind:
-                batch = factor_closed_batch(kind, grid)
-                name = kind.value
-                rows.extend(
-                    [name, *label, *_result_fields(route, value, terms, True)]
-                    for label, value, terms in zip(
-                        labels, batch.value.tolist(), batch.terms_used.tolist()
-                    )
+    if method is Method.CLOSED_FORM:
+        # each kind's whole grid is one batch, in itertools.product order,
+        # whose kernels run in blocks of closed_form.LANES lanes; no
+        # FactorResult per point, which would cost more than the batch
+        labels = list(itertools.product(*([f"{v:.17g}" for v in values] for values in axes)))
+        grid = RegionPair(*(g.ravel() for g in np.meshgrid(*axes, indexing="ij")))
+        # an enum's value is a property lookup; read it once, not per row
+        route = method.value
+        for kind in args.kind:
+            batch = factor_closed_batch(kind, grid)
+            name = kind.value
+            rows.extend(
+                [name, *label, *_result_fields(route, value, terms, True)]
+                for label, value, terms in zip(
+                    labels, batch.value.tolist(), batch.terms_used.tolist()
                 )
-        else:
-            for kind, point in itertools.product(args.kind, itertools.product(*axes)):
-                p = RegionPair(*point)
-                result = evaluate(kind, p)
-                all_converged = all_converged and result.converged
-                rows.append(_csv_row(kind, p, result))
-        _write_csv(out, _CSV_COLUMNS, rows)
+            )
+    else:
+        for kind, point in itertools.product(args.kind, itertools.product(*axes)):
+            p = RegionPair(*point)
+            result = evaluate(kind, p)
+            all_converged = all_converged and result.converged
+            rows.append(_csv_row(kind, p, result))
+    _write_csv(args.out, _CSV_COLUMNS, rows)
     return 0 if all_converged else 3
 
 

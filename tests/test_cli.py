@@ -465,6 +465,24 @@ def test_unwritable_output_is_refused_before_any_work(command, tmp_path, capsys)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, failing", [
+    (["sweep", "--kind", "axx", "--r1", "0.5:2:4", "--r2", "1.0", "--out"], "factor_closed_batch"),
+    (["table1", "--method", "closed", "--csv"], "factor_closed"),
+])
+def test_failed_run_leaves_existing_output_as_it_was(command, failing, tmp_path, capsys, monkeypatch):
+    # a run that fails after it has started writes nothing over the old file
+    path = tmp_path / "old.csv"
+    path.write_text("old rows\n")
+
+    def fail(*args):
+        raise brfactor.ValidationError("a point failed")
+
+    monkeypatch.setattr(f"brfactor.cli.{failing}", fail)
+    assert main(command + [str(path)]) == 2
+    assert capsys.readouterr().err == "error: a point failed\n"
+    assert path.read_text() == "old rows\n"
+
+
 def test_validate_report_is_reproducible(capsys):
     assert main(["validate", "--samples", "2", "--seed", "7"]) == 0
     first = capsys.readouterr().out

@@ -615,3 +615,18 @@ def test_sign_sums_keep_their_summation_tree(sig):
         total = closed_form._sign_total(kernel(*lanes)[0])[0]
         rows = np.array(terms).T.tolist()
         assert [v.hex() for v in total.tolist()] == [_tree_total(r).hex() for r in rows], kernel
+
+
+@pytest.mark.parametrize("multipoles", [1, 2])
+def test_factor_pieces_keep_their_summation_tree(multipoles):
+    # a factor's pieces, lane i of multipole k, sum as the float tree of the
+    # rows 8 k + i, five lanes and three zero rows per multipole; pieces
+    # spanning 40 decades whose float sum cancels tell the trees apart
+    rng = np.random.default_rng(11)
+    pieces = rng.normal(size=(multipoles, 5, 2000)) * 10.0 ** rng.integers(-20, 21, (multipoles, 5, 2000))
+    pieces[-1, -1] = -pieces.sum(axis=(0, 1)) + pieces[-1, -1]
+    rows = np.zeros((multipoles, 8, 2000))
+    rows[:, :5] = pieces
+    total = closed_form._piece_total(pieces)
+    columns = rows.reshape(-1, 2000).T.tolist()
+    assert [v.hex() for v in total.tolist()] == [_tree_total(c).hex() for c in columns]
