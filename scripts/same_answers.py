@@ -9,9 +9,10 @@ SRC is the `src` directory of the tree to fingerprint.  Each output line is
 every route and of `validate` at seeds 0 and 7, the CSV of a 19200-point
 sweep at two offsets, the results of the benchmark's `series-random` calls
 at seeds 300 and 301, `sph_bessel` and both analytic time averages on arrays
-and scalars, 200 small `validate` reports at the benchmark's seeds, and
-scalar `factor_closed` and `ji4` calls that reach every cell of the closed
-form's route table, every term both series routes log at fixed points, each
+and scalars, `sph_bessel` of every order on arrays that hold no |x| < 1,
+200 small `validate` reports at the benchmark's seeds, and scalar
+`factor_closed` and `ji4` calls that reach every cell of the closed form's
+route table, every term both series routes log at fixed points, each
 route's outcome and each closed `ji4` signature's at seeded points scaled by
 the powers of two of SCALE_K, the help text of the parser and of each subcommand at 100 columns, the
 quadrature oracle's value and error at `validate`'s factor and `ji4` draws,
@@ -89,13 +90,19 @@ def _outcome(call):
 
 
 def _bessel_items():
-    from brfactor.special_functions import sph_bessel
+    from brfactor.special_functions import sph_bessel, sph_bessels
 
     x = np.concatenate((np.linspace(-30.0, 30.0, 4001), [0.0, 1.0, 1.0 - 1e-16]))
     scalars = np.random.default_rng(11).uniform(-12.0, 12.0, 300).tolist() + [0.0, 1.0, -1.0]
     for l in (0, 1, 2):
         yield f"sph_bessel.{l}.array", sph_bessel(l, x).tobytes()
         yield f"sph_bessel.{l}.scalar", pickle.dumps([sph_bessel(l, v) for v in scalars])
+    # no |x| < 1 and no zero: the arrays that skip the small-argument masks
+    side = np.concatenate((np.geomspace(1.0, 1e4, 2001), np.linspace(1.0, 60.0, 3001)))
+    large = np.concatenate((side, -side, [np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0)]))
+    every = sph_bessels((-1, 0, 1, 2), large)
+    for i, l in enumerate((-1, 0, 1, 2)):
+        yield f"sph_bessel.{l}.large", sph_bessel(l, large).tobytes() + every[i].tobytes()
 
 
 def _schedules(count: int):

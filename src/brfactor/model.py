@@ -58,7 +58,10 @@ def check_field(name: str, value) -> None:
 def length_scale(value):
     """`value`, a product of lengths that a route divides by (an array is
     checked entry by entry), unless it underflowed to 0 or overflowed: then
-    the lengths lie beyond the float range, and ValidationError says so."""
+    the lengths lie beyond the float range, and ValidationError says so.  An
+    empty array holds no such product and passes, as in `check_field`."""
+    if isinstance(value, np.ndarray) and not value.size:
+        return value
     lo, hi = (value.min(), value.max()) if isinstance(value, np.ndarray) else (value, value)
     if not (0.0 < lo and hi < math.inf):
         raise ValidationError(f"a product of lengths, {value!r}, lies beyond the float range")

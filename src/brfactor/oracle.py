@@ -11,7 +11,12 @@ pointed at the decaying echo part of the kernel only and the flat part
 enters through its four-Bessel value.
 
 The scheme is stacked: a factor point's channels share one grid, a batch's
-tails one averaging pass, and a scalar call is a batch of one.
+tails one averaging pass, and a scalar call is a batch of one.  The tail's
+panels are all of one width, so at its nodes an integrand takes sin(a q)
+and cos(a q), for each of its Bessel scales a, by angle addition from a
+per-panel and a per-node table (`_tail_sums`).  In the head, whose 48
+panels make the tables cost more than np.sin and np.cos, and called at
+arbitrary points, it takes its own.
 
 Nothing in this module is imported by the analytic routes; it exists to
 give them something independent to agree with.
@@ -31,8 +36,10 @@ from .model import (
     FactorKind, Ji4Args, RegionPair, ValidationError, check_integer,
     scale_back, unit_scale,
 )
-from .special_functions import angular_weight, sph_bessel, sph_bessels
-from .time_averages import QuadratureError, Schedule, _panel_sums, step_coefficients
+from .special_functions import angular_weight, sph_bessels
+from .time_averages import (
+    QuadratureError, Schedule, _gauss_legendre, _panel_sums, step_coefficients,
+)
 
 __all__ = [
     "QuadConfig",
@@ -121,6 +128,10 @@ def _averaged_limit(chunks: np.ndarray) -> tuple:
     return value, np.maximum(np.maximum(move, abs(value - half_value)), _rounding_floor(chunks))
 
 
+#: which of (sin x, cos x) the closed form of j_l(x) reads, by order l
+_TRIG_USE = {-1: (False, True), 0: (True, False), 1: (True, True), 2: (True, True)}
+
+
 def _head(f, h: float) -> tuple:
     """Integrals of f's rows over (0, 2 * _HEAD_PERIODS * h) and their error
     estimates, from one call of f: the sums over 16-point Gauss-Legendre
@@ -130,6 +141,37 @@ def _head(f, h: float) -> tuple:
     panels = _panel_sums(f, lo, lo + np.repeat((h, 0.5 * h), (n, 2 * n)))
     value = np.sum(panels[:, n:], axis=1)
     return value, abs(value - np.sum(panels[:, :n], axis=1)) + _rounding_floor(panels[:, n:].T)
+
+
+def _tail_sums(f, lo: np.ndarray, half: float) -> np.ndarray:
+    """16-point Gauss-Legendre sums over the panels (lo_k, lo_k + 2 half),
+    one row of sums per row of f, from one call f(x, trig).
+
+    Node (j, k) is c_k + half n_j with c_k = lo_k + half, and x holds the
+    nodes laid out (16, panels).  trig(a, sin, cos) returns sin(a x) and
+    cos(a x) there, each only if asked for, by angle addition from the 16
+    angles a half n_j and the panels' angles a c_k: a matrix product of a
+    16 x 2 table of the first per function with the 2 x panels table of the
+    second, and 2 (panels + 16) trig calls per scale a instead of 32 panels.
+    The values are within a few ulp of max(|a x|, 1) of np.sin and np.cos.
+    einsum reduces each panel on its own.
+    """
+    nodes, weights = _gauss_legendre()
+    centre, offset = lo + half, half * nodes
+    x = centre + offset[:, None]
+
+    def trig(a, sin=True, cos=True):
+        so, co = np.sin(a * offset), np.cos(a * offset)
+        # sin(v + u) = sin v cos u + cos v sin u, cos(v + u) = cos v cos u - sin v sin u
+        pairs = [(so, co)] if sin else []
+        if cos:
+            pairs.append((co, -so))
+        ac = a * centre
+        table = np.array(pairs).transpose(0, 2, 1) @ np.array((np.cos(ac), np.sin(ac)))
+        return table[0] if sin else None, table[-1] if cos else None
+
+    vals = np.reshape(f(x, trig), (-1,) + x.shape)
+    return half * np.einsum("...jk,j->...k", vals, weights)
 
 
 def _batch(staged, cfg: QuadConfig) -> list:
@@ -151,8 +193,8 @@ def _batch(staged, cfg: QuadConfig) -> list:
     for f, omega in (job for job, _ in items if job):
         h = math.pi / omega
         heads.append(_head(f, h))
-        edges = 2 * _HEAD_PERIODS * h + h * np.arange(cfg.tail_periods + 1)
-        tails.append(_panel_sums(f, edges[:-1], edges[1:]))
+        lo = 2 * _HEAD_PERIODS * h + h * np.arange(cfg.tail_periods)
+        tails.append(_tail_sums(f, lo, 0.5 * h))
     if tails:
         chunks = np.concatenate(tails)
         # a lone row stays 1-D: the per-level numpy calls cost more on 2-D rows
@@ -198,9 +240,18 @@ def _active_echoes(s: Schedule) -> list:
     return [(gate, tau) for gate, tau in zip(gates, s.taus) if gate != 0.0 and tau != 0.0]
 
 
-def _echo_kernel(l: int, qa: np.ndarray, s: Schedule, echoes: list):
+def _bessels(ls, x, a, trig=None) -> tuple:
+    """(j_l(a x) for l in ls), from the sin and cos of a x that trig(a,
+    sin, cos) of `_tail_sums` gives, or, with no trig, from their own."""
+    if trig is None:
+        return sph_bessels(ls, x * a)
+    sin, cos = (any(use) for use in zip(*(_TRIG_USE[l] for l in ls)))
+    return sph_bessels(ls, x * a, trig(a, sin, cos))
+
+
+def _echo_kernel(l: int, qa: np.ndarray, s: Schedule, echoes: list, trig=None):
     """Decaying part of the radial kernel, one gated trig term per endpoint
-    of `echoes`, the schedule's `_active_echoes`.
+    of `echoes`, the schedule's `_active_echoes`; trig as in `_bessels`.
 
     Each term carries its own finite q -> 0 limit (tau j0(q tau), or a
     half-angle sine square over q), so nothing cancels at small q and
@@ -211,11 +262,11 @@ def _echo_kernel(l: int, qa: np.ndarray, s: Schedule, echoes: list):
     total = np.zeros_like(qa)
     if l == 1:
         for gate, tau in echoes:
-            half = np.sin(0.5 * qa * tau)
+            half = np.sin(0.5 * qa * tau) if trig is None else trig(0.5 * tau, cos=False)[0]
             total = total - gate * 2.0 * half * half
         return total / qa / norm
     for gate, tau in echoes:
-        total = total + gate * tau * sph_bessel(0, qa * tau)
+        total = total + gate * tau * _bessels((0,), qa, tau, trig)[0]
     return total / norm
 
 
@@ -243,11 +294,11 @@ def _factor_point(kind: FactorKind, p: RegionPair, cfg: QuadConfig) -> tuple:
     orders = [l for l, _, _ in channels]
     context = f"factor_fourier_numeric({kind.value})"
 
-    def integrand(qv):
+    def integrand(qv, trig=None):
         # one row per channel; a kind's channels share their echo kernel
-        common = (sph_bessel(1, qv * p.r1) * sph_bessel(1, qv * p.r2)
-                  * _echo_kernel(orders[0], qv, s, echoes))
-        return common * np.array(sph_bessels(orders, qv * p.r))
+        common = (_bessels((1,), qv, p.r1, trig)[0] * _bessels((1,), qv, p.r2, trig)[0]
+                  * _echo_kernel(orders[0], qv, s, echoes, trig))
+        return common * np.array(_bessels(orders, qv, p.r, trig))
 
     def finish(rows) -> QuadResult:
         value = error = 0.0
@@ -310,10 +361,10 @@ def _ji4_point(args: Ji4Args, cfg: QuadConfig) -> tuple:
     if len(active) + n < 1:
         raise ValidationError("integrand does not decay")
 
-    def integrand(xv):
+    def integrand(xv, trig=None):
         total = np.ones_like(xv)
         for l, a in active:
-            total = total * sph_bessel(l, xv * a)
+            total = total * _bessels((l,), xv, a, trig)[0]
         if n:
             total = total / xv**n
         return total

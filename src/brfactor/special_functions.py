@@ -49,8 +49,9 @@ def sph_bessels(ls, x, trig=None) -> tuple:
     x**2 below it; every division sees 1.0 in place of a small x, so finite
     x never divides by zero.  j_{-1} is cos(x)/x and requires x > 0; the
     limits j_l(0) = delta_{0l} hold for l >= 0.  Elementwise, so a row of a
-    stacked x gets the bits it gets alone.  A float in gives floats out;
-    arrays pass through.
+    stacked x gets the bits it gets alone; where x holds no |x| < SMALL_X,
+    or no zero, the selects that guard those entries are skipped, with the
+    same bits.  A float in gives floats out; arrays pass through.
     """
     for l in ls:
         if l not in _ORDERS:
@@ -76,10 +77,14 @@ def sph_bessels(ls, x, trig=None) -> tuple:
         out[-1] = cos_x() / x
     if 0 in ls:
         zero = x == 0.0
-        out[0] = np.where(zero, 1.0, sin_x() / np.where(zero, 1.0, x))
+        if zero.any():
+            out[0] = np.where(zero, 1.0, sin_x() / np.where(zero, 1.0, x))
+        else:
+            out[0] = sin_x() / x
     if 1 in ls or 2 in ls:
         small = np.abs(x) < SMALL_X
-        xs = np.where(small, 1.0, x)
+        xm = x[small]
+        xs = np.where(small, 1.0, x) if xm.size else x
         if 1 in ls:
             j = out[1] = np.asarray(sin_x() / xs**2)
             j -= cos_x() / xs
@@ -88,7 +93,6 @@ def sph_bessels(ls, x, trig=None) -> tuple:
             j -= 1.0 / xs
             j *= sin_x()
             j -= 3.0 * cos_x() / xs**2
-        xm = x[small]
         if xm.size:
             u = xm * xm
             for l in (1, 2):

@@ -617,6 +617,39 @@ def test_sign_sums_keep_their_summation_tree(sig):
         assert [v.hex() for v in total.tolist()] == [_tree_total(r).hex() for r in rows], kernel
 
 
+def _four_term_tree(t0, t1, t2, t3):
+    # _tree_total of four columns at once: (t0, t1) and (t2, t3) first
+    (s1, e1), (s2, e2) = _two_sum_reference(t0, t1), _two_sum_reference(t2, t3)
+    s, e = _two_sum_reference(s1, s2)
+    return s + ((e1 + e2) + e)
+
+
+@pytest.mark.parametrize("name,slot", [
+    ("_ji4_1100_three", 2), ("_ji4_1102_quad", 3), ("_ji4_n1_1101_quad", 3)])
+def test_four_term_sums_pair_terms_that_differ_in_the_second_sign(name, slot):
+    # with the third argument within 1e-12..1e-5 of a support edge, a + b or
+    # |a - b|, the four terms cancel to within a few ulps, and one or two of
+    # them are tiny: there the pairing (0, 1), (2, 3) rounds otherwise than
+    # (0, 2), (1, 3), which random lanes never show
+    kernel = getattr(closed_form, name)
+    rng = np.random.default_rng(12)
+    a, b = rng.uniform(0.1, 2.0, (2, 10000))
+    edge = np.concatenate((a[:5000] + b[:5000], abs(a[5000:] - b[5000:])))
+    lanes = np.zeros((4, 10000))
+    lanes[0], lanes[1] = a, b
+    lanes[slot] = edge * (1.0 + rng.choice((-1.0, 1.0), 10000) * 10.0 ** rng.uniform(-12, -5, 10000))
+    terms = []
+    for n in range(4):  # term n flips the second argument by (-1)^n, the third by (-1)^(n >> 1)
+        args = lanes * [[1.0], [(-1.0) ** n], [1.0], [1.0]]
+        args[slot] *= (-1) ** (n >> 1)
+        terms.append(kernel(*args)[0].reshape(-1, 10000)[0])
+    total = closed_form._sign_total(kernel(*lanes)[0])[0]
+    assert [v.hex() for v in total.tolist()] == [v.hex() for v in _four_term_tree(*terms).tolist()]
+    swapped = _four_term_tree(terms[0], terms[2], terms[1], terms[3])
+    # the lanes tell the two pairings apart
+    assert np.sum((swapped != total) & np.isfinite(total)) >= 2
+
+
 @pytest.mark.parametrize("multipoles", [1, 2])
 def test_factor_pieces_keep_their_summation_tree(multipoles):
     # a factor's pieces, lane i of multipole k, sum as the float tree of the

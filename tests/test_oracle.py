@@ -240,6 +240,33 @@ def test_head_matches_adaptive_quadrature(monkeypatch):
                 assert abs(value - reference) <= max(error, 1e-13)
 
 
+@pytest.mark.parametrize("periods", [400, 800])
+def test_angle_addition_tables_match_direct_trig(periods):
+    # the sin and cos of a x from the tables of _tail_sums, against np.sin
+    # and np.cos of the same nodes, within 4 ulp of the largest |a x| (or of
+    # 1, the values' own size), at arguments up to about 1100; 1.7 ulp is
+    # the worst seen
+    h = math.pi / 3.7
+    lo = 2 * oracle._HEAD_PERIODS * h + h * np.arange(periods)
+    seen = []
+
+    def f(x, trig):
+        seen.append((x, trig))
+        return np.zeros_like(x)
+
+    oracle._tail_sums(f, lo, 0.5 * h)
+    (x, trig), = seen
+    assert x.shape == (16, periods)
+    for a in [0.0] + np.geomspace(1e-3, 1100.0 / np.max(x), 25).tolist():
+        ulp = np.spacing(max(np.max(np.abs(a * x)), 1.0))
+        for wanted in ((True, True), (True, False), (False, True)):
+            for got, direct, want in zip(trig(a, *wanted), (np.sin(a * x), np.cos(a * x)), wanted):
+                if want:
+                    assert np.max(np.abs(got - direct)) <= 4 * ulp, a
+                else:
+                    assert got is None
+
+
 def _two_pass_limit(chunks):
     # the tail extrapolation as it was first written: one averaging pass over
     # all chunks and a second over the first half of them

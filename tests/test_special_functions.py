@@ -263,6 +263,20 @@ def test_bessel_orders_from_one_pass_equal_each_order_bit_for_bit(ls):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("ls", [(-1,), (0,), (1,), (2,), (0, 2), (-1, 0, 1, 2)])
+def test_bessel_selects_are_skipped_with_the_same_bits(ls):
+    # an array with no |x| < SMALL_X and no zero skips the selects that
+    # guard such entries; each entry keeps the bits it gets beside them
+    x = _bessel_arguments()
+    x = x[np.abs(x) >= SMALL_X]
+    tails = [[0.5, -1e-3], [1e-300]] + ([] if -1 in ls else [[0.0], [-0.0, 0.25]])
+    for tail in tails:
+        mixed = sph_bessels(ls, np.concatenate((x, tail)))
+        for l, alone, beside in zip(ls, sph_bessels(ls, x), mixed):
+            assert alone.tobytes() == beside[: x.size].tobytes(), (l, tail)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_bessel_orders_take_floats_to_floats():
     for v in [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), -2.5, 1e300, 7.0]:
         got = sph_bessels((0, 1, 2), v)

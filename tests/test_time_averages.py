@@ -8,7 +8,7 @@ import pytest
 
 from brfactor.cli import _time_average_integrand
 from brfactor.closed_form import CancellationWarning
-from brfactor.model import ValidationError
+from brfactor.model import ValidationError, length_scale
 from brfactor.time_averages import (
     BOUNDARY_RTOL,
     AvgKind,
@@ -266,6 +266,17 @@ def test_schedule_refuses_durations_whose_product_leaves_the_float_range(dt):
     # every average is normalized by dt1 * dt2, which is 0 or inf here
     with pytest.raises(ValidationError, match="float range"):
         Schedule(dt, dt, 0.0)
+
+
+def test_empty_array_schedule_constructs():
+    # a batch of no schedules holds no illegal value; its float fields are
+    # still checked
+    s = Schedule(np.zeros(0), np.zeros(0), 0.0)
+    assert all(np.shape(tau) == (0,) for tau in (s.taus[0], s.taus[1], s.taus[3]))
+    assert step_coefficients(s, 0.0).d0.shape == (0,)
+    assert length_scale(np.zeros(0)).shape == (0,)
+    with pytest.raises(ValidationError):
+        Schedule(np.zeros(0), -1.0, 0.0)
 
 
 def test_step_coefficients_take_one_body_for_floats_and_arrays():
