@@ -128,10 +128,6 @@ def _averaged_limit(chunks: np.ndarray) -> tuple:
     return value, np.maximum(np.maximum(move, abs(value - half_value)), _rounding_floor(chunks))
 
 
-#: which of (sin x, cos x) the closed form of j_l(x) reads, by order l
-_TRIG_USE = {-1: (False, True), 0: (True, False), 1: (True, True), 2: (True, True)}
-
-
 def _head(f, h: float) -> tuple:
     """Integrals of f's rows over (0, 2 * _HEAD_PERIODS * h) and their error
     estimates, from one call of f: the sums over 16-point Gauss-Legendre
@@ -149,12 +145,13 @@ def _tail_sums(f, lo: np.ndarray, half: float) -> np.ndarray:
 
     Node (j, k) is c_k + half n_j with c_k = lo_k + half, and x holds the
     nodes laid out (16, panels).  trig(a, sin, cos) returns sin(a x) and
-    cos(a x) there, each only if asked for, by angle addition from the 16
-    angles a half n_j and the panels' angles a c_k: a matrix product of a
-    16 x 2 table of the first per function with the 2 x panels table of the
-    second, and 2 (panels + 16) trig calls per scale a instead of 32 panels.
-    The values are within a few ulp of max(|a x|, 1) of np.sin and np.cos.
-    einsum reduces each panel on its own.
+    cos(a x) there, each only if asked for, by angle addition: a 16 x 2
+    table per function of the sin and cos of the angles a half n_j, times
+    the 2 x panels table of the cos and sin of the angles a c_k.  That is
+    2 (panels + 16) trig calls per scale a instead of 32 panels, and the
+    matrix product makes each value in one pass, where broadcast products
+    take three.  The values are within a few ulp of max(|a x|, 1) of np.sin
+    and np.cos.  einsum reduces each panel on its own.
     """
     nodes, weights = _gauss_legendre()
     centre, offset = lo + half, half * nodes
@@ -238,6 +235,10 @@ def _active_echoes(s: Schedule) -> list:
     """(signed gate, tau) pairs whose trig echo survives the step functions."""
     gates = step_coefficients(s, 0.0).open_gates
     return [(gate, tau) for gate, tau in zip(gates, s.taus) if gate != 0.0 and tau != 0.0]
+
+
+#: which of (sin x, cos x) the closed form of j_l(x) reads, by order l
+_TRIG_USE = {-1: (False, True), 0: (True, False), 1: (True, True), 2: (True, True)}
 
 
 def _bessels(ls, x, a, trig=None) -> tuple:
