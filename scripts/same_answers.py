@@ -16,6 +16,7 @@ route table, every term both series routes log at fixed points, each
 route's outcome and each closed `ji4` signature's at seeded points scaled by
 the powers of two of SCALE_K, the help text of the parser and of each subcommand at 100 columns, the
 quadrature oracle's value and error at `validate`'s factor and `ji4` draws,
+and at the `ji4` draws again with a 1600-period tail,
 the 1-D time-average quadrature at `validate`'s time-average draws, and
 `factor_closed_batch` of each kind on the sweep's grid at both offsets.
 
@@ -278,8 +279,12 @@ def _scale_items():
 def _oracle_items():
     """`oracle.factor` and `oracle.ji4`: the value and error bound, at full
     precision, of the quadrature oracle at 60 factor draws and 60 `ji4`
-    draws of `validate`'s samplers, under the configs `validate` gives it."""
-    from brfactor import Ji4Args, QuadConfig, factor_fourier_numeric, ji4_numeric
+    draws of `validate`'s samplers, under the configs `validate` gives it;
+    `oracle.ji4.deep`: the `ji4` draws in one `ji4_numeric_batch` with 1600
+    tail periods, where the tail limit scales most columns down first."""
+    from brfactor import (
+        Ji4Args, QuadConfig, factor_fourier_numeric, ji4_numeric, ji4_numeric_batch,
+    )
     from brfactor.cli import _draw_ji4, _draw_pair
 
     def outcome(call):
@@ -298,6 +303,9 @@ def _oracle_items():
         draws = [d if isinstance(d, Ji4Args) else d[0] for d in draws]
         deep = QuadConfig(abs_tol=1.0, rel_tol=1.0, tail_periods=800)
         yield "oracle.ji4", pickle.dumps([outcome(lambda: ji4_numeric(a, deep)) for a in draws])
+        deeper = QuadConfig(abs_tol=1.0, rel_tol=1.0, tail_periods=1600)
+        yield "oracle.ji4.deep", pickle.dumps(
+            _outcome(lambda: [tuple(r) for r in ji4_numeric_batch(draws, deeper)]))
 
 
 def _time_average_items(w):

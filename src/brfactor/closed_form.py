@@ -225,7 +225,7 @@ def _cells(row, lanes):
     sets (corner lags landing on zero, from either side) evaluate without
     indeterminate forms.  A factor's lanes come from its point at unit scale
     (`unit_scale`), where the floor 1 stands in for the point's own scale;
-    a lane of `_ji4_batch` is at unit scale itself, where the floor is inert.
+    the lane of `ji4` is at unit scale itself, where the floor is inert.
     """
     zeros = _in_band(lanes[2:], np.maximum(abs(lanes).max(axis=0), 1.0))
     return 4 * row + zeros[0] + 2 * zeros[1]
@@ -271,37 +271,15 @@ def _evaluate(cells, lanes) -> tuple:
     return value, cancelled
 
 
-def _ji4_batch(sig: tuple, a, b, c, d) -> tuple:
-    """(values, cancelled) of one signature's ji4 over equal-length arrays,
-    or over floats as one lane whose value is a float.
-
-    Each lane runs at unit scale: its arguments are divided by the 2**k that
-    puts the largest in [1, 2), and its value, homogeneous of degree n - 1,
-    is scaled back by 2**((n - 1) k).  It takes the `_ROUTES` cell of its
-    zero-band code (`_cells`); each formula runs only on the lanes it serves.
-    """
-    if sig not in _ROUTES:
-        raise UnsupportedSignatureError(f"no closed form for signature {sig}")
-    batch = isinstance(a, np.ndarray)
-    if batch:
-        args = np.array((a, b, c, d))
-        k = np.frexp(abs(args).max(axis=0))[1] - 1
-        lanes = np.ldexp(args, -k)
-    else:  # a lane of floats scales in floats, where numpy costs more than the lane
-        k = math.frexp(max(a, b, abs(c), abs(d)))[1] - 1
-        lanes = np.array([math.ldexp(v, -k) for v in (a, b, c, d)])[:, None]
-    value, cancelled = _evaluate(_cells(_ROW[sig], lanes), lanes)
-    (value,) = scale_back(f"ji4{sig}: the value", (sig[0] - 1) * k, value if batch else value[0])
-    return value, cancelled
-
-
 def ji4(args: Ji4Args) -> float:
     """Closed-form moment integral for the supported signatures.
 
-    A batch of one of the array evaluation.  Arguments must be finite and
-    nonnegative, except that gamma and delta inside the zero band count as
-    zero whatever their sign; alpha and beta must be positive.  The band is
-    relative to the largest argument, as it is at unit scale (`_ji4_batch`).
+    Arguments must be finite and nonnegative, except that gamma and delta
+    inside the zero band count as zero whatever their sign; alpha and beta
+    must be positive.  The integral is one lane at unit scale, its arguments
+    divided by the 2**k that puts the largest in [1, 2), where the band is
+    relative to that largest argument; `_cells` picks its `_ROUTES` cell, and
+    its value, homogeneous of degree n - 1, is scaled back by 2**((n - 1) k).
     """
     a, b, c, d = args.alpha, args.beta, args.gamma, args.delta
     scale = max(a, b, abs(c), abs(d))
@@ -311,7 +289,13 @@ def ji4(args: Ji4Args) -> float:
     if a == 0.0 or b == 0.0:
         raise ValidationError("alpha and beta must be positive")
     sig = (args.n, args.l1, args.l2, args.l3, args.l4)
-    value, cancelled = _ji4_batch(sig, a, b, c, d)
+    if sig not in _ROUTES:
+        raise UnsupportedSignatureError(f"no closed form for signature {sig}")
+    # the lane scales in floats, where numpy costs more than the lane
+    k = math.frexp(scale)[1] - 1
+    lanes = np.array([math.ldexp(v, -k) for v in (a, b, c, d)])[:, None]
+    value, cancelled = _evaluate(_cells(_ROW[sig], lanes), lanes)
+    (value,) = scale_back(f"ji4{sig}: the value", (sig[0] - 1) * k, value[0])
     if cancelled[0]:
         warnings.warn(
             f"ji4{sig}: permutation sum lost more than 8 digits to cancellation",

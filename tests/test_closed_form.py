@@ -13,7 +13,6 @@ from brfactor.closed_form import (
     _ROUTES,
     CancellationWarning,
     UnsupportedSignatureError,
-    _ji4_batch,
     coincident_axx,
     commutator_difference,
     factor_closed,
@@ -433,6 +432,17 @@ _BAND_LANES = (
 )
 
 
+def _ji4_lanes(sig, lanes) -> tuple:
+    """(values, cancelled) of one `_evaluate` over the lanes (alpha, beta,
+    gamma, delta), each at unit scale as `ji4` runs it: divided by the power
+    of two that puts its largest argument in [1, 2), its value scaled back."""
+    args = np.array(lanes, dtype=float).T
+    k = np.frexp(abs(args).max(axis=0))[1] - 1
+    unit = np.ldexp(args, -k)
+    values, cancelled = closed_form._evaluate(closed_form._cells(closed_form._ROW[sig], unit), unit)
+    return np.ldexp(values, (sig[0] - 1) * k), cancelled
+
+
 @pytest.mark.parametrize("sig", list(_ROUTES))
 def test_ji4_is_a_batch_of_one_for_every_route_cell(sig):
     # a batch of all lanes a signature can route, each cell beside the
@@ -444,7 +454,7 @@ def test_ji4_is_a_batch_of_one_for_every_route_cell(sig):
         for gamma, delta in _BAND_LANES[code]
         for a, b in ((0.9, 1.3), (2.1, 0.4))
     ]
-    values, cancelled = _ji4_batch(sig, *(np.array(col) for col in zip(*lanes)))
+    values, cancelled = _ji4_lanes(sig, lanes)
     for i, lane in enumerate(lanes):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -455,7 +465,7 @@ def test_ji4_is_a_batch_of_one_for_every_route_cell(sig):
         if isinstance(route, str):
             gamma, delta = _BAND_LANES[code][0]
             with pytest.raises(UnsupportedSignatureError):
-                _ji4_batch(sig, *(np.array([v]) for v in (0.9, 1.3, gamma, delta)))
+                _ji4_lanes(sig, [(0.9, 1.3, gamma, delta)])
             with pytest.raises(UnsupportedSignatureError):
                 ji4(Ji4Args(*sig, 0.9, 1.3, gamma, delta))
 
@@ -493,7 +503,7 @@ def test_ji4_lane_blocks_equal_scalar_calls(monkeypatch):
     ])
     rng.shuffle(lanes)
     calls = _spy_kernel_runs(monkeypatch)
-    values, cancelled = _ji4_batch((0, 1, 1, 0, 0), *lanes.T)
+    values, cancelled = _ji4_lanes((0, 1, 1, 0, 0), lanes)
     assert sorted(calls) == sorted([
         ("_ji4_1100_full", size), ("_ji4_1100_full", size), ("_ji4_1100_full", 1),
         ("_ji4_1100_pair", size), ("_ji4_1100_pair", 1), ("_ji4_1100_three", size),
