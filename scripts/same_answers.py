@@ -281,7 +281,7 @@ def _oracle_items():
     precision, of the quadrature oracle at 60 factor draws and 60 `ji4`
     draws of `validate`'s samplers, under the configs `validate` gives it;
     `oracle.ji4.deep`: the `ji4` draws in one `ji4_numeric_batch` with 1600
-    tail periods, where the tail limit scales most columns down first."""
+    tail periods, where the tail limit rescales every column on the way."""
     from brfactor import (
         Ji4Args, QuadConfig, factor_fourier_numeric, ji4_numeric, ji4_numeric_batch,
     )

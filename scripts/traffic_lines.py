@@ -5,16 +5,18 @@
 
 Under sys.settrace, restricted to SRC/brfactor (SRC defaults to `src`), it
 runs the first N calls (`run(i)`) of each perfbench/workloads.py workload,
-`table1`, `factor` and a small `sweep` on every route, and `validate --seed
-0`, then prints `file:line: source` for each line that starts a statement
-of a module and that no run reached.  perfbench is only read.
+`table1`, `factor` and a small `sweep` on every route, numeric `factor` at
+1100 and 3000 tail periods (deep tails rescale on the way) and `validate
+--seed 0`, then prints `file:line: source` for each statement start that no
+run reached.  Other flags keep their defaults: a line only another setting
+reaches is listed too.  perfbench is only read.
 """
 
 import argparse
 import contextlib
-import glob
 import io
 import os
+import pathlib
 import sys
 import tempfile
 from collections import defaultdict
@@ -23,7 +25,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 POINT = ["--kind", "axx", "--r1", "1.0", "--r2", "2.0", "--r", "1.0", "--theta", "0.5",
          "--phi", "1.0", "--dt1", "1.0", "--dt2", "2.0", "--t", "0.5"]
 GRID = ["--kind", "axx,axy,bxy", "--r1", "0.5:2:3", "--r", "0:2:2", "--phi", "0:6.28:2",
-        "--r2", "1.1", "--theta", "1.0", "--t", "0.5"]
+        "--r2", "1.1", "--theta", "1.0", "--t", "0.5", "--out", os.devnull]
 
 
 def _statements(code) -> set:
@@ -44,7 +46,6 @@ def run(argv=None) -> int:
     sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "perfbench")]
     sys.dont_write_bytecode = True  # leave perfbench/ as it is
     import workloads
-
     reached = defaultdict(set)
 
     def trace(frame, event, arg):
@@ -61,17 +62,16 @@ def run(argv=None) -> int:
             for i in range(args.calls):
                 w.run(i)
         for route in workloads.ROUTES:
-            method = ["--method", route]
-            w.cli.main(["table1"] + method)
-            w.cli.main(["factor"] + method + POINT)
-            w.cli.main(["sweep", "--out", os.path.join(scratch, "grid.csv")] + method + GRID)
+            for command in (["table1"], ["factor"] + POINT, ["sweep"] + GRID):
+                w.cli.main(command + ["--method", route])
+        for periods in ("1100", "3000"):
+            w.cli.main(["factor", "--method", "numeric", "--tail-periods", periods] + POINT)
         w.cli.main(["validate", "--seed", "0"])
         sys.settrace(None)
-    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
-        with open(path) as fh:
-            source = fh.read()
-        for line in sorted(_statements(compile(source, path, "exec")) - reached[path]):
-            print(f"{os.path.basename(path)}:{line}: {source.splitlines()[line - 1].strip()}")
+    for path in sorted(pathlib.Path(package).glob("*.py")):
+        source = path.read_text()
+        for line in sorted(_statements(compile(source, path, "exec")) - reached[str(path)]):
+            print(f"{path.name}:{line}: {source.splitlines()[line - 1].strip()}")
     return 0
 
 

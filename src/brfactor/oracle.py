@@ -106,21 +106,23 @@ def _averaged_limit(chunks: np.ndarray) -> tuple:
     """
     m = max(len(chunks) // 2, 8)
     row = np.cumsum(chunks, axis=0)
-    # Level L holds 2^(L - pre) times its averaged row: a level is one add,
-    # the halvings exact while the values stay normal.  Each column is first
-    # scaled by the exact 2^-pre that keeps 2^L times its largest partial sum
-    # finite up to the last level, and each level's ends by 2^(pre - L) after.
-    pre = np.maximum(len(row) + np.frexp(np.max(np.abs(row), axis=0))[1] - 1022, 0)
-    row = np.ldexp(row, -pre)
+    # Level L holds 2^k times its averaged row, k growing by one a level: a
+    # level is one add, the halvings exact while the values stay normal.  The
+    # ends are scaled back by exact powers of two, and every `room` levels,
+    # before 2^k times its largest partial sum could overflow, a column too.
+    room = np.maximum(1020 - np.frexp(np.max(np.abs(row), axis=0))[1], 1)
+    rescaled = {L for step in set(np.ravel(room).tolist()) for L in range(step + 1, len(row), step)}
     full, half = np.empty(row.shape), np.empty((m,) + row.shape[1:])
     full[0], half[0] = row[-1], row[m - 1]
     for level in range(1, len(row)):
+        if level in rescaled:
+            row = np.ldexp(row, np.where((level - 1) % room == 0, -room, 0))
         row = row[1:] + row[:-1]
         full[level] = row[-1]
         if level < m:
             half[level] = row[m - 1 - level]
     levels = np.arange(len(chunks)).reshape((-1,) + (1,) * (chunks.ndim - 1))
-    shift = levels - pre
+    shift = levels - room * (np.maximum(levels - 1, 0) // room)
     full, half = np.ldexp(full, -shift), np.ldexp(half, -shift[:m])
     (value, move), (half_value, _) = _settled(full), _settled(half)
     return value, np.maximum(np.maximum(move, abs(value - half_value)), _rounding_floor(chunks))

@@ -297,7 +297,7 @@ def test_one_pass_tail_limit_is_bit_identical_to_two_passes():
 @pytest.mark.parametrize("magnitude", [1e150, 1e-150])
 def test_tail_limit_is_bit_identical_at_extreme_magnitudes(magnitude):
     # 800 averaging levels of doubled sums pass 2^800; at 1e150 the row must
-    # be scaled down first, at 1e-150 the ends scaled far back up
+    # be scaled down on the way, at 1e-150 the ends scaled far back up
     rng = np.random.default_rng(13)
     k = np.arange(800)
     for _ in range(5):
@@ -307,8 +307,9 @@ def test_tail_limit_is_bit_identical_at_extreme_magnitudes(magnitude):
 
 
 def test_stacked_tail_limit_keeps_each_column_bit_identical():
-    # columns whose scalings differ share every level's add: 1e150 is
-    # scaled down first, while 1e-150 and 1e-300 need no scaling
+    # columns whose rescale schedules differ share every level's add: 1e150
+    # is rescaled on the way, and would overflow on the schedule of 1e-150
+    # or 1e-300, which need none
     rng = np.random.default_rng(17)
     k = np.arange(800)
     columns = [m * (rng.normal() * (-1.0) ** k / (k + 3.0) ** 2 + 1e-3 * rng.normal(size=800))
@@ -319,14 +320,14 @@ def test_stacked_tail_limit_keeps_each_column_bit_identical():
         assert (values[i].hex(), errors[i].hex()) == (value.hex(), error.hex())
 
 
-@pytest.mark.parametrize("levels", [1100, 1600])
+@pytest.mark.parametrize("levels", [1100, 1600, 2200])
 def test_deep_tail_limit_is_bit_identical_to_two_passes(levels):
-    """A column is scaled down before its first level where 2^levels times
-    its largest partial sum would pass 2^1022: here 1 and 1e150 at both
-    depths, and 1e-150 too at 1600.  The halvings stay exact while the
-    scaled partial sums stay normal, so only a column whose partial sums
-    span more than about 2^(2044 - levels) could lose bits; these span far
-    less.
+    """A column is rescaled on the way once 2^levels times its largest
+    partial sum would pass 2^1020: here 1 and 1e150 at every depth, 1e-150
+    from 1600 levels and 1e-300 at 2200, where a single scaling before the
+    first level would leave every partial sum below 2^-1074.  Each rescale
+    brings a column back to its own size, so only averaged values below
+    2^-1022, which the two-pass halvings round too, could lose bits.
     """
     rng = np.random.default_rng(19)
     k = np.arange(levels)
