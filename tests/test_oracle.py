@@ -324,10 +324,11 @@ def test_stacked_tail_limit_keeps_each_column_bit_identical():
 def test_deep_tail_limit_is_bit_identical_to_two_passes(levels):
     """A column is rescaled on the way once 2^levels times its largest
     partial sum would pass 2^1020: here 1 and 1e150 at every depth, 1e-150
-    from 1600 levels and 1e-300 at 2200, where a single scaling before the
-    first level would leave every partial sum below 2^-1074.  Each rescale
-    brings a column back to its own size, so only averaged values below
-    2^-1022, which the two-pass halvings round too, could lose bits.
+    from 1600 levels and 1e-300 at 2200.  A single scaling before the first
+    level would put each column's largest partial sum near 2^(1022 - levels)
+    instead, which rounds to 0 at 2200.  Each rescale brings a column back
+    to its own size, so only averaged values below 2^-1022, which the
+    two-pass halvings round too, could lose bits.
     """
     rng = np.random.default_rng(19)
     k = np.arange(levels)
