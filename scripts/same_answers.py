@@ -12,9 +12,10 @@ at seeds 300 and 301, `sph_bessel` and both analytic time averages on arrays
 and scalars, `sph_bessel` of every order on arrays that hold no |x| < 1,
 200 small `validate` reports at the benchmark's seeds, and scalar
 `factor_closed` and `ji4` calls that reach every cell of the closed form's
-route table, every term both series routes log at fixed points, each
-route's outcome and each closed `ji4` signature's at seeded points scaled by
-the powers of two of SCALE_K, the help text of the parser and of each subcommand at 100 columns, the
+route table, every term both series routes log at fixed points and at 40
+points outside the light-cone support, each route's outcome and each closed
+`ji4` signature's at seeded points scaled by the powers of two of SCALE_K,
+the help text of the parser and of each subcommand at 100 columns, the
 quadrature oracle's value and error at `validate`'s factor and `ji4` draws,
 and at the `ji4` draws again with a 1600-period tail,
 the 1-D time-average quadrature at `validate`'s time-average draws, and
@@ -232,6 +233,26 @@ def _series_term_items(workloads, scratch):
             _term_logs(route, points, SeriesConfig(n_max=k)) for k in BUDGETS)
 
 
+def _support_items():
+    """`series.support`: the outcome and term log of both series routes at
+    40 seeded points just outside the light-cone support, past either edge
+    by gaps of 1e-9 to 1, r = 0 at some."""
+    from brfactor import SeriesConfig, factor_series, factor_series_general
+
+    rng = random.Random(47)
+    points = []
+    for i in range(40):
+        r1, r2, dt1, dt2 = (rng.uniform(0.3, 3.0) for _ in range(4))
+        r = rng.choice((0.0, rng.uniform(0.0, 6.0)))
+        gap = 10.0 ** rng.uniform(-9.0, 0.0)
+        t = rng.choice((max(r - r1 - r2, 0.0) - dt2 - gap, r + r1 + r2 + dt1 + gap))
+        points.append((("axx", "axy", "bxy")[i % 3], dict(
+            r1=r1, r2=r2, r=r, theta=rng.uniform(0.0, 3.2), phi=rng.uniform(0.0, 6.3),
+            dt1=dt1, dt2=dt2, t_offset=t)))
+    yield "series.support", b"".join(
+        _term_logs(route, points, SeriesConfig()) for route in (factor_series, factor_series_general))
+
+
 def _scale_items():
     """`scale.<route>`: the outcome of each route at 2**k times 40 seeded
     points (4 for the quadrature) whose window is open, for every k of
@@ -392,6 +413,7 @@ def items(workloads):
         yield "validate.perfbench", b"".join(_stdout(main, w.inputs(i)) for i in range(200))
         yield from _time_average_items(w)
         yield from _series_term_items(workloads, scratch)
+    yield from _support_items()
     yield from _bessel_items()
     yield from _average_items()
     yield from _scalar_closed_items()

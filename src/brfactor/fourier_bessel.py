@@ -248,17 +248,22 @@ def factor_series(
     reach region 2 within the sampled window.  When r1 exceeds r_ex the
     region-1 ball is truncated to r1' = r_ex, which is exact for the factor
     but rescales the density normalization; the (r1'/r1)^3 volume factor
-    restores it.  The series runs at unit scale (`unit_scale`).
+    restores it.  The series runs at unit scale (`unit_scale`).  A point
+    outside the light-cone support (`RegionPair.in_support`) returns an exact
+    0.0 with terms_used = 0, a zero tail and converged = True, once
+    `validate` and `unit_scale` have accepted it.
     """
     p.validate()
     k, p = unit_scale(p)
+    if not p.in_support():  # no lag is a distance between the balls: 0
+        return FactorResult(0.0, 0, 0.0, Method.SERIES_SIMPLE, converged=True)
     s = Schedule(p.dt1, p.dt2, p.t_offset)
     r_ex = p.r + p.r2 + max(p.t_offset + p.dt2, 0.0) + _ldexp(cfg.rex_slack, -k)
     r1p = min(p.r1, r_ex)
     corr = (r1p / p.r1) ** 3
     weights = angular_weight(kind, p.theta, p.phi)
     # at unit scale r1' and r2 keep the product from underflowing; a large
-    # r_ex still overflows it, as at RegionPair(1, 1, r=1e308)
+    # r_ex still overflows it, as at RegionPair(1, 1, r=1e308, t_offset=1e308)
     prefac = corr * 9.0 / length_scale(2.0 * math.pi * r_ex * r1p * p.r2)
     g00 = _flat_monopole_coeff(s)
     head = corr * _flat_head(g00, r1p, p.r2, p.r) if 0 in weights else 0.0
@@ -304,16 +309,21 @@ def factor_series_general(
     Each l channel runs over its own root table q_n = x_n^(l)/r_ex with
     r_ex = r + r1 + r2 + rex_slack and is truncated independently; the
     reported terms_used is the deepest node index across channels.  The
-    series runs at unit scale (`unit_scale`).
+    series runs at unit scale (`unit_scale`).  A point outside the
+    light-cone support (`RegionPair.in_support`) returns an exact 0.0 with
+    terms_used = 0, a zero tail and converged = True, once `validate` and
+    `unit_scale` have accepted it.
     """
     p.validate()
     k, p = unit_scale(p)
+    if not p.in_support():  # no lag is a distance between the balls: 0
+        return FactorResult(0.0, 0, 0.0, Method.SERIES_GENERAL, converged=True)
     s = Schedule(p.dt1, p.dt2, p.t_offset)
     r_ex = p.r + p.r1 + p.r2 + _ldexp(cfg.rex_slack, -k)
     weights = angular_weight(kind, p.theta, p.phi)
     g00 = _flat_monopole_coeff(s)
     # the root weights are r_ex**3 times the unit ones; a large r_ex
-    # overflows it, as at RegionPair(1, 1, r=1e150)
+    # overflows it, as at RegionPair(1, 1, r=1e150, t_offset=1e150)
     try:
         r_ex3 = length_scale(r_ex**3)
     except OverflowError:

@@ -345,17 +345,22 @@ def test_series_value_beyond_the_float_range_is_refused(route, length):
 
 
 def test_general_root_weights_beyond_the_float_range_are_refused():
-    # the regions are at unit scale, but r_ex**3 of the root weights overflows
+    # the regions are at unit scale, but r_ex**3 of the root weights
+    # overflows; the offset keeps the point inside the light-cone support,
+    # where the series is summed
     with pytest.raises(ValidationError, match="float range"):
-        factor_series_general(FactorKind.AXX, RegionPair(1.0, 1.0, r=1e150))
+        factor_series_general(FactorKind.AXX, RegionPair(1.0, 1.0, r=1e150, t_offset=1e150))
 
 
 @pytest.mark.parametrize("kind", list(FactorKind))
 @pytest.mark.parametrize("route", [factor_series, factor_series_general])
 def test_dead_window_with_overflowing_lags_is_exactly_zero(route, kind):
     # every corner lag is negative, so every gate is exactly 0 and the
-    # factor is 0; q tau overflows there, and 0 * sin(inf) would be a nan
+    # factor is 0; q tau would overflow there, and 0 * sin(inf) be a nan.
+    # The point lies outside the light-cone support, so both routes return
+    # their exact 0 before any node is summed
     p = RegionPair(r1=1e-100, r2=1e-100, dt1=1.0, dt2=1.0, t_offset=-1e250)
+    assert not p.in_support()
     assert factor_closed(kind, p).value == 0.0
     result = route(kind, p)
     assert result.value == 0.0

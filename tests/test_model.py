@@ -1,6 +1,7 @@
 """Geometry container validation, angle folding, and the reverse map."""
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brfactor.closed_form import factor_closed_batch
+from brfactor.fourier_bessel import factor_series, factor_series_general
 from brfactor.model import (
     BOUNDARY_RTOL,
     TWO_PI,
@@ -21,6 +23,7 @@ from brfactor.model import (
     normalize,
     reverse,
 )
+from brfactor.oracle import QuadConfig, factor_fourier_numeric
 
 
 def make_pair(**overrides) -> RegionPair:
@@ -222,29 +225,70 @@ def _support_box(seed: int, n: int = 200) -> tuple:
     return geometry, np.maximum(r - r1 - r2, 0.0), r + r1 + r2
 
 
-@pytest.mark.filterwarnings("ignore::brfactor.closed_form.CancellationWarning")
-def test_support_test_places_points_just_outside_and_just_inside():
-    geometry, near, far = _support_box(71)
+def _support_edges(seed: int, n: int = 200) -> tuple:
+    """The geometry of `_support_box(seed, n)`, and offsets T that put it
+    just outside the support and just inside: past an edge or short of it
+    by gaps of 1e-6 to 1e-1, by 4 and 1/4 of the band, and on it."""
+    geometry, near, far = _support_box(seed, n)
     dt1, dt2 = geometry[5:]
     # T with the last lag T + dt2 at the nearest distance, and with the
     # first lag T - dt1 at the farthest
     last, first = near - dt2, far + dt1
-    gap = 10.0 ** np.random.default_rng(72).uniform(-6.0, -1.0, near.size)
+    gap = 10.0 ** np.random.default_rng(seed + 1).uniform(-6.0, -1.0, n)
     # the band at an edge: BOUNDARY_RTOL times the largest length or time
     lengths = np.maximum.reduce([*geometry[:3], dt1, dt2])
     below, above = (BOUNDARY_RTOL * np.maximum(lengths, abs(t)) for t in (last, first))
-    for t in (last - gap, first + gap, last - 4.0 * below, first + 4.0 * above):
+    outside = (last - gap, first + gap, last - 4.0 * below, first + 4.0 * above)
+    inside = (last + gap, first - gap, last, first, last - 0.25 * below, first + 0.25 * above)
+    return geometry, outside, inside
+
+
+def _points(geometry, offsets) -> list:
+    """One scalar RegionPair per point of `geometry` at each of `offsets`."""
+    return [RegionPair(*(float(v[i]) for v in geometry), float(t[i]))
+            for t in offsets for i in range(t.size)]
+
+
+@pytest.mark.filterwarnings("ignore::brfactor.closed_form.CancellationWarning")
+def test_support_test_places_points_just_outside_and_just_inside():
+    geometry, outside, inside = _support_edges(71)
+    for t in outside:
         pair = RegionPair(*geometry, t)
         assert not pair.in_support().any()
         for kind in FactorKind:
             assert np.abs(factor_closed_batch(kind, pair).value).max() <= 1e-9
-    for t in (last + gap, first - gap, last, first, last - 0.25 * below, first + 0.25 * above):
+    for t in inside:
         assert RegionPair(*geometry, t).in_support().all()
     # elementwise: each point alone, and one array field among floats
-    t = np.concatenate((last - gap, last + gap))
+    n = outside[0].size
+    t = np.concatenate((outside[0], inside[0]))
     points = RegionPair(*(np.tile(v, 2) for v in geometry), t)
     alone = [RegionPair(*(float(v[i]) for v in dataclasses.astuple(points))).in_support()
              for i in range(t.size)]
-    assert points.in_support().tolist() == alone == [False] * near.size + [True] * near.size
+    assert points.in_support().tolist() == alone == [False] * n + [True] * n
     assert RegionPair(1.0, 1.0, 5.0, t_offset=np.array([0.0, 2.5, 9.0])).in_support().tolist() == [
         False, True, False]
+
+
+@pytest.mark.parametrize("route", [factor_series, factor_series_general])
+def test_series_routes_return_the_exact_zero_outside_the_support(route):
+    geometry, outside, inside = _support_edges(73, 6)
+    kinds = itertools.cycle(FactorKind)
+    for p in _points(geometry, outside):
+        log = []
+        result = route(next(kinds), p, term_log=log)
+        assert (result.value, result.terms_used, result.tail_estimate) == (0.0, 0, 0.0)
+        assert result.converged and log == []
+    # inside, even on an edge or within the band, the series is summed
+    for p in _points(geometry, inside):
+        assert route(next(kinds), p).terms_used >= SeriesConfig().tail_window
+
+
+def test_oracle_is_within_its_error_of_zero_outside_the_support():
+    # a loose budget makes the oracle report its error instead of judging it
+    loose = QuadConfig(abs_tol=1.0, rel_tol=1.0)
+    geometry, outside, _ = _support_edges(75, 2)
+    for p in _points(geometry, outside):
+        for kind in FactorKind:
+            value, error = factor_fourier_numeric(kind, p, loose)
+            assert abs(value) <= error
