@@ -12,7 +12,8 @@ at seeds 300 and 301, `sph_bessel` and both analytic time averages on arrays
 and scalars, `sph_bessel` of every order on arrays that hold no |x| < 1,
 200 small `validate` reports at the benchmark's seeds, and scalar
 `factor_closed` and `ji4` calls that reach every cell of the closed form's
-route table, every term both series routes log at fixed points and at 40
+route table, monopole `ji4` lanes at radius ratios from 1e-9 to 1, every
+term both series routes log at fixed points and at 40
 points outside the light-cone support, each route's outcome and each closed
 `ji4` signature's at seeded points scaled by the powers of two of SCALE_K,
 the help text of the parser and of each subcommand at 100 columns, the
@@ -169,6 +170,32 @@ def _scalar_closed_items():
                 for delta in (rng.uniform(0.0, 5.0), 0.0, 1e-13, abs(a - b)):
                     results.append(call(ji4, Ji4Args(*sig, a, b, gamma, delta)))
         yield "ji4.scalar." + "_".join(map(str, sig)), pickle.dumps(results)
+
+
+def _monopole_items():
+    """`closed.ji4.monopole`: the outcome and warnings of the closed `ji4`
+    of signature (0;1,1,0,0) at 400 seeded lanes, the ratio of the radii
+    log-uniform from 1e-9 to 1, the window centred in the nested range, on
+    the lens, just past it or anywhere in the box, its half-width from 1e-9
+    of a radius to twice it, and gamma = 0, delta = 0 or both at some."""
+    from brfactor import Ji4Args, ji4
+
+    rng = random.Random(53)
+    results = []
+    for _ in range(400):
+        big = rng.uniform(0.3, 3.0)
+        small = big * 10.0 ** rng.uniform(-9.0, 0.0)
+        centre = rng.choice((rng.uniform(0.0, big - small), big + small * rng.uniform(-1.2, 1.2),
+                             big + small * rng.uniform(1.0, 1.1), rng.uniform(0.0, 3.0)))
+        width = rng.choice((small, big)) * 10.0 ** rng.uniform(-9.0, 0.3)
+        gamma, delta = rng.choice(((centre, width), (width, centre), (0.0, centre),
+                                   (centre, 0.0), (0.0, 0.0)))
+        a, b = rng.sample((small, big), 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = _outcome(lambda: ji4(Ji4Args(0, 1, 1, 0, 0, a, b, gamma, delta)))
+        results.append((out, [str(w.message) for w in caught]))
+    yield "closed.ji4.monopole", pickle.dumps(results)
 
 
 def _batch_closed_items():
@@ -417,6 +444,7 @@ def items(workloads):
     yield from _bessel_items()
     yield from _average_items()
     yield from _scalar_closed_items()
+    yield from _monopole_items()
     yield from _batch_closed_items()
     yield from _help_items()
     yield from _scale_items()

@@ -3,18 +3,16 @@ spherical Bessel functions.
 
 ji4(n; l1,l2,l3,l4; alpha,beta,gamma,delta) denotes the improper integral
 over x in (0, inf) of x^(-n) j_l1(alpha x) j_l2(beta x) j_l3(gamma x)
-j_l4(delta x).  For the signatures needed here it reduces to finite sums
-over sign permutations of the arguments; each factor kind then becomes a
-weighted sum of at most ten such integrals with step-gated coefficients
-built from the corner lags of the sampling schedule.
+j_l4(delta x).  The monopole (0;1,1,0,0) is a fold of the overlap volume of
+two balls, the other signatures finite sums over sign permutations of the
+arguments, held as broadcast axes.  Each factor kind is a weighted sum of at
+most ten such integrals with step-gated coefficients from the corner lags.
 
-Which sum applies depends only on the signature and on which of gamma and
-delta vanish: one table, `_ROUTES`, holds a kernel, an exact zero or a
-refusal for each case.  The sign permutations are broadcast axes, one per
-argument whose sign they flip; a factor stacks the gates of all its (l, i)
-lanes into one grid per call, and each kernel runs over the open lanes that
-take it, at most LANES at a time.  A single factor or integral is a batch of
-one.
+One table, `_ROUTES`, holds a kernel, an exact zero or a refusal for each
+signature and each pattern of vanishing gamma and delta.  A factor stacks the
+gates of all its (l, i) lanes into one grid per call, and each kernel runs
+over the open lanes that take it, at most LANES at a time; a single factor or
+integral is a batch of one.
 """
 
 from __future__ import annotations
@@ -49,14 +47,6 @@ CANCELLATION_RTOL = 1e-8
 #: a kernel runs over at most LANES lanes at a time, so that the temporaries
 #: of its permutation sums, 8 x LANES floats each, stay in cache
 LANES = 2048
-
-#: a run of fewer lanes than SHORT costs about what numpy's calls cost, and a
-#: call whose operands differ in shape costs more than one whose shapes
-#: agree: such a run spreads its lanes over its sign axes first, so that
-#: every operation of its kernel sees one shape.  On a 2-vCPU host the
-#: eight-term kernels run 5-20% faster spread up to 16 lanes and slower from
-#: 64, and a scalar factor_closed, whose runs are a few lanes, 5-7% faster.
-SHORT = 32
 
 
 class UnsupportedSignatureError(ValueError):
@@ -107,7 +97,7 @@ def _two_sum_total(x: np.ndarray) -> np.ndarray:
 
 
 def _sign_total(terms: np.ndarray) -> tuple:
-    """(total, cancelled) of the terms summed over their sign axes."""
+    """(total, cancelled) of the terms summed over their leading axes."""
     terms = terms.reshape(-1, terms.shape[-1])
     total = _two_sum_total(terms)
     # an all-zero sum (peak 0) is exact and fails the strict test
@@ -115,34 +105,47 @@ def _sign_total(terms: np.ndarray) -> tuple:
 
 
 # Each kernel maps the argument arrays (a, b, c, d) to (terms, prefactor):
-# the terms over the sign axes of its pattern, and the factor of their sum.
+# the terms over its leading axes, and the factor of their sum.
+
+# 3-point Gauss-Legendre on (0, 1): nodes and weights, in a column
+_NODES = 0.5 + np.array([-0.5, 0.0, 0.5])[:, None] * math.sqrt(0.6)
+_WEIGHTS = np.array([5.0, 8.0, 5.0])[:, None] / 18.0
 
 
-def _ji4_1100_pair(a, b, c, d):
-    # both remaining arguments zero: two-term sum, equals (pi/6) R_< / R_>^2
-    bn = _SIGN1 * b
-    ab = a * bn
-    return abs(a + bn) / ab * (a * a - ab + b * b), math.pi / (12.0 * a * b)
-
-
-def _ji4_1100_three(a, b, c, d):
-    # delta zero: four-term sum with a signed-square kernel
-    bn, cn = _SIGN2 * b, _SIGN1 * c
-    s = a + bn + cn
-    poly = 3.0 * _pow(a - bn, 2) + 2.0 * (a + bn) * cn - c * c
-    return s * abs(s) / (a * bn * cn) * poly, math.pi / (192.0 * a * b)
-
-
-def _ji4_1100_three_swapped(a, b, c, d):
-    # gamma zero: j0 is symmetric in its two slots, so swap delta into gamma
-    return _ji4_1100_three(a, b, d, c)
-
-
-def _ji4_1100_full(a, b, c, d):
-    bn, cn, dn = _SIGN3 * b, _SIGN2 * c, _SIGN1 * d
-    s = a + bn + cn + dn
-    poly = 4.0 * a * a + (4.0 * bn - cn - dn) * (-3.0 * a + bn + cn + dn)
-    return _pow(abs(s), 3) / (a * bn * cn * dn) * poly, math.pi / (1920.0 * a * b)
+def _ji4_1100_fold(a, b, c, d):
+    """ji4(0;1,1,0,0) as the fold (1/(16 a^2 b^2 c d)) * integral of s V(s)
+    over |c - d| < s < c + d, V being the overlap volume of balls of radii
+    P <= G at distance s: (4 pi/3) P^3 up to D = G - P, 0 from S = G + P,
+    and in between s V = (pi/12) (S - s)^2 [(s - D)(s - D + 4G) + 4 D P],
+    which three Gauss-Legendre nodes integrate exactly.  The terms, those
+    nodes and the closed nested piece, are nonnegative.  The window M -+ m
+    (M >= m being c and d) and the kinks keep their rounding errors
+    (Fast2Sum), so a narrow piece keeps its digits.  A piece enters by its
+    width over m, at m = 0 by its limit: 2 for the piece holding M, the
+    nested one at D, giving V(M) / (8 a^2 b^2), (pi/6) P / G^2 at c = d = 0.
+    No term multiplies more than three lengths, as `unit_scale` requires.
+    """
+    small, big, m, top = np.minimum(a, b), np.maximum(a, b), np.minimum(c, d), np.maximum(c, d)
+    step, shift = _SIGN1 * m, -_SIGN1 * small
+    ends, kinks = top + step, big + shift  # M + m, M - m; D, S
+    errors = (step - (ends - top))[:, None] - (shift - (kinks - big))
+    gaps = (ends[:, None] - kinks) + errors  # gaps[i, j] = end i - kink j
+    # the widths of the lens and of the nested piece, over m
+    span = 2.0 * small  # S - D
+    widths = np.array((np.minimum(np.minimum(gaps[0, 0], -gaps[1, 1]), span), -gaps[1, 0]))
+    limits = 2.0 * np.array((widths[0] > 0.0, widths[1] >= 0.0))
+    lens, nested = np.minimum(np.maximum(np.divide(widths, m, out=limits, where=m > 0.0), 0.0), 2.0)
+    # the lens's nodes: s - D, and (S - s) / P
+    width = m * lens
+    rise = np.minimum(np.maximum(gaps[1, 0], 0.0), span) + width * _NODES
+    fall = (np.minimum(np.maximum(-gaps[0, 1], 0.0), span) + width * _NODES[::-1]) / small
+    ratio = small / big
+    poly = rise * (rise / big + 4.0) + 4.0 * ratio * kinks[0]  # [(s - D)(s - D + 4G) + 4DP] / G
+    top = top + (top == 0.0)  # M, or 1 at c = d = 0, where the lens is closed
+    nodes = (lens / top) * _WEIGHTS * (fall * fall * poly)
+    # the nested piece: 16 (P/G) (w/m) (its midpoint over M)
+    piece = 16.0 * ratio * nested * (1.0 - m / top * (1.0 - 0.5 * nested))
+    return np.concatenate((nodes, piece[None])), math.pi / (192.0 * big)
 
 
 def _ji4_1102_quad(a, b, c, d):
@@ -200,8 +203,9 @@ _GAMMA_ZERO = "ji4(1;1,1,0,1) is only available with gamma = 0"
 #: code (0 neither of gamma and delta zero, 1 gamma zero, 2 delta zero, 3
 #: both): a kernel, None for an exact zero, or a refusal's message.  Row l
 #: serves multipole l's lanes, row 3 dipole lanes whose lag is in the band.
+#: The monopole row folds in every cell, its zeros being the fold's limits.
 _ROUTES = {
-    (0, 1, 1, 0, 0): (_ji4_1100_full, _ji4_1100_three_swapped, _ji4_1100_three, _ji4_1100_pair),
+    (0, 1, 1, 0, 0): (_ji4_1100_fold,) * 4,
     (0, 1, 1, -1, 1): (_ji4_11m11_full, _GAMMA_POSITIVE, None, None),
     (0, 1, 1, 0, 2): (_ji4_1102_full, _ji4_1102_quad, None, None),
     (1, 1, 1, 0, 1): (_GAMMA_ZERO, _ji4_n1_1101_quad, _GAMMA_ZERO, None),
@@ -211,9 +215,8 @@ _ROUTES = {
 _CELLS = tuple(cell for row in _ROUTES.values() for cell in row)
 _ROW = {sig: row for row, sig in enumerate(_ROUTES)}
 
-# ones in the sign shape of each zero-band code: an argument in the band
-# drops out of the permutation sum, and its sign axis with it
-_SPREAD = tuple(np.ones((2,) * (3 - bin(code).count("1")) + (1,)) for code in range(4))
+# per zero-band code, a column that zeroes the arguments in the band
+_KEPT = tuple(np.array([1.0, 1.0, 1 - code % 2, 1 - code // 2])[:, None] for code in range(4))
 
 
 def _cells(row, lanes):
@@ -233,15 +236,8 @@ def _cells(row, lanes):
 
 def _kernel(index, lanes) -> tuple:
     """(values, cancelled) of the kernel in `_CELLS[index]` over `lanes`,
-    one row per argument."""
-    kernel, size = _CELLS[index], lanes.shape[1]
-    if size < SHORT:
-        ones = _SPREAD[index % 4]
-        terms, prefactor = kernel(*(ones * lanes.reshape(4, *(1,) * (ones.ndim - 1), size)))
-        # a spread prefactor repeats its lanes along the sign axes
-        prefactor = prefactor.reshape(-1, size)[0]
-    else:
-        terms, prefactor = kernel(*lanes)
+    one row per argument; an argument in the zero band enters as 0."""
+    terms, prefactor = _CELLS[index](*(lanes * _KEPT[index % 4]))
     total, cancelled = _sign_total(terms)
     return prefactor * total, cancelled
 
@@ -280,6 +276,7 @@ def ji4(args: Ji4Args) -> float:
     divided by the 2**k that puts the largest in [1, 2), where the band is
     relative to that largest argument; `_cells` picks its `_ROUTES` cell, and
     its value, homogeneous of degree n - 1, is scaled back by 2**((n - 1) k).
+    The monopole folds; the other signatures sum, and warn when they cancel.
     """
     a, b, c, d = args.alpha, args.beta, args.gamma, args.delta
     scale = max(a, b, abs(c), abs(d))
@@ -310,7 +307,8 @@ class ClosedBatch:
     """Closed-form factors of a batch of points, one array entry per point.
 
     `cancelled` marks the points where a ji4 permutation sum lost more than
-    8 digits; their values are converged by contract but may be inexact.
+    8 digits, which a monopole lane, a fold, never does; their values are
+    converged by contract but may be inexact.
     """
 
     value: np.ndarray
@@ -344,7 +342,7 @@ def factor_closed_batch(kind: FactorKind, p: RegionPair) -> ClosedBatch:
     over the lanes that picked it in blocks of LANES, and one
     CancellationWarning names how many points lost digits.  On a 2-vCPU
     host a point of a large batch costs about 2 microseconds, and a batch
-    of one about 0.2 ms.
+    of one 0.2-0.5 ms.
     """
     p.validate()
     fields = [getattr(p, name) for name in FIELDS]

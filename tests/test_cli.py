@@ -330,12 +330,13 @@ def test_table1_csv_is_deterministic(tmp_path, capsys):
 
 def test_sweep_grid_order_and_stability(tmp_path, capsys):
     # the grid crosses r = 0, puts corner lags exactly on zero (t = -1, 0, 1
-    # with unit durations) and has a dead window (t = -5); each kind is one
-    # batch, which must equal its batches of one row by row
+    # with unit durations) and has a dead window (t = -5); with r2 = r1 + r
+    # at r = 1 its quadrupole sums cancel on their support edge.  Each kind
+    # is one batch, which must equal its batches of one row by row
     out_a = tmp_path / "sweep_a.csv"
     out_b = tmp_path / "sweep_b.csv"
     args = [
-        "sweep", "--kind", "axx,axy,bxy", "--r1", "1.0", "--r2", "1.0", "--r", "0:1:3",
+        "sweep", "--kind", "axx,axy,bxy", "--r1", "1.0", "--r2", "2.0", "--r", "0:1:3",
         "--theta", "pi/2", "--phi", "0:6.2831853:8", "--dt1", "1.0",
         "--dt2", "1.0", "--t", "-5:1:13",
     ]
