@@ -19,8 +19,13 @@ points outside the light-cone support, each route's outcome and each closed
 the help text of the parser and of each subcommand at 100 columns, the
 quadrature oracle's value and error at `validate`'s factor and `ji4` draws,
 and at the `ji4` draws again with a 1600-period tail,
-the 1-D time-average quadrature at `validate`'s time-average draws, and
-`factor_closed_batch` of each kind on the sweep's grid at both offsets.
+the 1-D time-average quadrature at `validate`'s time-average draws,
+`factor_closed_batch` of each kind on the sweep's grid at both offsets, the
+CSV of a 108-point sweep (SMALL_SWEEP) by `series`, `series-general` and
+`numeric`, the routes that build their rows point by point, and the outcome
+and term log of both series routes, every kind, at the points of REFUSED,
+where the lengths' ratios, the value or a product of lengths lie beyond
+the float range.
 
 The `closed.batch.<kind>` items hold a batch's `value`, `terms_used` and
 `cancelled` mask and the text of its CancellationWarning, which the sweep
@@ -55,6 +60,16 @@ import numpy as np
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
 SWEEP = ["sweep", "--kind", "axx,axy,bxy", "--r1", "0.5:2:40", "--r", "0:2:10",
          "--phi", "0:6.28:16", "--r2", "1.1", "--theta", "1.0"]
+#: a grid that the per-point routes sweep, some offsets outside the support
+SMALL_SWEEP = ["sweep", "--kind", "axx,axy,bxy", "--r1", "0.5:2:3", "--r", "0:2:2",
+               "--phi", "0:6.28:2", "--r2", "1.1", "--theta", "1.0", "--t", "-3:6:3"]
+#: points that the series routes refuse: ratios of lengths beyond the
+#: float range, a value that overflows or underflows, and a general-roots
+#: expansion radius whose cube overflows
+REFUSED = (dict(r1=1e-200, r2=1e-200), dict(r1=1e150, r2=1e150),
+           dict(r1=1e-200, r2=1e-200, dt1=1e-200, dt2=1e-200),
+           dict(r1=1e150, r2=1e150, dt1=1e150, dt2=1e150),
+           dict(r1=1.0, r2=1.0, r=1e150, t_offset=1e150))
 #: series budgets that end at, just before or just after a block's end
 BUDGETS = (20, 127, 128, 129, 384, 385)
 #: the `scale.<route>` items evaluate 2**k times each point for these k: the
@@ -241,7 +256,8 @@ def _series_term_items(workloads, scratch):
     """The term logs of both series routes at the first 60 `series-random`
     inputs of seed 300 and one r = 0 point, every kind at the second; at a
     dead window whose lags overflow when multiplied by q; and, as the
-    `.budgets` items, at the same 63 points under each n_max of BUDGETS."""
+    `.budgets` items, at the same 63 points under each n_max of BUDGETS;
+    and, as the `.refused` items, at each point of REFUSED, every kind."""
     import brfactor
     from brfactor import SeriesConfig
 
@@ -258,6 +274,8 @@ def _series_term_items(workloads, scratch):
             route, [(k, dead) for k in kinds], SeriesConfig())
         yield f"series.terms.{name}.budgets", b"".join(
             _term_logs(route, points, SeriesConfig(n_max=k)) for k in BUDGETS)
+        yield f"series.terms.{name}.refused", _term_logs(
+            route, [(k, p) for k in kinds for p in REFUSED], SeriesConfig())
 
 
 def _support_items():
@@ -422,6 +440,10 @@ def items(workloads):
             code = main(SWEEP + ["--t", t, "--out", out])
             with open(out, "rb") as fh:
                 yield f"sweep.t{t}", f"exit {code}\n".encode() + fh.read()
+        for route in ("series", "series-general", "numeric"):
+            code = main(SMALL_SWEEP + ["--method", route, "--out", out])
+            with open(out, "rb") as fh:
+                yield f"sweep.small.{route}", f"exit {code}\n".encode() + fh.read()
         for seed in (300, 301):
             w = workloads.SeriesRandom(seed, scratch)
             w.load()

@@ -158,14 +158,6 @@ def _result_fields(method: str, value: float, terms_used: int, converged: bool) 
     return [method, f"{value:.16e}", str(terms_used), "true" if converged else "false"]
 
 
-def _csv_row(kind: FactorKind, p: RegionPair, result: FactorResult) -> list:
-    return (
-        [kind.value]
-        + [f"{getattr(p, name):.17g}" for name in FIELDS]
-        + _result_fields(result.method.value, result.value, result.terms_used, result.converged)
-    )
-
-
 def _writable(path: Optional[str]) -> None:
     """Refuse as bad input, before any work, a `path` that cannot be opened
     for writing.  The check appends nothing and removes a file it made."""
@@ -235,9 +227,11 @@ def cmd_table1(args: argparse.Namespace) -> int:
             f"{result.value:>23.16e}  {rounded:>10}  {row.expected:>10}  "
             f"{result.terms_used:>6}  {'pass' if ok else 'FAIL'}"
         )
-        csv_rows.append(
-            _csv_row(row.kind, row.params, result) + [row.expected, "true" if ok else "false"]
-        )
+        csv_rows.append([
+            row.kind.value, *(f"{getattr(row.params, name):.17g}" for name in FIELDS),
+            *_result_fields(result.method.value, result.value, result.terms_used, result.converged),
+            row.expected, "true" if ok else "false",
+        ])
     print(f"{passed}/{len(rows)} rows pass at 4 significant digits")
 
     if args.csv is not None:
@@ -293,31 +287,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         check_field(name, np.array(values))
     _writable(args.out)
 
+    # every route's rows take the axis labels in itertools.product order;
+    # the closed form runs each kind's whole grid as one batch, whose
+    # kernels run in blocks of closed_form.LANES lanes, with no FactorResult
+    # per point, which would cost more than the batch
+    labels = list(itertools.product(*([f"{v:.17g}" for v in values] for values in axes)))
+    if method is Method.CLOSED_FORM:
+        grid = RegionPair(*(g.ravel() for g in np.meshgrid(*axes, indexing="ij")))
+    # an enum's value is a property lookup; read it once, not per row
+    route = method.value
     rows = []
     all_converged = True
-    if method is Method.CLOSED_FORM:
-        # each kind's whole grid is one batch, in itertools.product order,
-        # whose kernels run in blocks of closed_form.LANES lanes; no
-        # FactorResult per point, which would cost more than the batch
-        labels = list(itertools.product(*([f"{v:.17g}" for v in values] for values in axes)))
-        grid = RegionPair(*(g.ravel() for g in np.meshgrid(*axes, indexing="ij")))
-        # an enum's value is a property lookup; read it once, not per row
-        route = method.value
-        for kind in args.kind:
+    for kind in args.kind:
+        if method is Method.CLOSED_FORM:
             batch = factor_closed_batch(kind, grid)
-            name = kind.value
-            rows.extend(
-                [name, *label, *_result_fields(route, value, terms, True)]
-                for label, value, terms in zip(
-                    labels, batch.value.tolist(), batch.terms_used.tolist()
-                )
-            )
-    else:
-        for kind, point in itertools.product(args.kind, itertools.product(*axes)):
-            p = RegionPair(*point)
-            result = evaluate(kind, p)
-            all_converged = all_converged and result.converged
-            rows.append(_csv_row(kind, p, result))
+            values, terms = batch.value.tolist(), batch.terms_used.tolist()
+            converged = itertools.repeat(True)
+        else:
+            results = [evaluate(kind, RegionPair(*point)) for point in itertools.product(*axes)]
+            values, terms, converged = zip(*((r.value, r.terms_used, r.converged) for r in results))
+            all_converged = all_converged and all(converged)
+        name = kind.value
+        rows.extend(
+            [name, *label, *_result_fields(route, value, used, ok)]
+            for label, value, used, ok in zip(labels, values, terms, converged)
+        )
     _write_csv(args.out, _CSV_COLUMNS, rows)
     return 0 if all_converged else 3
 

@@ -129,11 +129,6 @@ def _root_nodes(l: int, count: int) -> tuple:
     return roots, weights
 
 
-def _flat_monopole_coeff(s: Schedule) -> float:
-    """q-independent part of the monopole kernels: -<delta(t)>/2."""
-    return -0.5 * step_coefficients(s, 0.0).d0 / (s.dt1 * s.dt2)
-
-
 def _flat_head(g00: float, a: float, b: float, r: float) -> float:
     """Closed value of the flat monopole contribution, any separation r.
 
@@ -235,6 +230,64 @@ def _window_max(mags: np.ndarray, width: int) -> np.ndarray:
     return np.maximum(out[: len(mags) - width + 1], out[width - span :])
 
 
+def _bessel_rows(x, ls) -> tuple:
+    """(j_1(q r1'), j_1(q r2), the rows j_l(q r) for l in ls, sin x, cos x)
+    from x = q * radii, whose rows are q r1', q r2, q r and any whose trig
+    the caller needs.  One sin and one cos of x serve every row; the dipole
+    alone, ls = (1,), takes q r with j_1."""
+    sin_x, cos_x = np.sin(x), np.cos(x)
+    j1_rows = 3 if ls == (1,) else 2
+    (j1,) = sph_bessels((1,), x[:j1_rows], (sin_x[:j1_rows], cos_x[:j1_rows]))
+    j_r = j1[2:] if j1_rows == 3 else sph_bessels(ls, x[2], (sin_x[2], cos_x[2]))
+    return j1[0], j1[1], j_r, sin_x, cos_x
+
+
+def _point_pipeline(method: Method, series, kind: FactorKind, p: RegionPair, cfg, term_log):
+    """A series route at point p: `validate`, then `unit_scale` (exponent k)
+    and, outside the light-cone support (`RegionPair.in_support`), an exact
+    0.0 with terms_used = 0, a zero tail and converged = True.  Otherwise
+    the route's `series(p, k, s, weights, g00, cfg, term_log)` sums at unit
+    scale, given the schedule, the angular weights and g00 = -<delta(t)>/2,
+    the q-independent part of the monopole kernels, and its (value,
+    terms_used, tail, converged) are scaled back to the caller's point."""
+    p.validate()
+    k, p = unit_scale(p)
+    if not p.in_support():  # no lag is a distance between the balls: 0
+        return FactorResult(0.0, 0, 0.0, method, converged=True)
+    s = Schedule(p.dt1, p.dt2, p.t_offset)
+    weights = angular_weight(kind, p.theta, p.phi)
+    g00 = -0.5 * step_coefficients(s, 0.0).d0 / (s.dt1 * s.dt2)
+    value, used, tail, converged = series(p, k, s, weights, g00, cfg, term_log)
+    value, tail = scale_back(f"{method.value}: the value", -4 * k, value, tail)
+    return FactorResult(value, used, tail, method, converged)
+
+
+def _fixed_node_series(p, k, s, weights, g00, cfg, term_log) -> tuple:
+    """`factor_series`'s node sum at unit scale."""
+    r_ex = p.r + p.r2 + max(p.t_offset + p.dt2, 0.0) + _ldexp(cfg.rex_slack, -k)
+    r1p = min(p.r1, r_ex)
+    corr = (r1p / p.r1) ** 3
+    # at unit scale r1' and r2 keep the product from underflowing; a large
+    # r_ex still overflows it, as at RegionPair(1, 1, r=1e308, t_offset=1e308)
+    prefac = corr * 9.0 / length_scale(2.0 * math.pi * r_ex * r1p * p.r2)
+    head = corr * _flat_head(g00, r1p, p.r2, p.r) if 0 in weights else 0.0
+    ls = tuple(sorted(weights))
+    kernels = _saturated_kernels(ls, s)
+    radii = np.array([[r1p], [p.r2], [p.r]])
+
+    def block(lo, hi):
+        q = np.arange(lo + 1, hi + 1) * (math.pi / r_ex)
+        radial = kernels(q)
+        j1_a, j1_b, j_r, _, _ = _bessel_rows(q * radii, ls)
+        acc = 0.0
+        for l, j in zip(ls, j_r):
+            rad = radial[l] - g00 if l == 0 else radial[l]
+            acc = acc + weights[l] * rad * j
+        return q, prefac * j1_a * j1_b * acc
+
+    return _accumulate(block, cfg, head, term_log, k)
+
+
 def factor_series(
     kind: FactorKind,
     p: RegionPair,
@@ -248,80 +301,15 @@ def factor_series(
     reach region 2 within the sampled window.  When r1 exceeds r_ex the
     region-1 ball is truncated to r1' = r_ex, which is exact for the factor
     but rescales the density normalization; the (r1'/r1)^3 volume factor
-    restores it.  The series runs at unit scale (`unit_scale`).  A point
-    outside the light-cone support (`RegionPair.in_support`) returns an exact
-    0.0 with terms_used = 0, a zero tail and converged = True, once
-    `validate` and `unit_scale` have accepted it.
+    restores it.  The series runs at unit scale, and a point outside the
+    light-cone support gives an exact 0.0 (`_point_pipeline`).
     """
-    p.validate()
-    k, p = unit_scale(p)
-    if not p.in_support():  # no lag is a distance between the balls: 0
-        return FactorResult(0.0, 0, 0.0, Method.SERIES_SIMPLE, converged=True)
-    s = Schedule(p.dt1, p.dt2, p.t_offset)
-    r_ex = p.r + p.r2 + max(p.t_offset + p.dt2, 0.0) + _ldexp(cfg.rex_slack, -k)
-    r1p = min(p.r1, r_ex)
-    corr = (r1p / p.r1) ** 3
-    weights = angular_weight(kind, p.theta, p.phi)
-    # at unit scale r1' and r2 keep the product from underflowing; a large
-    # r_ex still overflows it, as at RegionPair(1, 1, r=1e308, t_offset=1e308)
-    prefac = corr * 9.0 / length_scale(2.0 * math.pi * r_ex * r1p * p.r2)
-    g00 = _flat_monopole_coeff(s)
-    head = corr * _flat_head(g00, r1p, p.r2, p.r) if 0 in weights else 0.0
-
-    ls = sorted(weights)
-    kernels = _saturated_kernels(ls, s)
-    radii = np.array([[r1p], [p.r2], [p.r]])
-    # rows that take j_1 alone: q r1' and q r2, and q r too for the dipole
-    j1_rows = 3 if ls == [1] else 2
-
-    def block(lo, hi):
-        q = np.arange(lo + 1, hi + 1) * (math.pi / r_ex)
-        radial = kernels(q)
-        x = q * radii
-        sin_x, cos_x = np.sin(x), np.cos(x)
-        (j1,) = sph_bessels((1,), x[:j1_rows], (sin_x[:j1_rows], cos_x[:j1_rows]))
-        j_r = j1[2:] if j1_rows == 3 else sph_bessels(ls, x[2], (sin_x[2], cos_x[2]))
-        acc = 0.0
-        for l, j in zip(ls, j_r):
-            rad = radial[l] - g00 if l == 0 else radial[l]
-            acc = acc + weights[l] * rad * j
-        return q, prefac * j1[0] * j1[1] * acc
-
-    total, used, tail, converged = _accumulate(block, cfg, head, term_log, k)
-    value, tail = scale_back("series: the value", -4 * k, total, tail)
-    return FactorResult(
-        value=value,
-        terms_used=used,
-        tail_estimate=tail,
-        method=Method.SERIES_SIMPLE,
-        converged=converged,
-    )
+    return _point_pipeline(Method.SERIES_SIMPLE, _fixed_node_series, kind, p, cfg, term_log)
 
 
-def factor_series_general(
-    kind: FactorKind,
-    p: RegionPair,
-    cfg: SeriesConfig = SeriesConfig(),
-    term_log=None,
-) -> FactorResult:
-    """Geometric factor by the general-roots series.
-
-    Each l channel runs over its own root table q_n = x_n^(l)/r_ex with
-    r_ex = r + r1 + r2 + rex_slack and is truncated independently; the
-    reported terms_used is the deepest node index across channels.  The
-    series runs at unit scale (`unit_scale`).  A point outside the
-    light-cone support (`RegionPair.in_support`) returns an exact 0.0 with
-    terms_used = 0, a zero tail and converged = True, once `validate` and
-    `unit_scale` have accepted it.
-    """
-    p.validate()
-    k, p = unit_scale(p)
-    if not p.in_support():  # no lag is a distance between the balls: 0
-        return FactorResult(0.0, 0, 0.0, Method.SERIES_GENERAL, converged=True)
-    s = Schedule(p.dt1, p.dt2, p.t_offset)
+def _general_roots_series(p, k, s, weights, g00, cfg, term_log) -> tuple:
+    """`factor_series_general`'s channel sums at unit scale."""
     r_ex = p.r + p.r1 + p.r2 + _ldexp(cfg.rex_slack, -k)
-    weights = angular_weight(kind, p.theta, p.phi)
-    g00 = _flat_monopole_coeff(s)
     # the root weights are r_ex**3 times the unit ones; a large r_ex
     # overflows it, as at RegionPair(1, 1, r=1e150, t_offset=1e150)
     try:
@@ -334,19 +322,15 @@ def factor_series_general(
         roots, unit_weights = _root_nodes(l, cfg.n_max)
         chan_pref = (9.0 / (p.r1 * p.r2)) * (w / (4.0 * math.pi))
         kernel = _boundary_kernel(l, r_ex, s)
-        # rows that take j_1 alone: q r1 and q r2, and q r too for l = 1
-        j1_rows = 3 if l == 1 else 2
 
         def block(lo, hi):
             q = roots[lo:hi] / r_ex
             x = q * radii
-            sin_x, cos_x = np.sin(x), np.cos(x)
-            (j1,) = sph_bessels((1,), x[:j1_rows], (sin_x[:j1_rows], cos_x[:j1_rows]))
-            jl_r = j1[2] if l == 1 else sph_bessels((l,), x[2], (sin_x[2], cos_x[2]))[0]
+            j1_a, j1_b, (jl_r,), sin_x, cos_x = _bessel_rows(x, (l,))
             bracket = kernel(q, x[3], sin_x[3], cos_x[3])
             if l == 0:
                 bracket = bracket - g00
-            terms = chan_pref * (bracket / (r_ex3 * unit_weights[lo:hi])) * j1[0] * j1[1] * jl_r
+            terms = chan_pref * (bracket / (r_ex3 * unit_weights[lo:hi])) * j1_a * j1_b * jl_r
             return q, terms / (q * q)
 
         channels.append(_accumulate(block, cfg, 0.0, term_log, k))
@@ -362,11 +346,21 @@ def factor_series_general(
     # relative stop; judge such channels against the combined magnitude
     scale = max(abs(value), 1e-300)
     converged = all(ok or t <= cfg.tail_tol * scale for t, ok in zip(tails, convs))
-    value, tail = scale_back("series-general: the value", -4 * k, value, tail)
-    return FactorResult(
-        value=value,
-        terms_used=max(used),
-        tail_estimate=tail,
-        method=Method.SERIES_GENERAL,
-        converged=converged,
-    )
+    return value, max(used), tail, converged
+
+
+def factor_series_general(
+    kind: FactorKind,
+    p: RegionPair,
+    cfg: SeriesConfig = SeriesConfig(),
+    term_log=None,
+) -> FactorResult:
+    """Geometric factor by the general-roots series.
+
+    Each l channel runs over its own root table q_n = x_n^(l)/r_ex with
+    r_ex = r + r1 + r2 + rex_slack and is truncated independently; the
+    reported terms_used is the deepest node index across channels.  The
+    series runs at unit scale, and a point outside the light-cone support
+    gives an exact 0.0 (`_point_pipeline`).
+    """
+    return _point_pipeline(Method.SERIES_GENERAL, _general_roots_series, kind, p, cfg, term_log)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import decimal
 import enum
-import functools
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -34,21 +33,27 @@ class ValidationError(ValueError):
     """Raised when a parameter set violates its domain constraints."""
 
 
+def _extremes(value):
+    """(least, largest) of a number, or of an array's entries as floats;
+    None for an empty array, which holds no illegal value."""
+    if not isinstance(value, np.ndarray):
+        return value, value
+    return (float(value.min()), float(value.max())) if value.size else None
+
+
 def check_field(name: str, value) -> None:
     """Raise ValidationError unless `value` is legal for the field `name`.
 
     The constraints are per field and one-sided, so an array of values is
-    checked through its extremes; an empty array holds no illegal value.
+    checked through its extremes (`_extremes`).
     """
-    if isinstance(value, np.ndarray):
-        if not value.size:
-            return
-        lo, hi = float(value.min()), float(value.max())
-    else:
-        lo = hi = value
-    for v in (lo, hi):
+    extremes = _extremes(value)
+    if extremes is None:
+        return
+    for v in extremes:
         if not math.isfinite(v):
             raise ValidationError(f"{name} must be finite, got {v!r}")
+    lo = extremes[0]
     if name in _POSITIVE and lo <= 0.0:
         raise ValidationError(f"{name} must be positive, got {lo!r}")
     if name == "r" and lo < 0.0:
@@ -60,12 +65,20 @@ def length_scale(value):
     checked entry by entry), unless it underflowed to 0 or overflowed: then
     the lengths lie beyond the float range, and ValidationError says so.  An
     empty array holds no such product and passes, as in `check_field`."""
-    if isinstance(value, np.ndarray) and not value.size:
-        return value
-    lo, hi = (value.min(), value.max()) if isinstance(value, np.ndarray) else (value, value)
-    if not (0.0 < lo and hi < math.inf):
+    extremes = _extremes(value)
+    if extremes is not None and not (0.0 < extremes[0] and extremes[1] < math.inf):
         raise ValidationError(f"a product of lengths, {value!r}, lies beyond the float range")
     return value
+
+
+# min and max of finite values that also work elementwise on arrays; the
+# unselected operand is multiplied by zero, so the result is exact
+def _lesser(a, b):
+    return a * (a <= b) + b * (b < a)
+
+
+def _greater(a, b):
+    return a * (a >= b) + b * (b > a)
 
 
 def _two_sum(a, b) -> tuple:
@@ -131,12 +144,14 @@ class RegionPair:
 
         An edge within BOUNDARY_RTOL times the largest length or time in
         play counts as inside, so no zero is claimed at a boundary.
-        Elementwise on arrays, broadcasting as the closed form's batches do.
+        Elementwise on arrays, broadcasting as the closed form's batches do;
+        floats give a bool.  An infinite field, which `validate` refuses, can
+        make a max nan (`_greater`) and the answer False.
         """
         reach = self.r1 + self.r2
-        band = BOUNDARY_RTOL * functools.reduce(np.maximum, (
-            self.r1, self.r2, self.r, self.dt1, self.dt2, abs(self.t_offset)))
-        return ((self.t_offset + self.dt2 >= np.maximum(self.r - reach, 0.0) - band)
+        band = BOUNDARY_RTOL * _greater(_greater(_greater(self.r1, self.r2), self.r),
+                                        _greater(_greater(self.dt1, self.dt2), abs(self.t_offset)))
+        return ((self.t_offset + self.dt2 >= _greater(self.r - reach, 0.0) - band)
                 & (self.t_offset - self.dt1 <= self.r + reach + band))
 
 

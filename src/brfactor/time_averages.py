@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import BOUNDARY_RTOL, ValidationError, check_field, length_scale
+from .model import BOUNDARY_RTOL, ValidationError, _greater, _lesser, check_field, length_scale
 
 #: evaluations of f allowed to each integral of a numeric_time_average_batch call
 _EVAL_BUDGET = 1 << 21
@@ -55,16 +55,6 @@ def heaviside(x, scale):
     """
     band = BOUNDARY_RTOL * scale
     return (x > band) + 0.5 * (abs(x) <= band)
-
-
-# min and max of finite values that also work elementwise on arrays; the
-# unselected operand is multiplied by zero, so the result is exact
-def _lesser(a, b):
-    return a * (a <= b) + b * (b < a)
-
-
-def _greater(a, b):
-    return a * (a >= b) + b * (b > a)
 
 
 @functools.cache

@@ -270,6 +270,16 @@ def test_support_test_places_points_just_outside_and_just_inside():
         False, True, False]
 
 
+def test_scalar_support_test_is_a_bool_equal_to_the_array_call():
+    # every edge point of the test above, one scalar call each
+    geometry, outside, inside = _support_edges(71)
+    for t in outside + inside:
+        expected = RegionPair(*geometry, t).in_support().tolist()
+        alone = [p.in_support() for p in _points(geometry, (t,))]
+        assert all(type(v) is bool for v in alone)
+        assert alone == expected
+
+
 @pytest.mark.parametrize("route", [factor_series, factor_series_general])
 def test_series_routes_return_the_exact_zero_outside_the_support(route):
     geometry, outside, inside = _support_edges(73, 6)
